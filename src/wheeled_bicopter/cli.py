@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -450,10 +450,7 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             doc_traj["v_max"] = v_max
             doc_traj["a_max"] = a_max
             doc_traj.pop("speed_cases", None)
-            ctrl = NmpcConfig(
-                K=cfg.controller.K, dt=cfg.controller.dt,
-                q_u=cfg.controller.q_u, lock_lateral=(variant == "no_lateral"),
-            )
+            ctrl = replace(cfg.controller, lock_lateral=(variant == "no_lateral"))
             sub = ScenarioConfig(
                 name=f"{cfg.name}_{variant}_v{v_max}", seed=cfg.seed,
                 params=cfg.params, controller=ctrl, trajectory=doc_traj,
@@ -774,7 +771,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleReferenceError as exc:
-        print(f"infeasible reference: {exc}", file=sys.stderr)
+        print(f"infeasible reference: {exc}", *getattr(exc, "__notes__", ()),
+              sep="; ", file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ derivatives up to 4th order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -79,11 +79,18 @@ class FlatSampleAerial:
     psi_dot: float
     psi_ddot: float
     t: float = 0.0
+    heading: str = "explicit"  # how psi was found, see ReferencePoint.heading
 
 
 @dataclass
 class ReferencePoint:
-    """Reference state/input pair recovered from a flat sample."""
+    """Reference state/input pair recovered from a flat sample.
+
+    `heading` says what a heading hint does to the sample: "explicit" (a
+    prescribed yaw; the hint is ignored), "tangent" (the travel direction;
+    the hint only unwraps it by whole turns) or "held" (the hint is the
+    heading).
+    """
 
     x_r: RobotState
     u_r: ControlInput
@@ -92,12 +99,30 @@ class ReferencePoint:
     flags: Tuple[str, ...] = ()
     roll_residual: float = 0.0  # aerial roll-row torque residual [N m]
     psi: float = 0.0  # unwrapped heading used by the transform
+    heading: str = "explicit"
 
     def x_array(self) -> np.ndarray:
         return self.x_r.as_array()
 
     def u_array(self) -> np.ndarray:
         return self.u_r.as_array()
+
+    def turned(self, n: int) -> "ReferencePoint":
+        """The same point with its heading n whole turns on: psi + 2 pi n,
+        and the quaternion negated exactly for odd n (q(psi + 2 pi) = -q(psi))."""
+        if n == 0:
+            return self
+        x_r = self.x_r
+        if n % 2:
+            q = Orientation.__new__(Orientation)  # no re-normalization
+            q.q = -x_r.q.q
+            x_r = replace(x_r, q=q)
+        return replace(self, x_r=x_r, psi=self.psi + 2 * math.pi * n)
+
+
+def heading_turns(psi: float, psi_hint: float) -> int:
+    """Whole turns that bring psi to within pi of the hint."""
+    return round((psi_hint - psi) / (2 * math.pi))
 
 
 def ground_yaw(
@@ -118,8 +143,7 @@ def ground_yaw(
         return float(psi_hint), True
     psi = alpha * math.atan2(float(v[1]), float(v[0]))
     if psi_hint is not None:
-        k = round((psi_hint - psi) / (2 * math.pi))
-        psi += 2 * math.pi * k
+        psi += 2 * math.pi * heading_turns(psi, psi_hint)
     return psi, False
 
 
@@ -352,7 +376,8 @@ def ground_flat_to_reference(
         omega=ground_body_rates(theta, theta_dot, psi, psi_dot),
     )
     return ReferencePoint(
-        x_r=x_r, u_r=u_r, mode=Mode.GROUND, t=sample.t, flags=tuple(flags), psi=psi
+        x_r=x_r, u_r=u_r, mode=Mode.GROUND, t=sample.t, flags=tuple(flags), psi=psi,
+        heading="held" if held else "tangent",
     )
 
 
@@ -433,4 +458,5 @@ def aerial_flat_to_reference(
         flags=clamp_flags,
         roll_residual=roll_residual,
         psi=psi,
+        heading=sample.heading,
     )

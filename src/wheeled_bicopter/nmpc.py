@@ -36,7 +36,7 @@ from .dynamics import (
     wheel_normals_batch,
 )
 from .flatness import ReferencePoint
-from .trajectory import HybridTrajectory
+from .trajectory import HybridTrajectory, ReferenceTable
 
 FD_STEP = 1e-6
 
@@ -578,13 +578,23 @@ def control_loop(
 ) -> RunLog:
     """Run the tracking loop: sample references, solve, hold u(0) for one
     control period.  The simulator integrates at its own (faster) rate.
-    `stop_when(tick)` may end the run early (e.g. a failure threshold)."""
+    `stop_when(tick)` may end the run early (e.g. a failure threshold).
+
+    Reference times come from the tick counter.  When the horizon step is a
+    whole number r of control periods, node k of tick i is control-grid
+    point i + r k, so a ReferenceTable transforms each grid point once;
+    otherwise the keys (i, k) never repeat and every node is sampled anew.
+    """
     dt_ctrl = 1.0 / control_rate
     steps_per_tick = round(dt_ctrl / sim.dt)
     if abs(steps_per_tick * sim.dt - dt_ctrl) > 1e-12:
         raise ValueError("simulation rate must be an integer multiple of the control rate")
     rng = rng or np.random.default_rng(0)
     noise = noise or NoiseModel()
+    r = round(cfg.dt / dt_ctrl)
+    on_grid = r >= 1 and abs(r * dt_ctrl - cfg.dt) <= 1e-12
+    table = ReferenceTable(traj, params, clamp=True)
+    t_start = sim.t
 
     ticks: List[TickRow] = []
     warm: Optional[WarmStart] = None
@@ -592,7 +602,12 @@ def control_loop(
     n_ticks = round(duration * control_rate)
     for i in range(n_ticks):
         t = sim.t
-        refs = traj.sample_references(t, cfg.K, cfg.dt, params, clamp=True)
+        if on_grid:
+            nodes = [(j, t_start + j * dt_ctrl) for j in range(i, i + r * cfg.K + 1, r)]
+        else:
+            t_i = t_start + i * dt_ctrl
+            nodes = [((i, k), t_i + k * cfg.dt) for k in range(cfg.K + 1)]
+        refs = table.window(nodes)
         x_meas = noise.apply(sim.state.as_array(), rng)
         t0 = time.perf_counter()
         sol = solve(x_meas, refs, cfg, params, warm_start=warm)

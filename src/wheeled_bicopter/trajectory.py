@@ -12,17 +12,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SPEED_EPS, Mode, VehicleParams
+from .core import SPEED_EPS, InfeasibleReferenceError, Mode, VehicleParams
 from .flatness import (
     FlatSampleAerial,
     FlatSampleGround,
     ReferencePoint,
     aerial_flat_to_reference,
     ground_flat_to_reference,
+    heading_turns,
 )
 
 
@@ -479,22 +480,25 @@ class HybridTrajectory:
             )
             return ground_flat_to_reference(sample, params, clamp=clamp)
         yaw = seg.yaw(tau)
+        heading = "explicit"
         if yaw is None:
             speed = math.hypot(f[1][0], f[1][1])
             if speed < SPEED_EPS or past_end:
                 base = psi_hint if psi_hint is not None else (seg.heading_hint(tau) or 0.0)
                 yaw = (base, 0.0, 0.0)
+                heading = "held"
             else:
                 chi = math.atan2(f[1][1], f[1][0])
                 if psi_hint is not None:
-                    chi += 2 * math.pi * round((psi_hint - chi) / (2 * math.pi))
+                    chi += 2 * math.pi * heading_turns(chi, psi_hint)
                 cd, cdd = _tangent_yaw_derivatives(f[1], f[2], f[3])
                 yaw = (chi, cd, cdd)
+                heading = "tangent"
         if past_end:
             yaw = (yaw[0], 0.0, 0.0)
         sample = FlatSampleAerial(
             p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
-            psi=yaw[0], psi_dot=yaw[1], psi_ddot=yaw[2], t=t,
+            psi=yaw[0], psi_dot=yaw[1], psi_ddot=yaw[2], t=t, heading=heading,
         )
         return aerial_flat_to_reference(sample, params, clamp=clamp)
 
@@ -503,13 +507,68 @@ class HybridTrajectory:
     ) -> List[ReferencePoint]:
         """K+1 reference points starting at t0, spaced dt apart, with the
         heading thread kept continuous across the window."""
+        table = ReferenceTable(self, params, clamp=clamp)
+        return table.window([(k, t0 + k * dt) for k in range(K + 1)])
+
+
+def _note_sample(exc: Exception, k: int, t: float) -> None:
+    """Attach the window position to an exception, keeping its type and
+    args (the note `add_note` would add on Python >= 3.11)."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), f"sample {k} (t={t:.3f}s)"]
+
+
+class ReferenceTable:
+    """Hint-less reference samples shared by overlapping horizon windows.
+
+    Each key (a control-grid index when the horizon nodes lie on the control
+    grid) is transformed once without a heading hint; `window` threads the
+    heading through the entries.  Keys must grow with time: entries below a
+    window's first key are dropped.
+    """
+
+    def __init__(self, traj: HybridTrajectory, params: VehicleParams, clamp: bool = False):
+        self.traj = traj
+        self.params = params
+        self.clamp = clamp
+        self.entries: Dict[Hashable, Optional[ReferencePoint]] = {}
+
+    def _sample(self, t: float) -> Optional[ReferencePoint]:
+        try:
+            return self.traj.reference(t, self.params, clamp=self.clamp)
+        except InfeasibleReferenceError:
+            # e.g. a ground stop with no heading to hold: _resolve samples
+            # again with the hint, and raises there if it still fails
+            return None
+
+    def _resolve(self, base: Optional[ReferencePoint], t: float,
+                 psi_hint: Optional[float]) -> ReferencePoint:
+        """The reference at t with the heading continued from psi_hint, made
+        from `base`, the entry at t (None if its transform failed).
+
+        Only a held heading needs a fresh transform: an explicit yaw ignores
+        the hint and a tangent heading is unwrapped afterwards.
+        """
+        if base is None or (psi_hint is not None and base.heading == "held"):
+            return self.traj.reference(t, self.params, psi_hint=psi_hint, clamp=self.clamp)
+        if psi_hint is not None and base.heading == "tangent":
+            return base.turned(heading_turns(base.psi, psi_hint))
+        return base
+
+    def window(self, nodes: Sequence[Tuple[Hashable, float]]) -> List[ReferencePoint]:
+        """References at the (key, time) nodes, heading-continuous from the first."""
+        first = nodes[0][0]
+        for key in [key for key in self.entries if key < first]:
+            del self.entries[key]
         refs: List[ReferencePoint] = []
         hint: Optional[float] = None
-        for k in range(K + 1):
+        for k, (key, t) in enumerate(nodes):
             try:
-                ref = self.reference(t0 + k * dt, params, psi_hint=hint, clamp=clamp)
+                if key not in self.entries:
+                    self.entries[key] = self._sample(t)
+                ref = self._resolve(self.entries[key], t, hint)
             except Exception as exc:
-                raise type(exc)(f"sample {k} (t={t0 + k * dt:.3f}s): {exc}") from exc
+                _note_sample(exc, k, t)
+                raise
             refs.append(ref)
             hint = ref.psi
         return refs

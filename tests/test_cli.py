@@ -276,3 +276,23 @@ def test_width_report_contents(tmp_path):
     assert by["bicopter_longitudinal"] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert min(by, key=by.get) == "bicopter_longitudinal"
     assert report["steering_ratio_sweep"][0]["ratio"] == pytest.approx(7.0, rel=1e-9)
+
+
+def test_benchmark_slippery_keeps_controller_block_in_both_variants(monkeypatch):
+    doc = cli.load_bundled_scenario("benchmark_slippery")
+    doc["controller"] = {"q_p": [7.0, 8.0, 9.0], "u_max": [6.0, 6.0, 0.5, 0.5]}
+    doc["trajectory"]["speed_cases"] = [[1.0, 0.7]]
+    cfg = cli.ScenarioConfig.from_dict(doc, "benchmark_slippery")
+    seen = []
+
+    def fake_run_scenario(sub, **kw):
+        seen.append(sub.controller)
+        raise cli.SolverFailure("not run")
+
+    monkeypatch.setattr(cli, "run_scenario", fake_run_scenario)
+    report = cli.run_benchmark_slippery(cfg)
+    assert [c["variant"] for c in report["cases"]] == ["full", "no_lateral"]
+    assert [c.lock_lateral for c in seen] == [False, True]
+    for ctrl in seen:
+        np.testing.assert_array_equal(ctrl.q_p, [7.0, 8.0, 9.0])
+        np.testing.assert_array_equal(ctrl.u_max, [6.0, 6.0, 0.5, 0.5])

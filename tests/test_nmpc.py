@@ -366,3 +366,41 @@ def test_control_loop_rejects_mismatched_rates(params, cfg):
     sim = dyn.Simulator(params=params, dt=3e-3)
     with pytest.raises(ValueError):
         nmpc.control_loop(sim, hover_trajectory(params), cfg, params, duration=0.1)
+
+
+def _aerial_line_run(params, cfg, n_ticks, monkeypatch):
+    """Closed loop along an aerial line; returns the run log and the times
+    of every aerial flatness transform made by the loop."""
+    seg = tj.Line(p0=[0, 0, 1.0], velocity=[1.0, 0.5, 0], duration=5.0, mode=Mode.AERIAL)
+    traj = tj.HybridTrajectory([seg])
+    sim = dyn.Simulator(params=params, dt=5e-3, mode=Mode.AERIAL)
+    sim.state = traj.reference(0.0, params).x_r
+    calls = []
+    transform = tj.aerial_flat_to_reference
+
+    def counted(sample, params, clamp=False):
+        calls.append(sample.t)
+        return transform(sample, params, clamp=clamp)
+
+    monkeypatch.setattr(tj, "aerial_flat_to_reference", counted)
+    log = nmpc.control_loop(sim, traj, cfg, params, duration=n_ticks / 200.0)
+    assert not log.aborted
+    return log, calls
+
+
+def test_control_loop_transforms_each_grid_point_once(params, cfg, monkeypatch):
+    n, r = 60, 10  # 50 ms horizon step = 10 control periods
+    _, calls = _aerial_line_run(params, cfg, n, monkeypatch)
+    # the first r ticks meet only new grid points, later ticks one each
+    assert len(calls) == r * (cfg.K + 1) + (n - r)
+    assert len(set(calls)) == len(calls)
+
+
+def test_control_loop_off_grid_horizon_samples_every_node(params, monkeypatch):
+    cfg = nmpc.NmpcConfig(dt=0.0125)  # 2.5 control periods: nodes off the grid
+    n = 60
+    log, calls = _aerial_line_run(params, cfg, n, monkeypatch)
+    assert len(calls) == n * (cfg.K + 1)
+    # the line's feed-forward is exact: any misplaced node pulls the loop off it
+    act, ref = log.positions()
+    assert np.max(np.linalg.norm(act - ref, axis=1)) < 1e-9
