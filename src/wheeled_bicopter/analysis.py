@@ -151,14 +151,3 @@ def energy_saving(P_a: float, P_g: float) -> float:
         raise ValueError("aerial power must be positive")
     return 1.0 - P_g / P_a
 
-
-@dataclass
-class ExperimentMetrics:
-    rmse: float
-    P_a: float = 0.0
-    P_g: float = 0.0
-    P_s: float = 0.0
-
-    @property
-    def xi(self) -> float:
-        return energy_saving(self.P_a, self.P_g)

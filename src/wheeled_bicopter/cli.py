@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -36,7 +37,7 @@ from .core import (
     VehicleParams,
 )
 from .dynamics import Simulator
-from .flatness import ReferencePoint
+from .flatness import tangent_yaw_derivatives
 from .nmpc import NmpcConfig, NoiseModel, RunLog, control_loop
 from . import trajectory as tj
 
@@ -59,6 +60,20 @@ def _require_keys(block: dict, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+@contextmanager
+def _config_block(where: str):
+    """Report a malformed value of a scenario block as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+ENVIRONMENT_NUMBERS = ("noise_pos_std", "noise_att_std", "control_rate_hz", "sim_rate_hz")
 
 
 @dataclass
@@ -92,11 +107,16 @@ class ScenarioConfig:
              "control_rate_hz", "sim_rate_hz"},
             "environment",
         )
+        with _config_block("environment"):
+            for key in ENVIRONMENT_NUMBERS:
+                if key in env:
+                    env[key] = float(env[key])
         vehicle = dict(doc.get("vehicle", {}))
         for key in ("mu", "mu_s"):
             if key in env:
                 vehicle[key] = env[key]
-        params = VehicleParams.from_dict(vehicle)
+        with _config_block("vehicle"):
+            params = VehicleParams.from_dict(vehicle)
 
         ctrl = dict(doc.get("controller", {}))
         _require_keys(
@@ -106,16 +126,20 @@ class ScenarioConfig:
              "constraint_margin", "lock_lateral"},
             "controller",
         )
-        controller = NmpcConfig(**ctrl)
+        with _config_block("controller"):
+            controller = NmpcConfig(**ctrl)
+            controller.bounds(params)
 
         traj = dict(doc.get("trajectory", {}))
         run = dict(doc.get("run", {}))
         _require_keys(run, {"duration", "rmse_planar", "label"}, "run")
         output = dict(doc.get("output", {}))
         _require_keys(output, {"decimation"}, "output")
+        with _config_block("seed"):
+            seed = int(doc.get("seed", 0))
         return cls(
             name=doc.get("name", name),
-            seed=int(doc.get("seed", 0)),
+            seed=seed,
             params=params,
             controller=controller,
             trajectory=traj,
@@ -185,31 +209,36 @@ TRAJECTORY_KEYS = {
     "kind", "A", "B", "altitude", "v_max", "a_max", "T_Bz_frac",
     "laps_run", "speed_cases", "p0", "duration",
 }
+SPEED_LIMITED_KINDS = ("eight_ground", "eight_aerial", "hybrid_3d")
 
 
 def build_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
     """Instantiate the scenario trajectory; returns it plus realized peaks."""
     _require_keys(cfg.trajectory, TRAJECTORY_KEYS, "trajectory")
     kind = cfg.trajectory.get("kind")
-    laps_run = float(cfg.trajectory.get("laps_run", 1.0))
-    lead = laps_run + 0.3  # margin so horizon samples stay defined
-    if kind in ("eight_ground", "eight_aerial"):
-        mode = Mode.GROUND if kind == "eight_ground" else Mode.AERIAL
-        rep = _eight_segment(cfg, mode, laps=lead)
-        lap = rep.segment.duration / lead
-        return tj.HybridTrajectory([rep.segment]), {
-            "lap_s": lap * laps_run,
-            "peak_speed": rep.peak_speed,
-            "peak_accel": rep.peak_accel,
-        }
-    if kind == "hybrid_3d":
-        return build_hybrid_trajectory(cfg)
-    if kind == "rest_hover":
-        p0 = np.asarray(cfg.trajectory.get("p0", [0.0, 0.0, 1.0]), dtype=float)
-        seg = tj.Rest(p0=p0, psi0=0.0, duration=float(cfg.trajectory.get("duration", 10.0)),
-                      mode=Mode.AERIAL)
-        return tj.HybridTrajectory([seg]), {"lap_s": seg.duration}
-    raise ConfigError(f"unknown trajectory kind {kind!r}")
+    missing = sorted({"v_max", "a_max"} - set(cfg.trajectory))
+    if kind in SPEED_LIMITED_KINDS and missing:
+        raise ConfigError(f"trajectory kind {kind!r} needs {missing}")
+    with _config_block("trajectory"):
+        laps_run = float(cfg.trajectory.get("laps_run", 1.0))
+        lead = laps_run + 0.3  # margin so horizon samples stay defined
+        if kind in ("eight_ground", "eight_aerial"):
+            mode = Mode.GROUND if kind == "eight_ground" else Mode.AERIAL
+            rep = _eight_segment(cfg, mode, laps=lead)
+            lap = rep.segment.duration / lead
+            return tj.HybridTrajectory([rep.segment]), {
+                "lap_s": lap * laps_run,
+                "peak_speed": rep.peak_speed,
+                "peak_accel": rep.peak_accel,
+            }
+        if kind == "hybrid_3d":
+            return build_hybrid_trajectory(cfg)
+        if kind == "rest_hover":
+            p0 = np.asarray(cfg.trajectory.get("p0", [0.0, 0.0, 1.0]), dtype=float)
+            seg = tj.Rest(p0=p0, psi0=0.0, duration=float(cfg.trajectory.get("duration", 10.0)),
+                          mode=Mode.AERIAL)
+            return tj.HybridTrajectory([seg]), {"lap_s": seg.duration}
+        raise ConfigError(f"unknown trajectory kind {kind!r}")
 
 
 def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
@@ -277,7 +306,7 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     )
 
     fa = aeight.start_flat()
-    cd, cdd = tj._tangent_yaw_derivatives(fa[1], fa[2], fa[3])
+    cd, cdd = tangent_yaw_derivatives(fa[1], fa[2], fa[3])
     climb = tj.takeoff_landing_blend(
         thrust_up, aeight, T_blend=3.0, a_max=a_max,
         yaw_bc=(psi0, 0.0, 0.0, chi_a, cd, cdd), psi0=psi0,
@@ -285,7 +314,7 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
 
     fend = aeight.end_flat()
     chi_end = math.atan2(fend[1][1], fend[1][0])
-    cd2, cdd2 = tj._tangent_yaw_derivatives(fend[1], fend[2], fend[3])
+    cd2, cdd2 = tangent_yaw_derivatives(fend[1], fend[2], fend[3])
     touchdown_p = fend[0][:2] + np.array([dir_a[0], dir_a[1]]) * 2.0
     land_rest = tj.Rest(
         p0=np.array([touchdown_p[0], touchdown_p[1], zc]), psi0=chi_end,
@@ -328,10 +357,6 @@ class ScenarioResult:
     files: List[Path] = field(default_factory=list)
 
 
-def _initial_mode(ref: ReferencePoint) -> Mode:
-    return ref.mode
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                  quiet: bool = True, stop_when=None) -> ScenarioResult:
     """Closed-loop run of one scenario; deterministic for a given seed."""
@@ -344,7 +369,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     sim = Simulator(
         params=cfg.params,
         dt=1.0 / sim_rate,
-        mode=_initial_mode(ref0),
+        mode=ref0.mode,
         slip_enabled=bool(env.get("slip_enabled", False)),
     )
     sim.state = ref0.x_r
@@ -408,12 +433,8 @@ def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     energy-saving ratio from the ideal rotor power."""
     results = {}
     for mode_kind in ("eight_ground", "eight_aerial"):
-        doc_traj = dict(cfg.trajectory)
-        doc_traj["kind"] = mode_kind
-        sub = ScenarioConfig(
-            name=f"{cfg.name}_{mode_kind}", seed=cfg.seed, params=cfg.params,
-            controller=cfg.controller, trajectory=doc_traj,
-            environment=cfg.environment, run=cfg.run, output=cfg.output,
+        sub = replace(
+            cfg, name=f"{cfg.name}_{mode_kind}", trajectory={**cfg.trajectory, "kind": mode_kind}
         )
         results[mode_kind] = run_scenario(sub, out_dir=out_dir, quiet=True)
     P_g = results["eight_ground"].summary["mean_power_W"]
@@ -451,10 +472,8 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             doc_traj["a_max"] = a_max
             doc_traj.pop("speed_cases", None)
             ctrl = replace(cfg.controller, lock_lateral=(variant == "no_lateral"))
-            sub = ScenarioConfig(
-                name=f"{cfg.name}_{variant}_v{v_max}", seed=cfg.seed,
-                params=cfg.params, controller=ctrl, trajectory=doc_traj,
-                environment=cfg.environment, run=cfg.run, output=cfg.output,
+            sub = replace(
+                cfg, name=f"{cfg.name}_{variant}_v{v_max}", controller=ctrl, trajectory=doc_traj
             )
 
             def crossed(tick) -> bool:
@@ -526,6 +545,14 @@ def width_report(params: VehicleParams, m: float = 0.835, quiet: bool = True) ->
             print(f"{r['layout']:<26}{r['rotors']:>7}{r['width_m']:>12.4f}{r['ratio']:>8.3f}")
         print("steering ratio at c_q/c_t=1%%: %.2f" % sweep[0]["ratio"])
     return report
+
+
+def _write_width_report(params: VehicleParams, out_dir: Optional[Path], filename: str,
+                        quiet: bool) -> None:
+    report = width_report(params, quiet=quiet)
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / filename).write_text(json.dumps(report, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +754,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else None
     try:
         if args.command == "analyze":
-            report = width_report(VehicleParams(), quiet=args.quiet)
-            if out_dir:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "width_report.json").write_text(
-                    json.dumps(report, indent=2, sort_keys=True)
-                )
+            _write_width_report(VehicleParams(), out_dir, "width_report.json", args.quiet)
             return EXIT_OK
         if args.command == "export":
             if not args.runlog:
@@ -757,12 +779,7 @@ def main(argv=None) -> int:
             if kind == "energy_compare":
                 run_energy_compare(cfg, out_dir, quiet=args.quiet)
             elif kind == "width_report":
-                report = width_report(cfg.params, quiet=args.quiet)
-                if out_dir:
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    (out_dir / f"{cfg.name}.json").write_text(
-                        json.dumps(report, indent=2, sort_keys=True)
-                    )
+                _write_width_report(cfg.params, out_dir, f"{cfg.name}.json", args.quiet)
             else:
                 run_scenario(cfg, out_dir, quiet=args.quiet)
             return EXIT_OK

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,27 +62,6 @@ def vec3(x: float, y: float, z: float) -> Vec3:
     return np.array([float(x), float(y), float(z)])
 
 
-def skew(w) -> np.ndarray:
-    """Cross-product matrix: skew(w) @ a == cross(w, a)."""
-    w = np.asarray(w, dtype=float)
-    return np.array(
-        [
-            [0.0, -w[2], w[1]],
-            [w[2], 0.0, -w[0]],
-            [-w[1], w[0], 0.0],
-        ]
-    )
-
-
-def yaw_rotation(psi: float) -> np.ndarray:
-    """Rotation from the intermediate (heading) frame to the world frame.
-
-    Pure yaw about world z; the third column is always (0, 0, 1).
-    """
-    c, s = math.cos(psi), math.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 # ---------------------------------------------------------------------------
 # Quaternion helpers (scalar-first, unit norm)
 # ---------------------------------------------------------------------------
@@ -97,34 +76,39 @@ def quat_normalize(q) -> np.ndarray:
 
 
 def quat_multiply(a, b) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product a (x) b, broadcasting over leading axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
-
-
-def quat_conjugate(q) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
+    """Rotation matrix of a unit quaternion, broadcasting over leading axes."""
+    q = np.asarray(q)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
-        [
-            [1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy)],
-            [2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx)],
-            [2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy)],
-        ]
-    )
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (yy + zz)
+    R[..., 0, 1] = 2 * (xy - wz)
+    R[..., 0, 2] = 2 * (xz + wy)
+    R[..., 1, 0] = 2 * (xy + wz)
+    R[..., 1, 1] = 1 - 2 * (xx + zz)
+    R[..., 1, 2] = 2 * (yz - wx)
+    R[..., 2, 0] = 2 * (xz - wy)
+    R[..., 2, 1] = 2 * (yz + wx)
+    R[..., 2, 2] = 1 - 2 * (xx + yy)
+    return R
 
 
 def quat_from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -158,9 +142,18 @@ def quat_to_euler(q) -> Tuple[float, float, float]:
 
 
 def quat_derivative(q, omega_world) -> np.ndarray:
-    """Quaternion rate for world-frame angular velocity (Rdot = skew(w) R)."""
-    ow = np.array([0.0, omega_world[0], omega_world[1], omega_world[2]])
-    return 0.5 * quat_multiply(ow, q)
+    """Quaternion rate 0.5 (0, omega) (x) q for world-frame angular velocity
+    (Rdot = skew(omega) R); q (..., 4) and omega (..., 3) share their
+    leading axes."""
+    q, w = np.asarray(q, dtype=float), np.asarray(omega_world, dtype=float)
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    ox, oy, oz = w[..., 0], w[..., 1], w[..., 2]
+    out = np.empty_like(q)
+    out[..., 0] = 0.5 * (-ox * qx - oy * qy - oz * qz)
+    out[..., 1] = 0.5 * (ox * qw + oy * qz - oz * qy)
+    out[..., 2] = 0.5 * (oy * qw + oz * qx - ox * qz)
+    out[..., 3] = 0.5 * (oz * qw + ox * qy - oy * qx)
+    return out
 
 
 @dataclass
@@ -188,17 +181,6 @@ class Orientation:
 
     def rotate(self, v) -> Vec3:
         return self.rotation_matrix() @ np.asarray(v, dtype=float)
-
-    def normalized(self) -> "Orientation":
-        return Orientation(self.q)
-
-
-def euler_to_orientation(phi: float, theta: float, psi: float) -> Orientation:
-    return Orientation.from_euler(phi, theta, psi)
-
-
-def orientation_to_euler(o: Orientation) -> Tuple[float, float, float]:
-    return o.to_euler()
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +366,3 @@ class VehicleParams:
             raise ConfigError(f"unknown vehicle parameter keys: {sorted(unknown)}")
         return cls(**d)
 
-
-def unwrap_angles(values: Iterable[float]) -> np.ndarray:
-    """Unwrap a sequence of angles so consecutive samples differ by < pi."""
-    vals = list(values)
-    if not vals:
-        return np.empty(0)
-    out = [vals[0]]
-    for a in vals[1:]:
-        prev = out[-1]
-        k = round((prev - a) / (2 * math.pi))
-        out.append(a + 2 * math.pi * k)
-    return np.array(out)

@@ -38,12 +38,12 @@ array core.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
+from .analysis import ideal_power
 from .core import (
     SPEED_EPS,
     ContactLossError,
@@ -53,6 +53,8 @@ from .core import (
     RobotState,
     Vec3,
     VehicleParams,
+    quat_derivative,
+    quat_to_matrix,
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -75,25 +77,6 @@ class BodyWrench:
 
 
 @dataclass
-class GroundReaction:
-    """Ground contact forces (heading frame) and per-wheel decomposition.
-
-    `tau_G` is the ground reaction torque expressed in the heading frame.
-    `lift_off` is set when a per-wheel normal went negative and was clamped.
-    """
-
-    f_r: float
-    f_l: float
-    F_n: float
-    F_n_left: float
-    F_n_right: float
-    f_r_left: float
-    f_r_right: float
-    tau_G: Vec3
-    lift_off: bool = False
-
-
-@dataclass
 class StateDerivative:
     pdot: Vec3
     vdot: Vec3
@@ -104,45 +87,9 @@ class StateDerivative:
         return np.concatenate([self.pdot, self.vdot, self.qdot, self.omegadot])
 
 
-@dataclass
-class SlipResult:
-    stick: bool
-    excess: float = 0.0
-
-
 # ---------------------------------------------------------------------------
 # Array core
 # ---------------------------------------------------------------------------
-
-
-def _quat_to_matrix_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1 - 2 * (yy + zz)
-    R[..., 0, 1] = 2 * (xy - wz)
-    R[..., 0, 2] = 2 * (xz + wy)
-    R[..., 1, 0] = 2 * (xy + wz)
-    R[..., 1, 1] = 1 - 2 * (xx + zz)
-    R[..., 1, 2] = 2 * (yz - wx)
-    R[..., 2, 0] = 2 * (xz - wy)
-    R[..., 2, 1] = 2 * (yz + wx)
-    R[..., 2, 2] = 1 - 2 * (xx + yy)
-    return R
-
-
-def _quat_rate_batch(q: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # 0.5 * (0, omega) (x) q, omega in world frame
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    ox, oy, oz = w[..., 0], w[..., 1], w[..., 2]
-    out = np.empty_like(q)
-    out[..., 0] = 0.5 * (-ox * qx - oy * qy - oz * qz)
-    out[..., 1] = 0.5 * (ox * qw + oy * qz - oz * qy)
-    out[..., 2] = 0.5 * (oy * qw + oz * qx - ox * qz)
-    out[..., 3] = 0.5 * (oz * qw + ox * qy - oy * qx)
-    return out
 
 
 def _wrench_terms(u: np.ndarray, P: VehicleParams):
@@ -165,7 +112,7 @@ def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarra
     w = x[..., 10:13]
     TBy, TBz, tau_x, tau_y, tau_z = _wrench_terms(u, P)
 
-    R = _quat_to_matrix_batch(q)
+    R = quat_to_matrix(q)
     xdot = np.empty_like(x)
     xdot[..., 0:3] = v
     # vdot = g + R @ (0, TBy, TBz) / m
@@ -188,7 +135,7 @@ def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarra
         axis=-1,
     )
     xdot[..., 10:13] = np.einsum("...ij,...j->...i", R, wbdot)
-    xdot[..., 6:10] = _quat_rate_batch(q, w)
+    xdot[..., 6:10] = quat_derivative(q, w)
     return xdot
 
 
@@ -204,6 +151,58 @@ def _ground_geometry(x: np.ndarray):
     theta_dot = -w[..., 0] * spsi + w[..., 1] * cpsi
     psi_dot = w[..., 2]
     return theta, psi, theta_dot, psi_dot, cpsi, spsi
+
+
+def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams,
+                   w_lat=None, clamp_liftoff: bool = False):
+    """Two-wheel ground reaction at a given total normal force F_n,
+    broadcasting over leading axes.
+
+    f_l_req is the lateral force the no-slip constraint needs, tau_x the body
+    roll torque, (cth, sth) the pitch cosine and sine, u_long the speed along
+    the heading (rolling friction opposes it outside the SPEED_EPS dead band).
+    Given the lateral speed w_lat the wheels slide: the lateral friction
+    saturates at mu_s F_n against the sliding direction.  Returns
+    (f_r, f_l, F_nl, F_nr, lift_off, G2, G3): rolling and lateral friction,
+    the left/right wheel normals (clamped at zero with clamp_liftoff;
+    lift_off flags a negative one) and the pitch/yaw ground torques.
+    """
+    # 0 inside the dead band (+0.0 turns the -0.0 of a negative speed into 0.0)
+    sgn_u = np.sign(u_long) * (np.abs(u_long) >= SPEED_EPS) + 0.0
+    f_r = -P.mu * F_n * sgn_u
+    if w_lat is None:
+        f_l = f_l_req
+    else:
+        cap = P.mu_s * F_n
+        slip_dir = np.where(np.abs(w_lat) > LATERAL_STICK_EPS, np.sign(w_lat), -np.sign(f_l_req))
+        f_l = -cap * slip_dir
+
+    half = 0.5 * F_n
+    split = (f_l * P.r + tau_x * cth) / P.W
+    F_nl = half - split
+    F_nr = half + split
+    lift = (F_nl < 0.0) | (F_nr < 0.0)
+    if clamp_liftoff:
+        F_nl = np.maximum(F_nl, 0.0)
+        F_nr = np.maximum(F_nr, 0.0)
+    f_rl = -P.mu * F_nl * sgn_u
+    f_rr = -P.mu * F_nr * sgn_u
+
+    G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
+    G3 = (f_rr - f_rl) * P.W
+    return f_r, f_l, F_nl, F_nr, lift, G2, G3
+
+
+def heading_inertia(sth, cth, J: np.ndarray):
+    """Entries N13, N33 of the diagonal body inertia J seen in the heading
+    frame of a roll-free attitude with pitch cosine/sine (cth, sth)."""
+    J1, _, J3 = J
+    return sth * cth * (J3 - J1), J1 * sth * sth + J3 * cth * cth
+
+
+def slip_check(f_l, F_n, params: VehicleParams) -> bool:
+    """Stick if |f_l| <= mu_s F_n (closed inequality)."""
+    return abs(f_l) <= params.mu_s * F_n
 
 
 def _f_ground_batch(
@@ -231,36 +230,15 @@ def _f_ground_batch(
     a_l = v_planar * psi_dot
 
     F_n = P.m * P.g - TBz * cth
-    sgn_u = np.where(np.abs(u_long) < SPEED_EPS, 0.0, np.sign(u_long))
-    f_r = -P.mu * F_n * sgn_u
-
     f_l_req = P.m * a_l - TBy
-    if slipping:
-        cap = P.mu_s * F_n
-        slip_dir = np.where(np.abs(w_lat) > LATERAL_STICK_EPS, np.sign(w_lat), -np.sign(f_l_req))
-        f_l = -cap * slip_dir
-    else:
-        f_l = f_l_req
-
-    half = 0.5 * F_n
-    split = (f_l * P.r + tau_x * cth) / P.W
-    F_nl = half - split
-    F_nr = half + split
-    lift = (F_nl < 0.0) | (F_nr < 0.0)
-    if clamp_liftoff:
-        F_nl = np.maximum(F_nl, 0.0)
-        F_nr = np.maximum(F_nr, 0.0)
-    f_rl = -P.mu * F_nl * sgn_u
-    f_rr = -P.mu * F_nr * sgn_u
-
-    G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
-    G3 = (f_rr - f_rl) * P.W
+    f_r, f_l, F_nl, F_nr, lift, G2, G3 = ground_contact(
+        F_n, f_l_req, tau_x, cth, sth, u_long, P,
+        w_lat=w_lat if slipping else None, clamp_liftoff=clamp_liftoff,
+    )
 
     # pitch/yaw rows of the torque balance in the heading frame
-    J1, J2, J3 = P.J
-    N13 = sth * cth * (J3 - J1)
-    N33 = J1 * sth * sth + J3 * cth * cth
-    theta_dd = (tau_y + G2 - N13 * psi_dot * psi_dot) / J2
+    N13, N33 = heading_inertia(sth, cth, P.J)
+    theta_dd = (tau_y + G2 - N13 * psi_dot * psi_dot) / P.J[1]
     psi_dd = (-sth * tau_x + cth * tau_z + G3 + 2.0 * N13 * theta_dot * psi_dot) / N33
 
     acc_long = (TBz * sth + f_r) / P.m
@@ -275,7 +253,7 @@ def _f_ground_batch(
     xdot[..., 10] = -theta_dd * spsi - tp * cpsi
     xdot[..., 11] = theta_dd * cpsi - tp * spsi
     xdot[..., 12] = psi_dd
-    xdot[..., 6:10] = _quat_rate_batch(x[..., 6:10], x[..., 10:13])
+    xdot[..., 6:10] = quat_derivative(x[..., 6:10], x[..., 10:13])
 
     diag = {
         "F_n": F_n,
@@ -283,9 +261,6 @@ def _f_ground_batch(
         "F_nr": F_nr,
         "f_l": f_l,
         "f_l_req": f_l_req,
-        "f_r": f_r,
-        "a_l": a_l,
-        "u_long": u_long,
         "w_lat": w_lat,
         "lift_off": lift,
     }
@@ -369,72 +344,6 @@ def actuator_wrench(u: ControlInput, params: VehicleParams) -> BodyWrench:
     )
 
 
-def centripetal_accel(v_world, omega_z: float) -> float:
-    """Lateral acceleration |v_planar| * psidot of the no-slip turning motion."""
-    v = np.asarray(v_world, dtype=float)
-    speed = math.hypot(v[0], v[1])
-    if speed < SPEED_EPS:
-        return 0.0
-    return speed * float(omega_z)
-
-
-def ground_reaction(
-    state: RobotState, wrench: BodyWrench, a_l: float, params: VehicleParams
-) -> GroundReaction:
-    """Ground contact forces for a vehicle rolling with both wheels down.
-
-    Raises ContactLossError when the total normal force is non-positive.
-    Negative per-wheel normals are clamped to zero and flagged.
-    """
-    _, theta, psi = state.q.to_euler()
-    cth, sth = math.cos(theta), math.sin(theta)
-    TBy, TBz = float(wrench.T_B[1]), float(wrench.T_B[2])
-    F_n = params.m * params.g - TBz * cth
-    if F_n <= 0.0:
-        raise ContactLossError(
-            f"total normal force {F_n:.6f} N <= 0: thrust supports the full weight"
-        )
-    u_long = float(state.v[0]) * math.cos(psi) + float(state.v[1]) * math.sin(psi)
-    sgn = 0.0 if abs(u_long) < SPEED_EPS else math.copysign(1.0, u_long)
-    f_r = -params.mu * F_n * sgn
-    f_l = params.m * a_l - TBy
-    tau_Bx = float(wrench.tau_B[0])
-    split = (f_l * params.r + tau_Bx * cth) / params.W
-    F_nl = 0.5 * F_n - split
-    F_nr = 0.5 * F_n + split
-    lift = F_nl < 0.0 or F_nr < 0.0
-    F_nl, F_nr = max(F_nl, 0.0), max(F_nr, 0.0)
-    f_rl = -params.mu * F_nl * sgn
-    f_rr = -params.mu * F_nr * sgn
-    tau_G = np.array(
-        [
-            f_l * params.r + (F_nr - F_nl) * params.W,
-            (params.m - 2.0 * params.m_w) * params.h2 * params.g * sth,
-            (f_rr - f_rl) * params.W,
-        ]
-    )
-    return GroundReaction(
-        f_r=f_r,
-        f_l=f_l,
-        F_n=F_n,
-        F_n_left=F_nl,
-        F_n_right=F_nr,
-        f_r_left=f_rl,
-        f_r_right=f_rr,
-        tau_G=tau_G,
-        lift_off=lift,
-    )
-
-
-def slip_check(reaction: GroundReaction, params: VehicleParams) -> SlipResult:
-    """Stick if |f_l| <= mu_s F_n (closed inequality), else Slip with the
-    unmet lateral force."""
-    cap = params.mu_s * reaction.F_n
-    if abs(reaction.f_l) <= cap:
-        return SlipResult(stick=True)
-    return SlipResult(stick=False, excess=abs(reaction.f_l) - cap)
-
-
 def derivative(
     state: RobotState, u: ControlInput, mode: Mode, params: VehicleParams
 ) -> StateDerivative:
@@ -471,14 +380,8 @@ def step(
 
 
 def rotor_power(u: ControlInput, params: VehicleParams) -> float:
-    """Ideal (momentum theory) power of both rotors: sum sqrt(T^3 / (2 S rho))."""
-    denom = 2.0 * params.S * params.rho
-    total = 0.0
-    for T in (u.T1, u.T2):
-        if T < 0.0:
-            raise ValueError("thrust must be non-negative")
-        total += math.sqrt(T**3 / denom)
-    return total
+    """Ideal (momentum theory) power of both rotors."""
+    return sum(ideal_power(T, params.S, params.rho) for T in (u.T1, u.T2))
 
 
 def mechanical_energy(state: RobotState, params: VehicleParams) -> float:
@@ -592,15 +495,15 @@ class Simulator:
                     self._integrate(x, ua)
                     continue
                 if self.slip_enabled:
-                    cap = self.params.mu_s * F_n
                     req = float(diag["f_l_req"])
                     w_lat = float(diag["w_lat"])
-                    if not self.slipping and abs(req) > cap:
+                    if not self.slipping and not slip_check(req, F_n, self.params):
                         self.slipping = True
                         _, diag = _f_ground_batch(
                             x, ua, self.params, slipping=True
                         )
-                    elif self.slipping and abs(w_lat) < LATERAL_STICK_EPS and abs(req) <= cap:
+                    elif (self.slipping and abs(w_lat) < LATERAL_STICK_EPS
+                          and slip_check(req, F_n, self.params)):
                         self.slipping = False
                         _project_ground(x, keep_lateral=False)
                         self.state = RobotState.from_array(x)

@@ -41,6 +41,7 @@ from .core import (
     Vec3,
     VehicleParams,
 )
+from .dynamics import ground_contact, heading_inertia
 
 # Feasibility guards
 ARCSIN_MARGIN = 1e-9
@@ -173,32 +174,15 @@ def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float
     )
 
 
-def ground_body_accels(
-    theta: float,
-    theta_dot: float,
-    theta_ddot: float,
-    psi: float,
-    psi_dot: float,
-    psi_ddot: float,
-) -> Vec3:
-    """Time derivative of ground_body_rates along the trajectory."""
-    sp, cp = math.sin(psi), math.cos(psi)
-    return np.array(
-        [
-            -theta_ddot * sp - theta_dot * psi_dot * cp,
-            theta_ddot * cp - theta_dot * psi_dot * sp,
-            psi_ddot,
-        ]
-    )
-
-
 def wheel_normals(
     F_n: float, f_l: float, tau_Bx: float, theta: float, params: VehicleParams
 ) -> Tuple[float, float]:
     """Left/right wheel normal forces: the even split corrected by the roll
     moments of the lateral friction and the actuator roll torque."""
-    split = (f_l * params.r + tau_Bx * math.cos(theta)) / params.W
-    return 0.5 * F_n - split, 0.5 * F_n + split
+    _, _, F_nl, F_nr, _, _, _ = ground_contact(
+        F_n, f_l, tau_Bx, math.cos(theta), math.sin(theta), 0.0, params
+    )
+    return F_nl, F_nr
 
 
 def lateral_thrust_approx(a_l: float, params: VehicleParams) -> float:
@@ -215,7 +199,8 @@ def _heading_frame(psi: float):
     return xg, yg
 
 
-def _yaw_derivatives(v: Vec3, a: Vec3, j: Vec3, alpha: int) -> Tuple[float, float]:
+def tangent_yaw_derivatives(v: Vec3, a: Vec3, j: Vec3, alpha: int = 1) -> Tuple[float, float]:
+    """Rate and acceleration of the heading psi = alpha * atan2(vy, vx)."""
     vx, vy = float(v[0]), float(v[1])
     ax, ay = float(a[0]), float(a[1])
     jx, jy = float(j[0]), float(j[1])
@@ -227,15 +212,13 @@ def _yaw_derivatives(v: Vec3, a: Vec3, j: Vec3, alpha: int) -> Tuple[float, floa
 
 
 def _heading_torque(
-    J: np.ndarray, theta: float, theta_dot: float, psi_dot: float,
+    J: np.ndarray, sth: float, cth: float, theta_dot: float, psi_dot: float,
     theta_ddot: float, psi_ddot: float,
 ) -> Vec3:
     """Required torque in the heading frame for the roll-free attitude family."""
     J1, J2, J3 = J
-    sth, cth = math.sin(theta), math.cos(theta)
     N11 = J1 * cth * cth + J3 * sth * sth
-    N13 = sth * cth * (J3 - J1)
-    N33 = J1 * sth * sth + J3 * cth * cth
+    N13, N33 = heading_inertia(sth, cth, J)
     Lx = N13 * psi_ddot + theta_dot * psi_dot * (N33 - J2 - N11)
     Ly = J2 * theta_ddot + N13 * psi_dot * psi_dot
     Lz = N33 * psi_ddot - 2.0 * N13 * theta_dot * psi_dot
@@ -297,7 +280,7 @@ def ground_flat_to_reference(
         mu_eff = 0.0
         speed = 0.0
     else:
-        psi_dot, psi_ddot = _yaw_derivatives(sample.v, sample.a, sample.j, alpha)
+        psi_dot, psi_ddot = tangent_yaw_derivatives(sample.v, sample.a, sample.j, alpha)
         mu_eff = alpha * params.mu
         speed = math.hypot(float(sample.v[0]), float(sample.v[1]))
 
@@ -335,9 +318,7 @@ def ground_flat_to_reference(
         )
     F_n = max(F_n, 0.0)
 
-    L = _heading_torque(params.J, theta, theta_dot, psi_dot, theta_ddot, psi_ddot)
-    G2 = (m - 2.0 * params.m_w) * params.h2 * g * sth
-    tau_y_req = L[1] - G2
+    L = _heading_torque(params.J, sth, cth, theta_dot, psi_dot, theta_ddot, psi_ddot)
 
     # 2x2 linear solve for the lateral thrust y = T_By and the tilt
     # differential d = b2 - b1 (roll and yaw rows with the ground torque)
@@ -352,19 +333,19 @@ def ground_flat_to_reference(
     y = (rhs1 * A22 - A12 * rhs2) / det
     d = (A11 * rhs2 - rhs1 * A21) / det
 
-    a2 = 0.5 * (T + tau_y_req / l)
-    a1 = T - a2
-    b1 = 0.5 * (-y - d)
-    b2 = 0.5 * (d - y)
-
-    # feasibility: wheel normals
-    f_l = m * a_l - y
-    F_nl, F_nr = wheel_normals(F_n, f_l, y * h1, theta, params)
+    # ground reaction of the stuck wheels under the lateral thrust y
+    _, _, F_nl, F_nr, _, G2, _ = ground_contact(F_n, m * a_l - y, y * h1, cth, sth, 0.0, params)
     if min(F_nl, F_nr) < -1e-9:
         raise InfeasibleReferenceError(
             f"wheel lift-off in reference at t={sample.t:.3f}s "
             f"(normals {F_nl:.3f}/{F_nr:.3f} N)"
         )
+
+    tau_y_req = L[1] - G2
+    a2 = 0.5 * (T + tau_y_req / l)
+    a1 = T - a2
+    b1 = 0.5 * (-y - d)
+    b2 = 0.5 * (d - y)
 
     u_r, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
     flags.extend(clamp_flags)

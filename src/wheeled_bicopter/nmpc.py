@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ControlInput, Mode, VehicleParams
+from .core import ControlInput, Mode, VehicleParams, quat_multiply
 from .dynamics import (
     DIVERGENCE_LIMIT,
     Simulator,
@@ -115,26 +115,13 @@ class WarmStart:
     x_seq: np.ndarray  # (K+1, 13)
 
 
-def discretize(
-    x: np.ndarray,
-    u: np.ndarray,
-    mode: Mode,
-    dt: float,
-    params: VehicleParams,
-    fd_step: float = FD_STEP,
-):
+def discretize(x: np.ndarray, u: np.ndarray, mode: Mode, dt: float, params: VehicleParams):
     """One RK4 step of the packed state plus Jacobians d(x+)/dx, d(x+)/du
-    by forward finite differences (batched through the array core)."""
-    n, m = 13, 4
-    xb = np.tile(x, (1 + n + m, 1))
-    ub = np.tile(u, (1 + n + m, 1))
-    xb[1 : 1 + n] += fd_step * np.eye(n)
-    ub[1 + n :] += fd_step * np.eye(m)
-    out = rk4_step(xb, ub, mode, dt, params)
-    x_next = out[0]
-    A = (out[1 : 1 + n] - x_next).T / fd_step
-    B = (out[1 + n :] - x_next).T / fd_step
-    return x_next, A, B
+    by forward finite differences (a one-step horizon linearization)."""
+    x_next, A, B, _ = _linearize_horizon(
+        np.atleast_2d(x), np.atleast_2d(u), [mode], dt, params, need_normals=False
+    )
+    return x_next[0], A[0], B[0]
 
 
 def _linearize_horizon(x_bar, u_bar, modes, dt, params, need_normals):
@@ -520,15 +507,7 @@ class NoiseModel:
             if angle > 1e-12:
                 axis = rv / angle
                 dq = np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * axis])
-                q = out[6:10]
-                w1, x1, y1, z1 = dq
-                w2, x2, y2, z2 = q
-                out[6:10] = [
-                    w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-                    w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-                    w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-                    w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-                ]
+                out[6:10] = quat_multiply(dq, out[6:10])
         return out
 
 

@@ -24,18 +24,8 @@ from .flatness import (
     aerial_flat_to_reference,
     ground_flat_to_reference,
     heading_turns,
+    tangent_yaw_derivatives,
 )
-
-
-def _tangent_yaw_derivatives(v, a, j) -> Tuple[float, float]:
-    vx, vy = float(v[0]), float(v[1])
-    ax, ay = float(a[0]), float(a[1])
-    jx, jy = float(j[0]), float(j[1])
-    den = vx * vx + vy * vy
-    num = vx * ay - vy * ax
-    chi_dot = num / den
-    chi_ddot = ((vx * jy - vy * jx) * den - num * 2.0 * (vx * ax + vy * ay)) / (den * den)
-    return chi_dot, chi_ddot
 
 
 class Segment:
@@ -491,7 +481,7 @@ class HybridTrajectory:
                 chi = math.atan2(f[1][1], f[1][0])
                 if psi_hint is not None:
                     chi += 2 * math.pi * heading_turns(chi, psi_hint)
-                cd, cdd = _tangent_yaw_derivatives(f[1], f[2], f[3])
+                cd, cdd = tangent_yaw_derivatives(f[1], f[2], f[3])
                 yaw = (chi, cd, cdd)
                 heading = "tangent"
         if past_end:

@@ -95,6 +95,38 @@ def test_main_requires_config_or_scenario():
     assert cli.main(["track"]) == cli.EXIT_CONFIG
 
 
+def _set(block, **values):
+    def mutate(doc):
+        doc[block].update(values)
+    return mutate
+
+
+def _aerial_eight_without_v_max(doc):
+    doc["trajectory"] = {"kind": "eight_aerial", "a_max": 1.0}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("controller", K=0),
+        _set("controller", q_p=[-1, 1, 1]),
+        _set("controller", u_min=[0.0, 0.0, -0.5, 0.5], u_max=[8.0, 8.0, 0.5, 0.5]),
+        _set("vehicle", m="abc"),
+        _set("environment", control_rate_hz="fast"),
+        _aerial_eight_without_v_max,
+    ],
+    ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
+         "rate_not_a_number", "eight_aerial_without_v_max"],
+)
+def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
+    doc = tiny_hover_doc()
+    mutate(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bundled scenarios
 # ---------------------------------------------------------------------------

@@ -10,53 +10,20 @@ from wheeled_bicopter.core import (
     Orientation,
     RobotState,
     VehicleParams,
-    euler_to_orientation,
-    orientation_to_euler,
     quat_derivative,
     quat_normalize,
-    skew,
-    unwrap_angles,
     vec3,
-    yaw_rotation,
 )
-
-
-def test_skew_zero():
-    assert np.array_equal(skew(vec3(0, 0, 0)), np.zeros((3, 3)))
-
-
-def test_skew_unit_z_pattern():
-    S = skew(vec3(0, 0, 1))
-    expected = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-    np.testing.assert_array_equal(S, expected)
-
-
-def test_skew_matches_cross_product():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        w = rng.normal(size=3)
-        a = rng.normal(size=3)
-        np.testing.assert_allclose(skew(w) @ a, np.cross(w, a), atol=1e-14)
-
-
-def test_skew_is_linear():
-    rng = np.random.default_rng(1)
-    a, b = rng.normal(size=3), rng.normal(size=3)
-    np.testing.assert_allclose(skew(a + b), skew(a) + skew(b), atol=1e-15)
-
-
-def test_skew_antisymmetric():
-    S = skew(vec3(0.3, -1.2, 2.0))
-    np.testing.assert_allclose(S + S.T, np.zeros((3, 3)), atol=1e-15)
+from wheeled_bicopter.flatness import heading_turns
 
 
 def test_euler_identity():
-    o = euler_to_orientation(0.0, 0.0, 0.0)
+    o = Orientation.from_euler(0.0, 0.0, 0.0)
     np.testing.assert_allclose(o.rotation_matrix(), np.eye(3), atol=1e-15)
 
 
 def test_euler_yaw_quarter_turn_maps_x_to_y():
-    o = euler_to_orientation(0.0, 0.0, math.pi / 2)
+    o = Orientation.from_euler(0.0, 0.0, math.pi / 2)
     np.testing.assert_allclose(o.rotate(vec3(1, 0, 0)), vec3(0, 1, 0), atol=1e-12)
 
 
@@ -66,26 +33,27 @@ def test_euler_round_trip_random():
         phi = rng.uniform(-math.pi, math.pi)
         theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         psi = rng.uniform(-math.pi, math.pi)
-        back = orientation_to_euler(euler_to_orientation(phi, theta, psi))
+        back = Orientation.from_euler(phi, theta, psi).to_euler()
         np.testing.assert_allclose(back, (phi, theta, psi), atol=1e-9)
 
 
 def test_euler_matches_rotation_product():
     phi, theta, psi = 0.3, -0.4, 1.1
-    o = euler_to_orientation(phi, theta, psi)
+    o = Orientation.from_euler(phi, theta, psi)
     Rx = np.array(
         [[1, 0, 0], [0, math.cos(phi), -math.sin(phi)], [0, math.sin(phi), math.cos(phi)]]
     )
     Ry = np.array(
         [[math.cos(theta), 0, math.sin(theta)], [0, 1, 0], [-math.sin(theta), 0, math.cos(theta)]]
     )
-    np.testing.assert_allclose(
-        o.rotation_matrix(), yaw_rotation(psi) @ Ry @ Rx, atol=1e-12
+    Rz = np.array(
+        [[math.cos(psi), -math.sin(psi), 0], [math.sin(psi), math.cos(psi), 0], [0, 0, 1]]
     )
+    np.testing.assert_allclose(o.rotation_matrix(), Rz @ Ry @ Rx, atol=1e-12)
 
 
 def test_gimbal_lock_reported():
-    o = euler_to_orientation(0.0, math.pi / 2 - 5e-4, 0.0)
+    o = Orientation.from_euler(0.0, math.pi / 2 - 5e-4, 0.0)
     with pytest.raises(GimbalLockError):
         o.to_euler()
 
@@ -99,9 +67,14 @@ def test_rotation_matrix_orthonormal():
         assert abs(np.linalg.det(R) - 1.0) < 1e-9
 
 
+def yaw_matrix(psi):
+    """Rotation from the heading frame to the world frame: a pure yaw."""
+    return Orientation.from_euler(0.0, 0.0, psi).rotation_matrix()
+
+
 def test_yaw_rotation_identity_and_pi():
-    np.testing.assert_allclose(yaw_rotation(0.0), np.eye(3), atol=1e-15)
-    R = yaw_rotation(math.pi)
+    np.testing.assert_allclose(yaw_matrix(0.0), np.eye(3), atol=1e-15)
+    R = yaw_matrix(math.pi)
     np.testing.assert_allclose(R @ vec3(1, 0, 0), vec3(-1, 0, 0), atol=1e-12)
     np.testing.assert_allclose(R @ vec3(0, 1, 0), vec3(0, -1, 0), atol=1e-12)
     np.testing.assert_allclose(R[:, 2], vec3(0, 0, 1), atol=1e-15)
@@ -109,17 +82,16 @@ def test_yaw_rotation_identity_and_pi():
 
 def test_yaw_rotation_matches_euler():
     for psi in np.linspace(-3.0, 3.0, 13):
+        c, s = math.cos(psi), math.sin(psi)
         np.testing.assert_allclose(
-            yaw_rotation(psi),
-            euler_to_orientation(0.0, 0.0, psi).rotation_matrix(),
-            atol=1e-12,
+            yaw_matrix(psi), [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], atol=1e-12
         )
 
 
 def test_yaw_rotation_heading_consistency():
     for psi in np.linspace(-3.0, 3.0, 7):
         v = vec3(math.cos(psi), math.sin(psi), 0.0)
-        np.testing.assert_allclose(yaw_rotation(psi).T @ v, vec3(1, 0, 0), atol=1e-12)
+        np.testing.assert_allclose(yaw_matrix(psi).T @ v, vec3(1, 0, 0), atol=1e-12)
 
 
 def test_orientation_norm_drift_under_integration():
@@ -191,5 +163,7 @@ def test_control_input_bounds():
 
 def test_unwrap_angles():
     raw = [0.0, 3.0, -3.0, 3.0]  # jumps of ~6 rad get unwrapped
-    out = unwrap_angles(raw)
+    out = [raw[0]]
+    for a in raw[1:]:
+        out.append(a + 2 * math.pi * heading_turns(a, out[-1]))
     assert np.all(np.abs(np.diff(out)) < math.pi)

@@ -74,16 +74,25 @@ def test_wrench_rejects_out_of_bounds(params):
 # ---------------------------------------------------------------------------
 
 
-def test_centripetal_circular_identity():
-    assert dyn.centripetal_accel(vec3(2.0, 0.0, 0.0), 1.0) == pytest.approx(2.0)
+def lateral_accel(params, v, omega_z):
+    """Heading-lateral acceleration of a stuck ground state moving along v
+    and turning at omega_z, without side thrust: the centripetal term."""
+    psi = math.atan2(v[1], v[0])
+    st = ground_state(params, v=v, psi=psi, omega=(0.0, 0.0, omega_z))
+    d = dyn.derivative(st, ControlInput(2.0, 2.0, 0.0, 0.0), Mode.GROUND, params)
+    return -d.vdot[0] * math.sin(psi) + d.vdot[1] * math.cos(psi)
 
 
-def test_centripetal_zero_speed_guard():
-    assert dyn.centripetal_accel(vec3(0.0, 0.0, 0.0), 3.0) == 0.0
+def test_centripetal_circular_identity(params):
+    assert lateral_accel(params, (2.0, 0.0, 0.0), 1.0) == pytest.approx(2.0)
 
 
-def test_centripetal_straight_line():
-    assert dyn.centripetal_accel(vec3(1.5, 0.5, 0.0), 0.0) == 0.0
+def test_centripetal_zero_speed_guard(params):
+    assert lateral_accel(params, (0.0, 0.0, 0.0), 3.0) == 0.0
+
+
+def test_centripetal_straight_line(params):
+    assert lateral_accel(params, (1.5, 0.5, 0.0), 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -97,42 +106,52 @@ def ground_state(params, v=(0.0, 0.0, 0.0), theta=0.0, psi=0.0, omega=(0, 0, 0))
     )
 
 
+def ground_reaction(params, u, a_l, v=(0.0, 0.0, 0.0), theta=0.0):
+    """Contact core at heading psi = 0 with the no-slip lateral force of a
+    turn at lateral acceleration a_l, as the ground dynamics evaluate it."""
+    w = dyn.actuator_wrench(u, params)
+    cth, sth = math.cos(theta), math.sin(theta)
+    F_n = params.m * params.g - w.T_B[2] * cth
+    f_l_req = params.m * a_l - w.T_B[1]
+    forces = dyn.ground_contact(
+        F_n, f_l_req, w.tau_B[0], cth, sth, v[0], params, clamp_liftoff=True
+    )
+    return w, F_n, forces
+
+
 def test_ground_reaction_static(params):
     u = ControlInput(2.0, 2.0, 0.0, 0.0)  # T_Bz = 4 N
-    w = dyn.actuator_wrench(u, params)
-    gr = dyn.ground_reaction(ground_state(params), w, 0.0, params)
-    assert gr.F_n == pytest.approx(0.83 * 9.81 - 4.0, abs=1e-9)
-    assert gr.F_n == pytest.approx(4.142, abs=5e-4)
-    assert gr.f_l == 0.0
-    assert gr.F_n_left == pytest.approx(2.071, abs=5e-4)
-    assert gr.F_n_right == pytest.approx(gr.F_n_left, abs=1e-12)
-    assert gr.F_n_left + gr.F_n_right == pytest.approx(gr.F_n, abs=1e-9)
+    _, F_n, (_, f_l, F_nl, F_nr, _, _, _) = ground_reaction(params, u, 0.0)
+    assert F_n == pytest.approx(0.83 * 9.81 - 4.0, abs=1e-9)
+    assert F_n == pytest.approx(4.142, abs=5e-4)
+    assert f_l == 0.0
+    assert F_nl == pytest.approx(2.071, abs=5e-4)
+    assert F_nr == pytest.approx(F_nl, abs=1e-12)
+    assert F_nl + F_nr == pytest.approx(F_n, abs=1e-9)
 
 
 def test_ground_reaction_contact_loss_at_full_weight(params):
     T = params.weight / 2
-    w = dyn.actuator_wrench(ControlInput(T, T, 0.0, 0.0), params)
     with pytest.raises(ContactLossError):
-        dyn.ground_reaction(ground_state(params), w, 0.0, params)
+        dyn.derivative(ground_state(params), ControlInput(T, T, 0.0, 0.0), Mode.GROUND, params)
 
 
 def test_ground_reaction_turning_case(params):
     # a_l = 2 m/s^2 and T_By = -1 N: f_l = m a_l - T_By = 2.66 N
     delta = math.asin(0.5 / 2.0)  # each rotor contributes 0.5 N laterally
     u = ControlInput(2.0, 2.0, delta, delta)
-    w = dyn.actuator_wrench(u, params)
+    w, F_n, (_, f_l, F_nl, F_nr, lift, _, _) = ground_reaction(params, u, 2.0, v=(1.0, 0, 0))
     assert w.T_B[1] == pytest.approx(-1.0, abs=1e-12)
-    gr = dyn.ground_reaction(ground_state(params, v=(1.0, 0, 0)), w, 2.0, params)
-    assert gr.f_l == pytest.approx(0.83 * 2.0 + 1.0, abs=1e-9)
+    assert f_l == pytest.approx(0.83 * 2.0 + 1.0, abs=1e-9)
     # independent re-derivation of the per-wheel split (raw, before the
     # lift-off clamp; this combination tips the load past one wheel)
-    split = (gr.f_l * params.r + w.tau_B[0] * 1.0) / params.W
-    left_raw = gr.F_n / 2 - split
-    right_raw = gr.F_n / 2 + split
-    assert left_raw + right_raw == pytest.approx(gr.F_n, abs=1e-12)
-    assert gr.lift_off
-    assert gr.F_n_left == max(left_raw, 0.0)
-    assert gr.F_n_right == pytest.approx(right_raw, abs=1e-12)
+    split = (f_l * params.r + w.tau_B[0] * 1.0) / params.W
+    left_raw = F_n / 2 - split
+    right_raw = F_n / 2 + split
+    assert left_raw + right_raw == pytest.approx(F_n, abs=1e-12)
+    assert lift
+    assert F_nl == max(left_raw, 0.0)
+    assert F_nr == pytest.approx(right_raw, abs=1e-12)
 
 
 def test_ground_reaction_torque_rows_from_per_wheel_forces(params):
@@ -142,17 +161,16 @@ def test_ground_reaction_torque_rows_from_per_wheel_forces(params):
             rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5),
             rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3),
         )
-        w = dyn.actuator_wrench(u, params)
         theta = rng.uniform(-0.3, 0.3)
-        st = ground_state(params, v=(rng.uniform(0.2, 2.0), 0, 0), theta=theta)
-        gr = dyn.ground_reaction(st, w, rng.uniform(-1.0, 1.0), params)
-        if gr.lift_off:
+        v = (rng.uniform(0.2, 2.0), 0, 0)
+        _, _, (_, _, F_nl, F_nr, lift, G2, G3) = ground_reaction(
+            params, u, rng.uniform(-1.0, 1.0), v=v, theta=theta
+        )
+        if lift:
             continue
-        row1 = gr.f_l * params.r + (gr.F_n_right - gr.F_n_left) * params.W
-        row3 = (gr.f_r_right - gr.f_r_left) * params.W
-        assert gr.tau_G[0] == pytest.approx(row1, abs=1e-12)
-        assert gr.tau_G[2] == pytest.approx(row3, abs=1e-12)
-        assert gr.tau_G[1] == pytest.approx(
+        f_rl, f_rr = -params.mu * F_nl, -params.mu * F_nr  # rolling forward
+        assert G3 == pytest.approx((f_rr - f_rl) * params.W, abs=1e-12)
+        assert G2 == pytest.approx(
             (params.m - 2 * params.m_w) * params.h2 * params.g * math.sin(theta), abs=1e-12
         )
 
@@ -161,11 +179,10 @@ def test_ground_reaction_wheel_liftoff_flagged(params):
     # large lateral force tips the load far onto one wheel
     delta = 0.6
     u = ControlInput(3.0, 3.0, delta, delta)
-    w = dyn.actuator_wrench(u, params)
-    gr = dyn.ground_reaction(ground_state(params, v=(1, 0, 0)), w, 4.0, params)
-    assert gr.lift_off
-    assert gr.F_n_left == 0.0 or gr.F_n_right == 0.0
-    assert min(gr.F_n_left, gr.F_n_right) >= 0.0
+    _, _, (_, _, F_nl, F_nr, lift, _, _) = ground_reaction(params, u, 4.0, v=(1, 0, 0))
+    assert lift
+    assert F_nl == 0.0 or F_nr == 0.0
+    assert min(F_nl, F_nr) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +284,15 @@ def test_divergence_aborts():
 
 
 def test_slip_check_stick(params):
-    gr = dyn.GroundReaction(0, 2.0, 4.0, 2.0, 2.0, 0, 0, np.zeros(3))
-    assert dyn.slip_check(gr, VehicleParams(mu_s=1.0)).stick
+    assert dyn.slip_check(2.0, 4.0, VehicleParams(mu_s=1.0))
 
 
 def test_slip_check_slips_with_excess():
-    gr = dyn.GroundReaction(0, 2.0, 4.0, 2.0, 2.0, 0, 0, np.zeros(3))
-    res = dyn.slip_check(gr, VehicleParams(mu_s=0.1))
-    assert not res.stick
-    assert res.excess == pytest.approx(2.0 - 0.1 * 4.0, abs=1e-12)
+    assert not dyn.slip_check(2.0, 4.0, VehicleParams(mu_s=0.1))
 
 
 def test_slip_check_boundary_sticks():
-    gr = dyn.GroundReaction(0, 0.4, 4.0, 2.0, 2.0, 0, 0, np.zeros(3))
-    assert dyn.slip_check(gr, VehicleParams(mu_s=0.1)).stick
+    assert dyn.slip_check(0.4, 4.0, VehicleParams(mu_s=0.1))
 
 
 # ---------------------------------------------------------------------------

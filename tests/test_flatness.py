@@ -136,24 +136,6 @@ def test_body_rates_direct():
     np.testing.assert_allclose(w, [0.0, 0.3, 0.5], atol=1e-15)
 
 
-def test_body_accels_match_finite_differences():
-    # smooth trajectories theta(t), psi(t)
-    th = lambda t: 0.2 * math.sin(1.3 * t)
-    thd = lambda t: 0.26 * math.cos(1.3 * t)
-    thdd = lambda t: -0.338 * math.sin(1.3 * t)
-    ps = lambda t: 0.8 * t + 0.3 * math.sin(t)
-    psd = lambda t: 0.8 + 0.3 * math.cos(t)
-    psdd = lambda t: -0.3 * math.sin(t)
-    h = 1e-5
-    for t in np.linspace(0, 4, 9):
-        wdot = fl.ground_body_accels(th(t), thd(t), thdd(t), ps(t), psd(t), psdd(t))
-        fd = (
-            fl.ground_body_rates(th(t + h), thd(t + h), ps(t + h), psd(t + h))
-            - fl.ground_body_rates(th(t - h), thd(t - h), ps(t - h), psd(t - h))
-        ) / (2 * h)
-        np.testing.assert_allclose(wdot, fd, atol=1e-5)
-
-
 # ---------------------------------------------------------------------------
 # wheel normals
 # ---------------------------------------------------------------------------

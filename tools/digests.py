@@ -1,0 +1,55 @@
+"""Deterministic digests of every bundled scenario's outputs.
+
+Runs each bundled scenario through its command-line path at full length:
+`benchmark` for the slippery-ground comparison, `track` for every other
+scenario, and additionally `simulate` for the scenarios with a closed-loop
+trajectory.  Prints one `file sha256` line per output file, sorted, where
+the hash is `cli.deterministic_digest` (wall-clock columns masked).
+
+    python tools/digests.py
+
+Two checkouts print identical output exactly when every bundled scenario
+produces the same bits.
+"""
+
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from wheeled_bicopter import cli  # noqa: E402
+
+CLOSED_LOOP_KINDS = {"eight_ground", "eight_aerial", "hybrid_3d", "rest_hover"}
+
+
+def commands(name: str):
+    kind = cli.load_bundled_scenario(name)["trajectory"].get("kind")
+    if name == "benchmark_slippery":
+        yield "benchmark"
+        return
+    yield "track"
+    if kind in CLOSED_LOOP_KINDS:
+        yield "simulate"
+
+
+def main() -> int:
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in cli.bundled_scenario_names():
+            for command in commands(name):
+                out = Path(tmp) / command / name
+                code = cli.main([command, "--scenario", name, "--out", str(out), "--quiet"])
+                if code != cli.EXIT_OK:
+                    print(f"{command} {name}: exit {code}", file=sys.stderr)
+                    return code
+                for path in sorted(out.rglob("*")):
+                    if path.is_file():
+                        rel = path.relative_to(tmp).as_posix()
+                        lines.append(f"{rel} {cli.deterministic_digest(path)}")
+    print("\n".join(sorted(lines)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
