@@ -38,7 +38,7 @@ from .core import (
 )
 from .dynamics import Simulator
 from .flatness import tangent_yaw_derivatives
-from .nmpc import NmpcConfig, NoiseModel, RunLog, control_loop
+from .nmpc import NmpcConfig, NoiseModel, RunLog, check_loop_rates, control_loop
 from . import trajectory as tj
 
 SCHEMA_VERSION = 1
@@ -111,6 +111,13 @@ class ScenarioConfig:
             for key in ENVIRONMENT_NUMBERS:
                 if key in env:
                     env[key] = float(env[key])
+            for key in ("noise_pos_std", "noise_att_std"):
+                if env.get(key, 0.0) < 0.0:
+                    raise ValueError(f"{key} must be non-negative")
+            sim_rate = env.get("sim_rate_hz", 1000.0)
+            if not sim_rate > 0.0:
+                raise ValueError("sim_rate_hz must be positive")
+            check_loop_rates(1.0 / sim_rate, env.get("control_rate_hz", 200.0))
         vehicle = dict(doc.get("vehicle", {}))
         for key in ("mu", "mu_s"):
             if key in env:
@@ -133,8 +140,18 @@ class ScenarioConfig:
         traj = dict(doc.get("trajectory", {}))
         run = dict(doc.get("run", {}))
         _require_keys(run, {"duration", "rmse_planar", "label"}, "run")
+        with _config_block("run"):
+            if run.get("duration") is not None:
+                run["duration"] = float(run["duration"])
+                if not run["duration"] > 0.0:
+                    raise ValueError("duration must be positive")
         output = dict(doc.get("output", {}))
         _require_keys(output, {"decimation"}, "output")
+        with _config_block("output"):
+            if "decimation" in output:
+                output["decimation"] = int(output["decimation"])
+                if output["decimation"] < 1:
+                    raise ValueError("decimation must be at least 1")
         with _config_block("seed"):
             seed = int(doc.get("seed", 0))
         return cls(
@@ -368,11 +385,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     ref0 = traj.reference(0.0, cfg.params)
     sim = Simulator(
         params=cfg.params,
+        x=ref0.x_array(),
         dt=1.0 / sim_rate,
         mode=ref0.mode,
         slip_enabled=bool(env.get("slip_enabled", False)),
     )
-    sim.state = ref0.x_r
 
     duration = cfg.run.get("duration")
     if duration is None:
@@ -456,6 +473,16 @@ def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     return report
 
 
+def _lateral_error(tick) -> float:
+    """Planar position error of a tick across its reference heading (the
+    world x axis when the reference stands still)."""
+    vx, vy = tick.x_ref[3], tick.x_ref[4]
+    psi = math.atan2(vy, vx) if abs(vx) + abs(vy) > 1e-6 else 0.0
+    dx = tick.x[0] - tick.x_ref[0]
+    dy = tick.x[1] - tick.x_ref[1]
+    return -dx * math.sin(psi) + dy * math.cos(psi)
+
+
 def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                            quiet: bool = True,
                            lateral_fail_threshold: float = 0.3) -> dict:
@@ -477,26 +504,11 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             )
 
             def crossed(tick) -> bool:
-                vx, vy = tick.x_ref[3], tick.x_ref[4]
-                psi = math.atan2(vy, vx) if abs(vx) + abs(vy) > 1e-6 else 0.0
-                dx = tick.x[0] - tick.x_ref[0]
-                dy = tick.x[1] - tick.x_ref[1]
-                lat = -dx * math.sin(psi) + dy * math.cos(psi)
-                return abs(lat) > lateral_fail_threshold
+                return abs(_lateral_error(tick)) > lateral_fail_threshold
 
             try:
                 res = run_scenario(sub, out_dir=None, quiet=True, stop_when=crossed)
-                act, ref = res.runlog.positions()
-                # lateral deviation relative to the reference heading
-                psis = np.array([
-                    math.atan2(row.x_ref[4], row.x_ref[3])
-                    if abs(row.x_ref[3]) + abs(row.x_ref[4]) > 1e-6 else 0.0
-                    for row in res.runlog.ticks
-                ])
-                lat = -(act[:, 0] - ref[:, 0]) * np.sin(psis) + (
-                    act[:, 1] - ref[:, 1]
-                ) * np.cos(psis)
-                max_lat = float(np.max(np.abs(lat)))
+                max_lat = float(max(abs(_lateral_error(row)) for row in res.runlog.ticks))
                 completed = not res.summary["stopped_early"] and (
                     max_lat <= lateral_fail_threshold
                 )
@@ -682,11 +694,11 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     traj, peaks = build_trajectory(cfg)
     ref0 = traj.reference(0.0, cfg.params)
     sim = Simulator(
-        params=cfg.params, dt=1.0 / float(cfg.environment.get("sim_rate_hz", 1000.0)),
+        params=cfg.params, x=ref0.x_array(),
+        dt=1.0 / float(cfg.environment.get("sim_rate_hz", 1000.0)),
         mode=ref0.mode,
         slip_enabled=bool(cfg.environment.get("slip_enabled", False)),
     )
-    sim.state = ref0.x_r
     duration = float(cfg.run.get("duration") or min(2.0, peaks["lap_s"]))
     hint = None
     n = round(duration * 200)
@@ -695,7 +707,7 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
         hint = ref.psi
         sim.apply(ref.u_r, 1.0 / 200.0)
-        drift = max(drift, float(np.linalg.norm(sim.state.p - ref.x_r.p)))
+        drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x_r.p)))
     report = {"scenario": cfg.name, "duration_s": duration, "max_drift_m": drift}
     if out_dir is not None:
         out = Path(out_dir)

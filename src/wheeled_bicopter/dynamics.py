@@ -54,6 +54,7 @@ from .core import (
     Vec3,
     VehicleParams,
     quat_derivative,
+    quat_normalize,
     quat_to_matrix,
 )
 
@@ -423,34 +424,31 @@ class SimLogRow:
 
 @dataclass
 class Simulator:
-    """Owns one vehicle state and integrates it with mode switching.
+    """Owns one packed vehicle state `x` (13,) and integrates it with mode
+    switching.  Each step works on a copy and then replaces `x`, so an array
+    read from `x` never changes afterwards.
 
-    Aerial -> Ground happens when the CoM reaches the contact height with
+    Aerial -> Ground happens when the CoM reaches the wheel radius with
     non-positive vertical speed; Ground -> Aerial when the total normal
     force would go negative.  The optional stick/slip lateral friction model
     is off by default.
     """
 
     params: VehicleParams
-    state: RobotState = None  # type: ignore[assignment]
+    x: np.ndarray = None  # type: ignore[assignment]
     mode: Mode = Mode.AERIAL
     t: float = 0.0
     dt: float = 1e-3
     slip_enabled: bool = False
-    contact_height: float = field(default=None)  # type: ignore[assignment]
     slipping: bool = False
     log: List[SimLogRow] = field(default_factory=list)
-    record: bool = True
     lift_off_events: int = 0
     slip_steps: int = 0
 
     TOUCHDOWN_TOL = 1e-3
 
     def __post_init__(self):
-        if self.state is None:
-            self.state = RobotState.rest()
-        if self.contact_height is None:
-            self.contact_height = self.params.r
+        self.x = np.array(RobotState.rest().as_array() if self.x is None else self.x, dtype=float)
 
     @staticmethod
     def _lateral_speed(x: np.ndarray) -> float:
@@ -458,7 +456,8 @@ class Simulator:
         return float(-x[3] * spsi[0] + x[4] * cpsi[0])
 
     def _try_touchdown(self, x: np.ndarray, u: np.ndarray) -> None:
-        if x[2] > self.contact_height + self.TOUCHDOWN_TOL or x[5] > 0.0:
+        r = self.params.r
+        if x[2] > r + self.TOUCHDOWN_TOL or x[5] > 0.0:
             return
         # grazing contact with thrust above the weight cannot load the
         # wheels; stay aerial until F_n would be non-negative
@@ -466,82 +465,57 @@ class Simulator:
         if float(diag["F_n"]) < 0.0:
             return
         self.mode = Mode.GROUND
-        x[2] = self.contact_height
+        x[2] = r
         x[5] = 0.0
         lateral = self._lateral_speed(x)
         keep = self.slip_enabled and abs(lateral) > LATERAL_STICK_EPS
         _project_ground(x, keep_lateral=keep)
+        x[6:10] = quat_normalize(x[6:10])  # as after every step
         self.slipping = keep
-        self.state = RobotState.from_array(x)
 
     def apply(self, u: ControlInput, duration: float) -> None:
         """Hold the input for `duration` seconds, integrating at the sim rate."""
         ua = u.as_array()
-        power = rotor_power(u, self.params) if self.record else 0.0
-        n = max(1, round(duration / self.dt))
-        for _ in range(n):
-            x = self.state.as_array()
+        P = self.params
+        power = rotor_power(u, P)
+        for _ in range(max(1, round(duration / self.dt))):
+            x = self.x.copy()
             if self.mode is Mode.AERIAL:
                 self._try_touchdown(x, ua)
+            F_nl = F_nr = f_l = 0.0
+            lift = False
             if self.mode is Mode.GROUND:
-                x = self.state.as_array()
-                _, diag = _f_ground_batch(x, ua, self.params, slipping=self.slipping)
+                _, diag = _f_ground_batch(x, ua, P, slipping=self.slipping)
                 F_n = float(diag["F_n"])
                 if F_n < 0.0:
                     self.mode = Mode.AERIAL
                     self.slipping = False
-                    if self.record:
-                        self._record_aerial(x, ua, power)
-                    self._integrate(x, ua)
-                    continue
-                if self.slip_enabled:
-                    req = float(diag["f_l_req"])
-                    w_lat = float(diag["w_lat"])
-                    if not self.slipping and not slip_check(req, F_n, self.params):
+                else:
+                    stick = slip_check(float(diag["f_l_req"]), F_n, P)
+                    if self.slip_enabled and not self.slipping and not stick:
                         self.slipping = True
-                        _, diag = _f_ground_batch(
-                            x, ua, self.params, slipping=True
-                        )
-                    elif (self.slipping and abs(w_lat) < LATERAL_STICK_EPS
-                          and slip_check(req, F_n, self.params)):
+                        _, diag = _f_ground_batch(x, ua, P, slipping=True)
+                    elif (self.slip_enabled and self.slipping and stick
+                          and abs(float(diag["w_lat"])) < LATERAL_STICK_EPS):
                         self.slipping = False
                         _project_ground(x, keep_lateral=False)
-                        self.state = RobotState.from_array(x)
-                        _, diag = _f_ground_batch(
-                            x, ua, self.params, slipping=False
-                        )
-                if self.record:
-                    Fl = max(float(diag["F_nl"]), 0.0)
-                    Fr = max(float(diag["F_nr"]), 0.0)
+                        _, diag = _f_ground_batch(x, ua, P, slipping=False)
+                    F_nl = max(float(diag["F_nl"]), 0.0)
+                    F_nr = max(float(diag["F_nr"]), 0.0)
+                    f_l = float(diag["f_l"])
                     lift = bool(diag["lift_off"])
-                    if lift:
-                        self.lift_off_events += 1
-                    if self.slipping:
-                        self.slip_steps += 1
-                    self.log.append(
-                        SimLogRow(
-                            t=self.t, x=x.copy(), u=ua.copy(),
-                            F_n_left=Fl, F_n_right=Fr, f_l=float(diag["f_l"]),
-                            slip=int(self.slipping), lift_off=int(lift), power=power,
-                        )
-                    )
-            elif self.record:
-                self._record_aerial(x, ua, power)
-            self._integrate(x, ua)
-
-    def _record_aerial(self, x: np.ndarray, ua: np.ndarray, power: float) -> None:
-        self.log.append(
-            SimLogRow(
-                t=self.t, x=x.copy(), u=ua.copy(),
-                F_n_left=0.0, F_n_right=0.0, f_l=0.0, slip=0, lift_off=0, power=power,
-            )
-        )
-
-    def _integrate(self, x: np.ndarray, ua: np.ndarray) -> None:
-        xn = rk4_step(x, ua, self.mode, self.dt, self.params, self.slipping)
-        if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
-            raise DivergenceError(
-                f"simulation diverged at t={self.t:.4f}s (mode {self.mode.name})"
-            )
-        self.state = RobotState.from_array(xn)
-        self.t += self.dt
+                    self.lift_off_events += lift
+                    self.slip_steps += self.slipping
+            self.log.append(SimLogRow(
+                t=self.t, x=x, u=ua.copy(), F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
+                slip=int(self.slipping), lift_off=int(lift), power=power,
+            ))
+            xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping)
+            if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
+                raise DivergenceError(
+                    f"simulation diverged at t={self.t:.4f}s (mode {self.mode.name})"
+                )
+            # a second, scalar normalisation of q: the logged bits depend on it
+            xn[6:10] = quat_normalize(xn[6:10])
+            self.x = xn
+            self.t += self.dt

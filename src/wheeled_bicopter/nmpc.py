@@ -104,6 +104,14 @@ class OcpSolution:
     def u0(self) -> ControlInput:
         return ControlInput.from_array(self.u_seq[0])
 
+    @classmethod
+    def degraded(cls, u_bar: np.ndarray, x_bar: np.ndarray, qp_iters: int = 0) -> "OcpSolution":
+        """The linearization guess, for a tick whose QP was not built or solved."""
+        return cls(
+            u_seq=u_bar, x_pred=x_bar, slacks=np.zeros(0),
+            status="degraded", cost=math.inf, kkt_residual=math.inf, qp_iters=qp_iters,
+        )
+
 
 @dataclass
 class WarmStart:
@@ -265,6 +273,58 @@ def _align_quaternion(q_ref: np.ndarray, q_nom: np.ndarray) -> np.ndarray:
     return q_ref
 
 
+def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
+    """Rows A_in z <= b_in on z = [du (K*m), slacks], in the order `solve`
+    documents, with a feasible start z0 and the working-set seed active0.
+    Returns (A_in, b_in, z0, active0, n_eq)."""
+    K, m = u_bar.shape
+    n = S.shape[1]
+    nz = K * m
+    n_eq = K if cfg.lock_lateral else 0
+    # NaN normals stay in, as they are not above the margin
+    soft = [(k, Fv) for k, pair in normals.items() for Fv in pair
+            if not Fv[0] > cfg.constraint_margin]
+    n_soft = len(soft)
+    dim = nz + n_soft
+    r_soft = n_eq + 2 * nz
+    A_in = np.zeros((r_soft + 2 * n_soft, dim))
+    b_in = np.zeros(A_in.shape[0])
+    z0 = np.zeros(dim)
+
+    if n_eq:
+        k = np.arange(K)
+        lat = u_bar[:, 2] + u_bar[:, 3]
+        A_in[k, k * m + 2] = 1.0
+        A_in[k, k * m + 3] = 1.0
+        b_in[:K] = -lat
+        # start on the equality manifold: symmetric tilt correction
+        z0[k * m + 2] = z0[k * m + 3] = -lat / 2.0
+
+    box = A_in[n_eq:r_soft, :nz]
+    box[0::2] = np.eye(nz)
+    box[1::2] = -np.eye(nz)
+    b_in[n_eq:r_soft:2] = (hi - u_bar).reshape(-1)
+    b_in[n_eq + 1:r_soft:2] = (u_bar - lo).reshape(-1)
+
+    # linearized wheel-normal constraints on ground steps, L1-softened
+    active0 = []
+    for i, (k, Fv) in enumerate(soft):
+        val = Fv[0]
+        gx = (Fv[1 : 1 + n] - val) / FD_STEP
+        gu = (Fv[1 + n :] - val) / FD_STEP
+        row = -(gx @ S[k])
+        row[k * m : (k + 1) * m] -= gu
+        r = r_soft + 2 * i
+        A_in[r, :nz] = row
+        A_in[r : r + 2, nz + i] = -1.0
+        b_in[r] = val + gx @ c[k]
+        z0[nz + i] = max(0.0, float(row @ z0[:nz]) - b_in[r])
+        if z0[nz + i] == 0.0:
+            # slack sits on its bound: seed the working set
+            active0.append(r + 1)
+    return A_in, b_in, z0, active0, n_eq
+
+
 def solve(
     x_current: np.ndarray,
     refs: Sequence[ReferencePoint],
@@ -280,6 +340,12 @@ def solve(
     states/inputs on a cold start) with defect terms in the condensation,
     so the prediction stays anchored even though the ground pitch axis is
     open-loop unstable.
+
+    QP rows on z = [du (K*m), slacks]: first the K `lock_lateral`
+    equalities (if set); then the boxes, row n_eq + 2i being +e_i <= hi - u
+    and row n_eq + 2i + 1 being -e_i <= u - lo; then, per wheel-normal row s
+    with a nominal normal within `constraint_margin`, the pair
+    [row, -e_s] <= b and [0, -e_s] <= 0.
     """
     K = cfg.K
     if len(refs) != K + 1:
@@ -307,10 +373,7 @@ def solve(
     )
     d = x_next - x_bar[1:]
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        return OcpSolution(
-            u_seq=u_bar, x_pred=x_bar, slacks=np.zeros(0),
-            status="degraded", cost=math.inf, kkt_residual=math.inf, qp_iters=0,
-        )
+        return OcpSolution.degraded(u_bar, x_bar)
 
     # condensation: dx_k = c_k + S_k du, with the known initial deviation
     # and the defects folded into c_k
@@ -331,10 +394,7 @@ def solve(
     # unstable-mode amplification of an already-hopeless deviation: give up
     # on this linearization rather than build a garbage QP
     if not (np.all(np.isfinite(S)) and np.all(np.isfinite(c))) or np.max(np.abs(c)) > 1e8:
-        return OcpSolution(
-            u_seq=u_bar, x_pred=x_bar, slacks=np.zeros(0),
-            status="degraded", cost=math.inf, kkt_residual=math.inf, qp_iters=0,
-        )
+        return OcpSolution.degraded(u_bar, x_bar)
 
     Qx = cfg.state_weights()
     Qu = cfg.q_u
@@ -356,113 +416,30 @@ def solve(
     gvec += (du_ref * Qu).reshape(-1)
     const += float(np.sum(du_ref * Qu * du_ref))
 
-    # constraint rows (on z = stacked du, then slacks appended)
-    rows: List[np.ndarray] = []
-    rhs: List[float] = []
-    eq_rows: List[np.ndarray] = []
-    eq_rhs: List[float] = []
-    soft: List[Tuple[np.ndarray, float]] = []
-
-    if cfg.lock_lateral:
-        for k in range(K):
-            row = np.zeros(nz)
-            row[k * m + 2] = 1.0
-            row[k * m + 3] = 1.0
-            eq_rows.append(row)
-            eq_rhs.append(-(u_bar[k, 2] + u_bar[k, 3]))
-
-    for k in range(K):
-        for j in range(m):
-            row = np.zeros(nz)
-            row[k * m + j] = 1.0
-            rows.append(row)
-            rhs.append(hi[j] - u_bar[k, j])
-            rows.append(-row)
-            rhs.append(u_bar[k, j] - lo[j])
-
-    # linearized wheel-normal constraints on ground steps, L1-softened;
-    # rows with a comfortable nominal margin are screened out
-    for k, (Fl, Fr) in normals.items():
-        for Fv in (Fl, Fr):
-            val = Fv[0]
-            if val > cfg.constraint_margin:
-                continue
-            gx = (Fv[1 : 1 + n] - val) / FD_STEP
-            gu = (Fv[1 + n :] - val) / FD_STEP
-            row = -(gx @ S[k])
-            row[k * m : (k + 1) * m] -= gu
-            soft.append((row, float(val + gx @ c[k])))
-
-    n_soft = len(soft)
-    dim = nz + n_soft
+    A_in, b_in, z0, active0, n_eq = _constraint_rows(u_bar, lo, hi, normals, S, c, cfg)
+    dim = A_in.shape[1]
+    n_soft = dim - nz
     Hfull = np.zeros((dim, dim))
     Hfull[:nz, :nz] = H
     Hfull[nz:, nz:] = cfg.slack_reg * np.eye(n_soft)
     gfull = np.concatenate([gvec, cfg.slack_penalty * np.ones(n_soft)])
 
-    A_rows: List[np.ndarray] = []
-    b_vals: List[float] = []
-    for row, b in zip(eq_rows, eq_rhs):
-        A_rows.append(np.concatenate([row, np.zeros(n_soft)]))
-        b_vals.append(b)
-    n_eq = len(eq_rows)
-    for row, b in zip(rows, rhs):
-        A_rows.append(np.concatenate([row, np.zeros(n_soft)]))
-        b_vals.append(b)
-    for i, (row, val) in enumerate(soft):
-        ext = np.zeros(n_soft)
-        ext[i] = -1.0
-        A_rows.append(np.concatenate([row, ext]))
-        b_vals.append(val)
-        neg = np.zeros(dim)
-        neg[nz + i] = -1.0
-        A_rows.append(neg)
-        b_vals.append(0.0)
-    A_in = np.vstack(A_rows) if A_rows else np.zeros((0, dim))
-    b_in = np.asarray(b_vals)
-
-    z0 = np.zeros(dim)
-    if cfg.lock_lateral and n_eq:
-        # start on the equality manifold: symmetric tilt correction
-        for k in range(K):
-            half = -(u_bar[k, 2] + u_bar[k, 3]) / 2.0
-            z0[k * m + 2] = half
-            z0[k * m + 3] = half
-    active0 = []
-    row0 = n_eq + len(rows)
-    for i, (row, val) in enumerate(soft):
-        z0[nz + i] = max(0.0, float(row @ z0[:nz]) - val)
-        if z0[nz + i] == 0.0:
-            # slack sits on its bound: seed the working set
-            active0.append(row0 + 2 * i + 1)
-
-    status = "optimal"
     try:
         z, work, lam, iters = solve_qp(
             Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0,
             tol=cfg.kkt_tol, max_iter=cfg.max_qp_iter,
         )
-        kkt = float(
-            np.max(
-                np.abs(
-                    Hfull @ z
-                    + gfull
-                    + (A_in[work].T @ lam if work else np.zeros(dim))
-                )
-            )
-        )
     except QpError:
-        return OcpSolution(
-            u_seq=u_bar, x_pred=x_bar, slacks=np.zeros(n_soft),
-            status="degraded", cost=math.inf, kkt_residual=math.inf,
-            qp_iters=cfg.max_qp_iter,
-        )
+        return OcpSolution.degraded(u_bar, x_bar, qp_iters=cfg.max_qp_iter)
+    resid = Hfull @ z + gfull
+    if work:
+        resid += A_in[work].T @ lam
+    kkt = float(np.max(np.abs(resid)))
 
     du = z[:nz].reshape(K, m)
     slacks = z[nz:]
     u_seq = np.clip(u_bar + du, lo, hi)
-    if n_soft and float(np.max(slacks)) > 1e-6:
-        status = "relaxed"
+    status = "relaxed" if n_soft and float(np.max(slacks)) > 1e-6 else "optimal"
 
     # the optimizer's own (linearized) state prediction; also the next
     # linearization guess after shifting
@@ -543,6 +520,15 @@ class RunLog:
         return float(np.mean([r.power for r in self.sim.log])) if self.sim.log else 0.0
 
 
+def check_loop_rates(sim_dt: float, control_rate: float) -> None:
+    """Raise ValueError unless the plant step divides the control period."""
+    if not (sim_dt > 0.0 and control_rate > 0.0):
+        raise ValueError("loop rates must be positive")
+    dt_ctrl = 1.0 / control_rate
+    if abs(round(dt_ctrl / sim_dt) * sim_dt - dt_ctrl) > 1e-12:
+        raise ValueError("simulation rate must be an integer multiple of the control rate")
+
+
 def control_loop(
     sim: Simulator,
     traj: HybridTrajectory,
@@ -564,10 +550,8 @@ def control_loop(
     point i + r k, so a ReferenceTable transforms each grid point once;
     otherwise the keys (i, k) never repeat and every node is sampled anew.
     """
+    check_loop_rates(sim.dt, control_rate)
     dt_ctrl = 1.0 / control_rate
-    steps_per_tick = round(dt_ctrl / sim.dt)
-    if abs(steps_per_tick * sim.dt - dt_ctrl) > 1e-12:
-        raise ValueError("simulation rate must be an integer multiple of the control rate")
     rng = rng or np.random.default_rng(0)
     noise = noise or NoiseModel()
     r = round(cfg.dt / dt_ctrl)
@@ -587,7 +571,7 @@ def control_loop(
             t_i = t_start + i * dt_ctrl
             nodes = [((i, k), t_i + k * cfg.dt) for k in range(cfg.K + 1)]
         refs = table.window(nodes)
-        x_meas = noise.apply(sim.state.as_array(), rng)
+        x_meas = noise.apply(sim.x, rng)
         t0 = time.perf_counter()
         sol = solve(x_meas, refs, cfg, params, warm_start=warm)
         solve_us = (time.perf_counter() - t0) * 1e6

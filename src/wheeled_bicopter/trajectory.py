@@ -41,7 +41,7 @@ class Segment:
 
     def thrust_profile(self, tau: float) -> Tuple[float, float, float]:
         """Ground vertical body thrust (value, rate, accel) at local time."""
-        return self._T_Bz, 0.0, 0.0
+        return self.T_Bz, 0.0, 0.0
 
     def heading_hint(self, tau: float) -> Optional[float]:
         return getattr(self, "psi0", None)
@@ -75,7 +75,6 @@ class Lemniscate(Segment):
             raise ValueError("lemniscate parameters must be positive")
         self.center = np.asarray(self.center, dtype=float)
         self.duration = self.laps * 2.0 * math.pi / self.omega
-        self._T_Bz = self.T_Bz
 
     def flat(self, tau: float) -> np.ndarray:
         w = self.omega
@@ -106,7 +105,6 @@ class Circle(Segment):
             raise ValueError("circle parameters must be positive")
         self.center = np.asarray(self.center, dtype=float)
         self.duration = self.laps * 2.0 * math.pi / self.omega
-        self._T_Bz = self.T_Bz
 
     def flat(self, tau: float) -> np.ndarray:
         w, R = self.omega, self.radius
@@ -136,7 +134,6 @@ class Line(Segment):
             raise ValueError("duration must be positive")
         self.p0 = np.asarray(self.p0, dtype=float)
         self.velocity = np.asarray(self.velocity, dtype=float)
-        self._T_Bz = self.T_Bz
         self.psi0 = math.atan2(self.velocity[1], self.velocity[0])
 
     def flat(self, tau: float) -> np.ndarray:
@@ -167,7 +164,6 @@ class Rest(Segment):
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         self.p0 = np.asarray(self.p0, dtype=float)
-        self._T_Bz = self.T_Bz
 
     def flat(self, tau: float) -> np.ndarray:
         out = np.zeros((5, 3))
@@ -212,7 +208,6 @@ class StraightRamp(Segment):
         self.p0 = np.asarray(self.p0, dtype=float)
         d = np.asarray(self.direction, dtype=float)
         self.direction = d / np.linalg.norm(d)
-        self._T_Bz = self.T_Bz
         self.psi0 = math.atan2(self.direction[1], self.direction[0])
         # arc length chosen so accel vanishes at both ends
         L = 0.5 * (self.v_start + self.v_end) * self.duration
@@ -277,7 +272,6 @@ class QuinticBlend(Segment):
             raise ValueError("duration must be positive")
         self.start = np.asarray(self.start, dtype=float)
         self.end = np.asarray(self.end, dtype=float)
-        self._T_Bz = self.T_Bz
         self._coeffs = [
             _quintic_coeffs(
                 self.start[0, i], self.start[1, i], self.start[2, i],
@@ -300,16 +294,10 @@ class QuinticBlend(Segment):
         return out
 
     def yaw(self, tau: float):
-        if self._yaw_coeffs is not None:
-            c = self._yaw_coeffs
-            return (
-                _quintic_eval(c, tau, 0),
-                _quintic_eval(c, tau, 1),
-                _quintic_eval(c, tau, 2),
-            )
-        if self.mode is Mode.AERIAL:
+        c = self._yaw_coeffs
+        if c is None:
             return None  # tangent yaw
-        return None
+        return _quintic_eval(c, tau, 0), _quintic_eval(c, tau, 1), _quintic_eval(c, tau, 2)
 
 
 @dataclass

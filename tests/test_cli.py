@@ -114,9 +114,20 @@ def _aerial_eight_without_v_max(doc):
         _set("vehicle", m="abc"),
         _set("environment", control_rate_hz="fast"),
         _aerial_eight_without_v_max,
+        _set("environment", control_rate_hz=0),
+        _set("environment", sim_rate_hz=0),
+        _set("environment", sim_rate_hz=333),
+        _set("environment", noise_pos_std=-1),
+        _set("run", duration="x"),
+        _set("run", duration=-1),
+        _set("output", decimation="x"),
+        _set("output", decimation=0),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
-         "rate_not_a_number", "eight_aerial_without_v_max"],
+         "rate_not_a_number", "eight_aerial_without_v_max",
+         "control_rate_zero", "sim_rate_zero", "sim_rate_not_a_multiple",
+         "negative_noise_std", "duration_not_a_number", "negative_duration",
+         "decimation_not_a_number", "decimation_zero"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()

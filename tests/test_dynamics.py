@@ -367,37 +367,36 @@ def test_ground_stick_constraints_hold(params):
 
 def test_touchdown_continuity(params):
     # matched boundary state: position/velocity continuous through the switch
-    sim = dyn.Simulator(params=params, dt=1e-3)
-    sim.state = RobotState(
+    x0 = RobotState(
         vec3(0, 0, params.r + 0.005), vec3(1.0, 0, -0.01), Orientation.identity(), vec3(0, 0, 0)
-    )
-    sim.mode = Mode.AERIAL
+    ).as_array()
+    sim = dyn.Simulator(params=params, x=x0, dt=1e-3, mode=Mode.AERIAL)
     u = hover_input(params)  # near-zero vertical accel during the descent
-    prev = sim.state.as_array()
+    prev = sim.x
     for _ in range(3000):
         sim.apply(u, 1e-3)
-        cur = sim.state.as_array()
+        cur = sim.x
         jump = np.abs(cur[:6] - prev[:6])
         assert np.all(jump < 0.02)  # no impulsive position/velocity change
         prev = cur
         if sim.mode is Mode.GROUND:
             break
     assert sim.mode is Mode.GROUND
-    assert sim.state.p[2] == pytest.approx(params.r, abs=1e-9)
+    assert sim.x[2] == pytest.approx(params.r, abs=1e-9)
 
 
 def test_simulator_slip_saturates_lateral_friction(params):
     # slippery ground: commanded hard turn exceeds mu_s F_n and the wheels slide
     p = VehicleParams(mu_s=0.05)
-    sim = dyn.Simulator(params=p, dt=1e-3, slip_enabled=True, mode=Mode.GROUND)
     psi0 = 0.0
-    sim.state = RobotState(
+    x0 = RobotState(
         vec3(0, 0, p.r), vec3(2.0, 0, 0), Orientation.from_euler(0, 0, psi0), vec3(0, 0, 1.5)
-    )
+    ).as_array()
+    sim = dyn.Simulator(params=p, x=x0, dt=1e-3, slip_enabled=True, mode=Mode.GROUND)
     u = ControlInput(2.0, 2.0, 0.0, 0.0)
     for _ in range(300):
         sim.apply(u, 1e-3)
     assert sim.slip_steps > 0
     # lateral velocity actually developed (constraint released)
-    lat = abs(sim._lateral_speed(sim.state.as_array()))
+    lat = abs(sim._lateral_speed(sim.x))
     assert lat > 1e-3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheeled_bicopter.core import Mode, Orientation, RobotState, VehicleParams, vec3
 from wheeled_bicopter import dynamics as dyn
@@ -186,9 +188,149 @@ def test_qp_solution_certificate():
         assert np.max(np.abs(grad)) < 1e-7
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    n_eq=st.integers(0, 2),
+    n_gen=st.integers(0, 6),
+)
+def test_qp_property_random_strictly_convex(seed, n, n_eq, n_gen):
+    # equality rows, then a box on every variable, then general rows; z0
+    # is strictly feasible for the inequalities
+    rng = np.random.default_rng(seed)
+    n_eq = min(n_eq, n - 1)
+    M = rng.normal(size=(n, n))
+    H = M @ M.T + 0.1 * np.eye(n)
+    g = rng.normal(scale=3.0, size=n)
+    z0 = rng.normal(size=n)
+    A_eq = rng.normal(size=(n_eq, n))
+    A_gen = rng.normal(size=(n_gen, n))
+    A = np.vstack([A_eq, np.eye(n), -np.eye(n), A_gen])
+    b = np.concatenate([
+        A_eq @ z0,
+        z0 + rng.uniform(0.01, 2.0, n),
+        -z0 + rng.uniform(0.01, 2.0, n),
+        A_gen @ z0 + rng.uniform(0.01, 2.0, n_gen),
+    ])
+    tol = 1e-9
+    z, work, lam, iters = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq, tol=tol)
+
+    np.testing.assert_allclose(A[:n_eq] @ z, b[:n_eq], atol=1e-8)
+    assert np.all(A[n_eq:] @ z <= b[n_eq:] + 1e-8)
+    assert list(work[:n_eq]) == list(range(n_eq))
+    assert np.all(lam[n_eq:] >= -tol)
+    resid = H @ z + g + (A[work].T @ lam if work else 0.0)
+    assert np.max(np.abs(resid)) <= 1e-6
+    z2, work2, lam2, iters2 = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq, tol=tol)
+    assert z2.tobytes() == z.tobytes() and lam2.tobytes() == lam.tobytes()
+    assert work2 == work and iters2 == iters
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+
+def loop_built_rows(u_bar, lo, hi, normals, S, c, cfg):
+    """Row-by-row constraint assembly, the reference for the block-built
+    `nmpc._constraint_rows`."""
+    K, m = u_bar.shape
+    n, nz = S.shape[1], K * u_bar.shape[1]
+    rows, rhs, eq_rows, eq_rhs, soft = [], [], [], [], []
+    if cfg.lock_lateral:
+        for k in range(K):
+            row = np.zeros(nz)
+            row[k * m + 2] = 1.0
+            row[k * m + 3] = 1.0
+            eq_rows.append(row)
+            eq_rhs.append(-(u_bar[k, 2] + u_bar[k, 3]))
+    for k in range(K):
+        for j in range(m):
+            row = np.zeros(nz)
+            row[k * m + j] = 1.0
+            rows.append(row)
+            rhs.append(hi[j] - u_bar[k, j])
+            rows.append(-row)
+            rhs.append(u_bar[k, j] - lo[j])
+    for k, (Fl, Fr) in normals.items():
+        for Fv in (Fl, Fr):
+            val = Fv[0]
+            if val > cfg.constraint_margin:
+                continue
+            gx = (Fv[1 : 1 + n] - val) / nmpc.FD_STEP
+            gu = (Fv[1 + n :] - val) / nmpc.FD_STEP
+            row = -(gx @ S[k])
+            row[k * m : (k + 1) * m] -= gu
+            soft.append((row, float(val + gx @ c[k])))
+    n_soft = len(soft)
+    dim = nz + n_soft
+    A_rows, b_vals = [], []
+    for row, b in zip(eq_rows + rows, eq_rhs + rhs):
+        A_rows.append(np.concatenate([row, np.zeros(n_soft)]))
+        b_vals.append(b)
+    n_eq = len(eq_rows)
+    for i, (row, val) in enumerate(soft):
+        ext = np.zeros(n_soft)
+        ext[i] = -1.0
+        A_rows.append(np.concatenate([row, ext]))
+        b_vals.append(val)
+        neg = np.zeros(dim)
+        neg[nz + i] = -1.0
+        A_rows.append(neg)
+        b_vals.append(0.0)
+    z0 = np.zeros(dim)
+    if cfg.lock_lateral:
+        for k in range(K):
+            half = -(u_bar[k, 2] + u_bar[k, 3]) / 2.0
+            z0[k * m + 2] = half
+            z0[k * m + 3] = half
+    active0 = []
+    row0 = n_eq + len(rows)
+    for i, (row, val) in enumerate(soft):
+        z0[nz + i] = max(0.0, float(row @ z0[:nz]) - val)
+        if z0[nz + i] == 0.0:
+            active0.append(row0 + 2 * i + 1)
+    return np.vstack(A_rows), np.asarray(b_vals), z0, active0, n_eq
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(3, 6),
+    lock_lateral=st.booleans(),
+    n_soft=st.integers(0, 6),
+)
+def test_block_built_rows_equal_loop_built(seed, K, lock_lateral, n_soft):
+    rng = np.random.default_rng(seed)
+    params = VehicleParams()
+    cfg = nmpc.NmpcConfig(K=K, lock_lateral=lock_lateral)
+    lo, hi = cfg.bounds(params)
+    n, m = 13, 4
+    u_bar = rng.uniform(lo, hi, size=(K, m))
+    S = rng.normal(size=(K + 1, n, K * m))
+    c = rng.normal(size=(K + 1, n))
+    # ground steps carry two wheel normals each; n_soft of them sit within
+    # the screening margin, the rest beyond it
+    n_ground = int(rng.integers((n_soft + 1) // 2, K + 1))
+    steps = np.sort(rng.choice(K, size=n_ground, replace=False))
+    near = set(rng.choice(2 * n_ground, size=n_soft, replace=False).tolist())
+    normals = {}
+    for j, k in enumerate(steps):
+        pair = []
+        for w in range(2):
+            val = (rng.uniform(-1.0, cfg.constraint_margin) if 2 * j + w in near
+                   else cfg.constraint_margin + rng.uniform(0.1, 5.0))
+            pair.append(val + 1e-6 * rng.normal(size=1 + n + m) * np.r_[0.0, np.ones(n + m)])
+        normals[int(k)] = tuple(pair)
+
+    got = nmpc._constraint_rows(u_bar, lo, hi, normals, S, c, cfg)
+    want = loop_built_rows(u_bar, lo, hi, normals, S, c, cfg)
+    A, b, z0, active0, n_eq = got
+    assert A.shape == want[0].shape == (n_eq + 2 * K * m + 2 * n_soft, K * m + n_soft)
+    for g, w in zip((A, b, z0), want[:3]):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()  # signed zeros too
+    assert active0 == want[3] and n_eq == want[4] == (K if lock_lateral else 0)
 
 
 def test_solve_zero_error_fixed_point(params, cfg):
@@ -352,14 +494,36 @@ def test_warm_start_not_worse_than_cold(params, cfg):
 
 def test_control_loop_hover_steady_state(params, cfg):
     traj = hover_trajectory(params)
-    sim = dyn.Simulator(params=params, dt=5e-3, mode=Mode.AERIAL)
-    sim.state = RobotState(
+    x0 = RobotState(
         vec3(0.02, -0.03, 0.98), vec3(0, 0, 0), Orientation.identity(), vec3(0, 0, 0)
-    )
+    ).as_array()
+    sim = dyn.Simulator(params=params, x=x0, dt=5e-3, mode=Mode.AERIAL)
     log = nmpc.control_loop(sim, traj, cfg, params, duration=4.0, control_rate=200.0)
     assert not log.aborted
     final_err = np.linalg.norm(log.ticks[-1].x[0:3] - np.array([0.0, 0.0, 1.0]))
     assert final_err < 1e-4
+
+
+def test_control_loop_tick_states_are_the_logged_plant_states(params, cfg):
+    # zero noise hands the plant state itself to the controller; a descent
+    # onto a ground rest reference touches down mid-run
+    seg = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=5.0, mode=Mode.GROUND,
+                  T_Bz=0.6 * params.weight)
+    x0 = RobotState(
+        vec3(0, 0, params.r + 0.004), vec3(0.2, 0, -0.05), Orientation.identity(), vec3(0, 0, 0)
+    ).as_array()
+    sim = dyn.Simulator(params=params, x=x0, dt=1e-3, mode=Mode.AERIAL)
+    log = nmpc.control_loop(sim, tj.HybridTrajectory([seg]), cfg, params, duration=0.3)
+    assert not log.aborted and sim.mode is Mode.GROUND
+    steps = round(1.0 / (200.0 * sim.dt))
+    touchdown = next(i for i, r in enumerate(sim.log) if r.x[2] == params.r)
+    assert touchdown % steps  # the projection happens inside a tick
+    assert len(sim.log) == steps * len(log.ticks)
+    for i, tick in enumerate(log.ticks):
+        row = sim.log[steps * i]
+        assert tick.x.tobytes() == row.x.tobytes()
+        assert not np.shares_memory(tick.x, row.x)
+        assert not np.shares_memory(tick.x, sim.x)
 
 
 def test_control_loop_rejects_mismatched_rates(params, cfg):
@@ -373,8 +537,8 @@ def _aerial_line_run(params, cfg, n_ticks, monkeypatch):
     of every aerial flatness transform made by the loop."""
     seg = tj.Line(p0=[0, 0, 1.0], velocity=[1.0, 0.5, 0], duration=5.0, mode=Mode.AERIAL)
     traj = tj.HybridTrajectory([seg])
-    sim = dyn.Simulator(params=params, dt=5e-3, mode=Mode.AERIAL)
-    sim.state = traj.reference(0.0, params).x_r
+    sim = dyn.Simulator(params=params, x=traj.reference(0.0, params).x_array(), dt=5e-3,
+                        mode=Mode.AERIAL)
     calls = []
     transform = tj.aerial_flat_to_reference
 

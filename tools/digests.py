@@ -9,8 +9,14 @@ the hash is `cli.deterministic_digest` (wall-clock columns masked).
     python tools/digests.py
 
 Two checkouts print identical output exactly when every bundled scenario
-produces the same bits.
+produces the same bits.  BLAS is pinned to one thread before numpy loads,
+so the digests do not depend on the caller's environment.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import sys
 import tempfile
