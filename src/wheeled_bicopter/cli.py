@@ -574,7 +574,8 @@ def _write_width_report(params: VehicleParams, out_dir: Optional[Path], filename
 RUNLOG_COLUMNS = (
     "t,ref_px,ref_py,ref_pz,ref_qw,ref_qx,ref_qy,ref_qz,"
     "px,py,pz,qw,qx,qy,qz,"
-    "T1,T2,delta1,delta2,mode,solve_time_us,qp_status,cost,slack_max"
+    "T1,T2,delta1,delta2,mode,solve_time_us,qp_status,cost,slack_max,"
+    "qp_iters,kkt_residual"
 )
 
 SIMLOG_COLUMNS = (
@@ -598,7 +599,8 @@ def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) ->
             fh.write(
                 ",".join(_fmt(v) for v in vals)
                 + f",{row.mode},{_fmt(row.solve_time_us)},{row.qp_status},"
-                + f"{_fmt(row.cost)},{_fmt(row.slack_max)}\n"
+                + f"{_fmt(row.cost)},{_fmt(row.slack_max)},"
+                + f"{_fmt(row.qp_iters)},{_fmt(row.kkt_residual)}\n"
             )
     files.append(runlog_path)
 

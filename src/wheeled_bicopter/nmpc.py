@@ -4,8 +4,11 @@ One real-time-iteration SQP pass per control cycle: linearize the
 RK4-discretized bi-modal model along the warm-started guess trajectory
 (multiple shooting, forward finite differences, defect terms in the
 condensation), condense the horizon into a dense QP in the input
-corrections, and solve it with a primal active-set method.  The cost
-penalizes deviations from the flatness references,
+corrections, and solve it with a primal active-set method whose steps are
+range-space steps: the Hessian is Cholesky-factored once per tick, the
+Schur complement of the working set is kept factored as rows enter and
+leave, and each step is refined once against the full KKT residual.  The
+cost penalizes deviations from the flatness references,
 
     sum_k  xerr(k)' Q xerr(k) + uerr(k)' Q_u uerr(k)  +  terminal term,
 
@@ -22,6 +25,7 @@ The solver is deterministic: fixed pivot tie-breaking, no randomization.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -66,8 +70,16 @@ class NmpcConfig:
     lock_lateral: bool = False  # force delta1 + delta2 = 0 (no net side thrust)
 
     def __post_init__(self):
-        if self.K < 1 or self.dt <= 0:
-            raise ValueError("K must be >= 1 and dt positive")
+        for name in ("K", "max_qp_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # slack_reg > 0 keeps the QP Hessian positive definite, and
+        # slack_penalty > 0 makes every softened newton cost something
+        for name in ("dt", "kkt_tol", "slack_reg", "slack_penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
         for name in ("q_p", "q_v", "q_q", "q_w", "q_u"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if np.any(arr < 0):
@@ -180,7 +192,105 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params, need_normals):
 
 
 class QpError(RuntimeError):
-    pass
+    """The active-set QP failed: H is not positive definite (`iters` is 0)
+    or the method did not converge (`iters` is `max_iter`)."""
+
+    def __init__(self, message: str, iters: int):
+        super().__init__(message)
+        self.iters = iters
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2x2 block recursion:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]].  numpy has no
+    triangular inverse; on the condensed Hessian's factor (n of 80 to 110)
+    this takes about a third of the flops of the general `inv`."""
+    n = L.shape[0]
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros((n, n))
+    A = out[:h, :h] = _lower_inverse(L[:h, :h])
+    C = out[h:, h:] = _lower_inverse(L[h:, h:])
+    out[h:, :h] = -(C @ (L[h:, :h] @ A))
+    return out
+
+
+class _WorkingSetFactor:
+    """Range-space factors of an active-set working set.
+
+    H = L L' is factored once.  The working rows Aw enter as the columns of
+    V = L^-1 Aw', held as V = Q R with orthonormal Q and upper-triangular
+    R, so R is the Cholesky factor of the Schur complement S = V'V without
+    S ever being formed (that would square the condition number of V).
+    A row entering costs a Gram-Schmidt step, a row leaving a QR of the
+    trailing block of R; a step then costs matrix-vector products only.
+    """
+
+    def __init__(self, H: np.ndarray, Aw: np.ndarray):
+        try:
+            self.Linv = _lower_inverse(np.linalg.cholesky(H))
+        except np.linalg.LinAlgError as exc:
+            raise QpError(f"QP Hessian is not positive definite ({exc})", 0) from exc
+        self.H = H
+        self.Q = np.zeros((H.shape[0], 0))
+        self.R = self.Rinv = np.zeros((0, 0))
+        if Aw.shape[0]:
+            self.Q, self.R = np.linalg.qr(self.Linv @ Aw.T)
+            self.Rinv = _lower_inverse(self.R.T).T
+
+    def add(self, a: np.ndarray) -> None:
+        v = self.Linv @ a
+        c = self.Q.T @ v
+        q = v - self.Q @ c
+        c2 = self.Q.T @ q  # orthogonalize twice: Q stays orthonormal to rounding
+        q -= self.Q @ c2
+        c += c2
+        rho = float(np.linalg.norm(q))
+        nw = len(c)
+        self.Q = np.column_stack([self.Q, q / rho])
+        R = np.zeros((nw + 1, nw + 1))
+        R[:nw, :nw] = self.R
+        R[:nw, nw] = c
+        R[nw, nw] = rho
+        Rinv = np.zeros_like(R)
+        Rinv[:nw, :nw] = self.Rinv
+        Rinv[:nw, nw] = -(self.Rinv @ c) / rho
+        Rinv[nw, nw] = 1.0 / rho
+        self.R, self.Rinv = R, Rinv
+
+    def drop(self, j: int) -> None:
+        # without column j, R is upper Hessenberg from column j on; rotate
+        # its trailing block back to triangular, and Q's columns with it
+        G, T = np.linalg.qr(self.R[j:, j + 1 :], mode="complete")
+        self.Q = np.column_stack([self.Q[:, :j], (self.Q[:, j:] @ G)[:, :-1]])
+        R = np.delete(self.R, j, axis=1)[:-1]
+        R[j:, j:] = T = T[:-1]
+        # the leading block of R^-1 is the inverse of R's leading block
+        Rinv = np.zeros_like(R)
+        Rinv[:j, :j] = self.Rinv[:j, :j]
+        Rinv[j:, j:] = Tinv = _lower_inverse(T.T).T
+        Rinv[:j, j:] = -(self.Rinv[:j, :j] @ (R[:j, j:] @ Tinv))
+        self.R, self.Rinv = R, Rinv
+
+    def step(self, grad: np.ndarray, Aw: np.ndarray):
+        """(p, lam) of H p + Aw' lam = -grad, Aw p = 0, refined once against
+        the full KKT residual (the condensed Hessians have condition
+        numbers near 1e7)."""
+        Linv, Q, Rinv = self.Linv, self.Q, self.Rinv
+        w = Linv @ grad
+        if not Aw.shape[0]:
+            p = -(Linv.T @ w)
+            return p + Linv.T @ (Linv @ (-grad - self.H @ p)), np.zeros(0)
+        c = Q.T @ w
+        lam = -(Rinv @ c)
+        p = -(Linv.T @ (w - Q @ c))
+        # refinement: the same system with right-hand side the residuals
+        # (-grad - H p - Aw' lam, -Aw p)
+        r = Linv @ (-grad - self.H @ p - Aw.T @ lam)
+        s = Rinv.T @ -(Aw @ p)
+        c = Q.T @ r - s
+        return p + Linv.T @ (r - Q @ c), lam + Rinv @ c
 
 
 def solve_qp(
@@ -200,35 +310,19 @@ def solve_qp(
     seeds additional working-set rows that hold with equality at z0.  z0
     must be feasible.  Deterministic pivoting: lowest index wins all ties.
     Returns (z, active_set, lambdas, iters).
+
+    Range-space steps (see `_WorkingSetFactor`): H is factored once per
+    call, and QpError is raised if it is not positive definite.
     """
-    n = H.shape[0]
     z = z0.copy()
     work: List[int] = list(range(n_eq))
     if active0:
         work.extend(i for i in active0 if i >= n_eq)
     n_rows = A_in.shape[0]
-
-    def kkt_solve(Aw, grad):
-        nw = Aw.shape[0]
-        KKT = np.zeros((n + nw, n + nw))
-        KKT[:n, :n] = H
-        if nw:
-            KKT[:n, n:] = Aw.T
-            KKT[n:, :n] = Aw
-        rhs = np.concatenate([-grad, np.zeros(nw)])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-            # one step of iterative refinement for the ill-conditioned
-            # condensed Hessian of unstable prediction dynamics
-            resid = rhs - KKT @ sol
-            sol = sol + np.linalg.solve(KKT, resid)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        return sol[:n], sol[n:]
+    factor = _WorkingSetFactor(H, A_in[work])
 
     for it in range(1, max_iter + 1):
-        Aw = A_in[work] if work else np.zeros((0, n))
-        p, lam = kkt_solve(Aw, g + H @ z)
+        p, lam = factor.step(g + H @ z, A_in[work])
 
         if np.max(np.abs(p)) < tol * (1.0 + np.max(np.abs(z))):
             # multipliers: inequality rows need lambda >= 0
@@ -237,6 +331,7 @@ def solve_qp(
                 worst = int(np.argmin(ineq_lam))
                 if ineq_lam[worst] < -tol:
                     work.pop(n_eq + worst)
+                    factor.drop(n_eq + worst)
                     continue
             return z, work, lam, it
         # step length to the nearest blocking inactive constraint
@@ -259,7 +354,8 @@ def solve_qp(
         z = z + alpha * p
         if block >= 0 and alpha < 1.0:
             work.append(block)
-    raise QpError(f"active-set QP did not converge in {max_iter} iterations")
+            factor.add(A_in[block])
+    raise QpError(f"active-set QP did not converge in {max_iter} iterations", max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +525,8 @@ def solve(
             Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0,
             tol=cfg.kkt_tol, max_iter=cfg.max_qp_iter,
         )
-    except QpError:
-        return OcpSolution.degraded(u_bar, x_bar, qp_iters=cfg.max_qp_iter)
+    except QpError as exc:
+        return OcpSolution.degraded(u_bar, x_bar, qp_iters=exc.iters)
     resid = Hfull @ z + gfull
     if work:
         resid += A_in[work].T @ lam
@@ -499,6 +595,8 @@ class TickRow:
     qp_status: str
     cost: float
     slack_max: float
+    qp_iters: int
+    kkt_residual: float
 
 
 @dataclass
@@ -598,6 +696,8 @@ def control_loop(
             qp_status=sol.status,
             cost=sol.cost,
             slack_max=float(np.max(sol.slacks)) if sol.slacks.size else 0.0,
+            qp_iters=sol.qp_iters,
+            kkt_residual=sol.kkt_residual,
         )
         ticks.append(tick)
         if stop_when is not None and stop_when(tick):

@@ -122,12 +122,22 @@ def _aerial_eight_without_v_max(doc):
         _set("run", duration=-1),
         _set("output", decimation="x"),
         _set("output", decimation=0),
+        _set("controller", K=2.5),
+        _set("controller", max_qp_iter="x"),
+        _set("controller", max_qp_iter=0),
+        _set("controller", kkt_tol=-1),
+        _set("controller", slack_reg=0),
+        _set("controller", slack_penalty=0),
+        _set("controller", slack_penalty=-1),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
          "control_rate_zero", "sim_rate_zero", "sim_rate_not_a_multiple",
          "negative_noise_std", "duration_not_a_number", "negative_duration",
-         "decimation_not_a_number", "decimation_zero"],
+         "decimation_not_a_number", "decimation_zero",
+         "K_not_an_integer", "max_qp_iter_not_a_number", "max_qp_iter_zero",
+         "negative_kkt_tol", "slack_reg_zero", "slack_penalty_zero",
+         "negative_slack_penalty"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()
@@ -196,6 +206,19 @@ def test_summary_recomputable_from_runlog_rows(tmp_path):
         err2.append(sum(x * x for x in d))
     rmse = math.sqrt(sum(err2) / len(err2))
     assert rmse == pytest.approx(res.summary["rmse_3d_m"], abs=1e-9)
+
+
+def test_runlog_logs_qp_iterations_and_kkt_residual(tmp_path):
+    cfg = cli.ScenarioConfig.from_dict(tiny_hover_doc())
+    res = cli.run_scenario(cfg, out_dir=tmp_path)
+    lines = (tmp_path / "tiny_hover_runlog.csv").read_text().splitlines()
+    cols = {name: i for i, name in enumerate(lines[0].split(","))}
+    assert len(lines) == 1 + len(res.runlog.ticks)
+    for tick, line in zip(res.runlog.ticks, lines[1:]):
+        parts = line.split(",")
+        assert tick.qp_status == "optimal"
+        assert int(parts[cols["qp_iters"]]) == tick.qp_iters >= 1
+        assert float(parts[cols["kkt_residual"]]) == tick.kkt_residual < 1e-6
 
 
 def test_seeded_runs_byte_identical(tmp_path):

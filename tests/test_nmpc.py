@@ -227,6 +227,152 @@ def test_qp_property_random_strictly_convex(seed, n, n_eq, n_gen):
     assert work2 == work and iters2 == iters
 
 
+def dense_kkt_solve_qp(H, g, A_in, b_in, z0, n_eq=0, active0=None, tol=1e-9, max_iter=200):
+    """The active-set method with a dense (n + nw)^2 KKT solve and one
+    refinement step per iteration, the reference for the range-space
+    `nmpc.solve_qp`."""
+    n = H.shape[0]
+    z = z0.copy()
+    work = list(range(n_eq))
+    if active0:
+        work.extend(i for i in active0 if i >= n_eq)
+    n_rows = A_in.shape[0]
+
+    def kkt_solve(Aw, grad):
+        nw = Aw.shape[0]
+        KKT = np.zeros((n + nw, n + nw))
+        KKT[:n, :n] = H
+        if nw:
+            KKT[:n, n:] = Aw.T
+            KKT[n:, :n] = Aw
+        rhs = np.concatenate([-grad, np.zeros(nw)])
+        try:
+            sol = np.linalg.solve(KKT, rhs)
+            resid = rhs - KKT @ sol
+            sol = sol + np.linalg.solve(KKT, resid)
+        except np.linalg.LinAlgError:
+            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
+        return sol[:n], sol[n:]
+
+    for it in range(1, max_iter + 1):
+        Aw = A_in[work] if work else np.zeros((0, n))
+        p, lam = kkt_solve(Aw, g + H @ z)
+        if np.max(np.abs(p)) < tol * (1.0 + np.max(np.abs(z))):
+            if len(work) > n_eq:
+                ineq_lam = lam[n_eq:]
+                worst = int(np.argmin(ineq_lam))
+                if ineq_lam[worst] < -tol:
+                    work.pop(n_eq + worst)
+                    continue
+            return z, work, lam, it
+        alpha = 1.0
+        block = -1
+        mask = np.ones(n_rows, dtype=bool)
+        mask[work] = False
+        idx = np.nonzero(mask)[0]
+        if idx.size:
+            ap = A_in[idx] @ p
+            viol = ap > tol
+            if np.any(viol):
+                cand = idx[viol]
+                ratios = (b_in[cand] - A_in[cand] @ z) / ap[viol]
+                ratios = np.maximum(ratios, 0.0)
+                jmin = int(np.argmin(ratios))
+                if ratios[jmin] < alpha:
+                    alpha = float(ratios[jmin])
+                    block = int(cand[jmin])
+        z = z + alpha * p
+        if block >= 0 and alpha < 1.0:
+            work.append(block)
+    raise nmpc.QpError(f"active-set QP did not converge in {max_iter} iterations", max_iter)
+
+
+def solve_shaped_qp(rng, n_pairs, n_lock, n_soft, ill_conditioned):
+    """A random QP laid out like `solve`'s: inputs in (delta1, delta2)-like
+    pairs, the first n_lock pairs tied by u_j + u_j+1 = b equality rows,
+    a box on every input (the tied ones too), then soft-row pairs
+    [row, -e_s] <= b, [0, -e_s] <= 0 with `solve`'s slack weights.  z0 is
+    feasible, and a slack that starts on its bound seeds active0."""
+    nu = 2 * n_pairs + 2
+    if ill_conditioned:
+        Q, _ = np.linalg.qr(rng.normal(size=(nu, nu)))
+        Hu = (Q * np.logspace(0.0, 7.0, nu)) @ Q.T
+    else:
+        M = rng.normal(size=(nu, nu))
+        Hu = M @ M.T + 0.1 * np.eye(nu)
+    cfg = nmpc.NmpcConfig()
+    dim = nu + n_soft
+    H = np.zeros((dim, dim))
+    H[:nu, :nu] = Hu
+    H[nu:, nu:] = cfg.slack_reg * np.eye(n_soft)
+    g = np.concatenate([rng.normal(scale=3.0 * np.sqrt(np.diag(Hu))),
+                        np.full(n_soft, cfg.slack_penalty)])
+    n_eq = min(n_lock, n_pairs)
+    rows = n_eq + 2 * nu
+    A = np.zeros((rows + 2 * n_soft, dim))
+    b = np.zeros(A.shape[0])
+    z0 = np.zeros(dim)
+    z0[:nu] = rng.uniform(-0.5, 0.5, nu)
+    for r in range(n_eq):
+        A[r, 2 * r : 2 * r + 2] = 1.0
+        b[r] = z0[2 * r] + z0[2 * r + 1]
+    A[n_eq:rows:2, :nu] = np.eye(nu)
+    A[n_eq + 1:rows:2, :nu] = -np.eye(nu)
+    b[n_eq:rows] = 1.0
+    active0 = []
+    for i in range(n_soft):
+        r = rows + 2 * i
+        A[r, :nu] = rng.normal(size=nu)
+        A[r : r + 2, nu + i] = -1.0
+        b[r] = A[r, :nu] @ z0[:nu] + rng.uniform(-1.0, 1.0)
+        z0[nu + i] = max(0.0, A[r, :nu] @ z0[:nu] - b[r])
+        if z0[nu + i] == 0.0:
+            active0.append(r + 1)
+    return H, g, A, b, z0, n_eq, active0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pairs=st.integers(1, 4),
+    n_lock=st.integers(0, 4),
+    n_soft=st.integers(0, 4),
+    ill_conditioned=st.booleans(),
+)
+def test_range_space_steps_follow_the_dense_kkt_path(seed, n_pairs, n_lock, n_soft,
+                                                     ill_conditioned):
+    rng = np.random.default_rng(seed)
+    H, g, A, b, z0, n_eq, active0 = solve_shaped_qp(rng, n_pairs, n_lock, n_soft,
+                                                    ill_conditioned)
+    if ill_conditioned:
+        assert np.linalg.cond(H[: H.shape[0] - n_soft, : H.shape[0] - n_soft]) > 1e6
+    kw = dict(n_eq=n_eq, active0=active0, tol=1e-9)
+    z, work, lam, iters = nmpc.solve_qp(H, g, A, b, z0, **kw)
+    z_ref, work_ref, lam_ref, iters_ref = dense_kkt_solve_qp(H, g, A, b, z0, **kw)
+    assert work == work_ref and iters == iters_ref
+    assert np.max(np.abs(z - z_ref)) <= 1e-9 * np.max(np.abs(z_ref))
+    if lam_ref.size:
+        assert np.max(np.abs(lam - lam_ref)) <= 1e-9 * np.max(np.abs(lam_ref))
+
+
+def test_qp_singular_hessian_raises_qp_error():
+    H = np.array([[1.0, 1.0], [1.0, 1.0]])
+    A = np.vstack([np.eye(2), -np.eye(2)])
+    with pytest.raises(nmpc.QpError) as info:
+        nmpc.solve_qp(H, np.array([1.0, -1.0]), A, np.ones(4), np.zeros(2))
+    assert info.value.iters == 0
+
+
+def test_solve_degrades_on_a_singular_hessian(params):
+    # zero weights leave the input block of the condensed Hessian at zero
+    cfg = nmpc.NmpcConfig(q_p=np.zeros(3), q_v=np.zeros(3), q_q=np.zeros(4),
+                          q_w=np.zeros(3), q_u=np.zeros(4))
+    refs = circle_trajectory(params).sample_references(1.0, cfg.K, cfg.dt, params)
+    sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
+    assert sol.status == "degraded" and sol.qp_iters == 0
+    assert sol.kkt_residual == math.inf
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
