@@ -17,14 +17,15 @@ Exit codes: 0 success, 2 invalid config, 3 infeasible reference,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .core import (
     InfeasibleReferenceError,
     Mode,
     VehicleParams,
+    require_integer,
 )
 from .dynamics import Simulator
 from .flatness import tangent_yaw_derivatives
@@ -51,6 +53,8 @@ EXIT_DIVERGED = 5
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
@@ -69,11 +73,60 @@ def _config_block(where: str):
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-ENVIRONMENT_NUMBERS = ("noise_pos_std", "noise_att_std", "control_rate_hz", "sim_rate_hz")
+def _reject_non_finite(value, where: str) -> None:
+    """Raise ConfigError on a NaN or infinite number anywhere in `value`
+    (JSON parsing accepts NaN, Infinity and overflowing literals)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: non-finite number {value!r}")
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            _reject_non_finite(item, f"{where}.{key}")
+
+
+def _number(value, name: str, positive: bool = True) -> float:
+    """`value` as a finite float that is positive (or non-negative)."""
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
+    return x
+
+
+def _block(doc: dict, name: str, defaults: Optional[dict] = None,
+           allowed: Optional[set] = None) -> dict:
+    """Scenario block `name` with its `defaults` filled in; its keys must be
+    in `allowed` (None: the consumer checks them)."""
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    if allowed is not None:
+        _require_keys(block, allowed, name)
+    return {**(defaults or {}), **block}
+
+
+def _speed_cases(cases) -> list:
+    """trajectory.speed_cases as a non-empty list of positive [v_max, a_max]
+    pairs."""
+    if not (isinstance(cases, (list, tuple)) and cases and all(
+            isinstance(c, (list, tuple)) and len(c) == 2 for c in cases)):
+        raise ValueError(f"speed_cases must be a list of [v_max, a_max] pairs, got {cases!r}")
+    return [[_number(v, "a speed_cases limit") for v in case] for case in cases]
+
+
+# every scenario default, filled in at load
+ENVIRONMENT_DEFAULTS = {"slip_enabled": False, "noise_pos_std": 0.0, "noise_att_std": 0.0,
+                        "control_rate_hz": 200.0, "sim_rate_hz": 1000.0}
+TRAJECTORY_DEFAULTS = {"A": 3.5, "B": 1.0, "altitude": 1.2, "T_Bz_frac": 0.6,
+                       "laps_run": 1.0, "p0": [0.0, 0.0, 1.0], "duration": 10.0}
+RUN_DEFAULTS = {"duration": None, "rmse_planar": True}
+OUTPUT_DEFAULTS = {"decimation": 5}
+# positive trajectory numbers; "duration" is the rest_hover length
+TRAJECTORY_NUMBERS = ("A", "B", "altitude", "T_Bz_frac", "laps_run", "duration",
+                      "v_max", "a_max")
 
 
 @dataclass
@@ -89,73 +142,68 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, name: str = "scenario") -> "ScenarioConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got {doc!r}")
         _require_keys(
             doc,
             {"schema_version", "name", "seed", "vehicle", "environment",
              "trajectory", "controller", "run", "output"},
             "scenario",
         )
+        _reject_non_finite(doc, "scenario")
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ConfigError(
                 f"unsupported schema_version {doc.get('schema_version')!r}; "
                 f"expected {SCHEMA_VERSION}"
             )
-        env = dict(doc.get("environment", {}))
-        _require_keys(
-            env,
-            {"mu", "mu_s", "slip_enabled", "noise_pos_std", "noise_att_std",
-             "control_rate_hz", "sim_rate_hz"},
-            "environment",
-        )
+        env = _block(doc, "environment", ENVIRONMENT_DEFAULTS,
+                     {*ENVIRONMENT_DEFAULTS, "mu", "mu_s"})
         with _config_block("environment"):
-            for key in ENVIRONMENT_NUMBERS:
-                if key in env:
-                    env[key] = float(env[key])
             for key in ("noise_pos_std", "noise_att_std"):
-                if env.get(key, 0.0) < 0.0:
-                    raise ValueError(f"{key} must be non-negative")
-            sim_rate = env.get("sim_rate_hz", 1000.0)
-            if not sim_rate > 0.0:
-                raise ValueError("sim_rate_hz must be positive")
-            check_loop_rates(1.0 / sim_rate, env.get("control_rate_hz", 200.0))
-        vehicle = dict(doc.get("vehicle", {}))
-        for key in ("mu", "mu_s"):
-            if key in env:
-                vehicle[key] = env[key]
+                env[key] = _number(env[key], key, positive=False)
+            for key in ("control_rate_hz", "sim_rate_hz"):
+                env[key] = _number(env[key], key)
+            check_loop_rates(1.0 / env["sim_rate_hz"], env["control_rate_hz"])
+        vehicle = _block(doc, "vehicle")
+        vehicle.update((key, env[key]) for key in ("mu", "mu_s") if key in env)
         with _config_block("vehicle"):
             params = VehicleParams.from_dict(vehicle)
 
-        ctrl = dict(doc.get("controller", {}))
-        _require_keys(
-            ctrl,
-            {"K", "dt", "q_p", "q_v", "q_q", "q_w", "q_u", "u_min", "u_max",
-             "kkt_tol", "max_qp_iter", "slack_penalty", "slack_reg",
-             "constraint_margin", "lock_lateral"},
-            "controller",
-        )
+        ctrl = _block(doc, "controller", allowed={f.name for f in fields(NmpcConfig)})
         with _config_block("controller"):
             controller = NmpcConfig(**ctrl)
             controller.bounds(params)
 
-        traj = dict(doc.get("trajectory", {}))
-        run = dict(doc.get("run", {}))
-        _require_keys(run, {"duration", "rmse_planar", "label"}, "run")
+        traj = _block(doc, "trajectory", TRAJECTORY_DEFAULTS,
+                      {*TRAJECTORY_DEFAULTS, "kind", "v_max", "a_max", "speed_cases"})
+        with _config_block("trajectory"):
+            for key in TRAJECTORY_NUMBERS:
+                if key in traj:
+                    traj[key] = _number(traj[key], key)
+            p0 = np.array(traj["p0"], dtype=float)
+            if p0.shape != (3,) or not np.all(np.isfinite(p0)):
+                raise ValueError(f"p0 must be 3 finite numbers, got {traj['p0']!r}")
+            traj["p0"] = p0.tolist()
+            if "speed_cases" in traj:
+                traj["speed_cases"] = _speed_cases(traj["speed_cases"])
+        run = _block(doc, "run", RUN_DEFAULTS, set(RUN_DEFAULTS))
         with _config_block("run"):
-            if run.get("duration") is not None:
-                run["duration"] = float(run["duration"])
-                if not run["duration"] > 0.0:
-                    raise ValueError("duration must be positive")
-        output = dict(doc.get("output", {}))
-        _require_keys(output, {"decimation"}, "output")
+            if run["duration"] is not None:
+                run["duration"] = _number(run["duration"], "duration")
+        output = _block(doc, "output", OUTPUT_DEFAULTS, set(OUTPUT_DEFAULTS))
         with _config_block("output"):
-            if "decimation" in output:
-                output["decimation"] = int(output["decimation"])
-                if output["decimation"] < 1:
-                    raise ValueError("decimation must be at least 1")
+            output["decimation"] = require_integer(output["decimation"], "decimation", 1)
         with _config_block("seed"):
-            seed = int(doc.get("seed", 0))
+            seed = require_integer(doc.get("seed", 0), "seed", 0)
+        name = doc.get("name", name)
+        if not isinstance(name, str):
+            raise ConfigError(f"name must be a string, got {name!r}")
+        for key, value in (("slip_enabled", env["slip_enabled"]),
+                           ("rmse_planar", run["rmse_planar"])):
+            if not isinstance(value, bool):
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
         return cls(
-            name=doc.get("name", name),
+            name=name,
             seed=seed,
             params=params,
             controller=controller,
@@ -169,8 +217,8 @@ class ScenarioConfig:
     def load(cls, path: Path) -> "ScenarioConfig":
         try:
             doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or encoding
+            raise ConfigError(f"cannot read a scenario from {path}: {exc}") from exc
         return cls.from_dict(doc, name=Path(path).stem)
 
 
@@ -195,17 +243,13 @@ def load_bundled_scenario(name: str) -> dict:
 
 
 def _eight_segment(cfg: ScenarioConfig, mode: Mode, laps: float):
-    t = cfg.trajectory
-    p = cfg.params
-    A = float(t.get("A", 3.5))
-    B = float(t.get("B", 1.0))
-    z = p.r if mode is Mode.GROUND else float(t.get("altitude", 1.2))
-    T_Bz = float(t.get("T_Bz_frac", 0.6)) * p.weight if mode is Mode.GROUND else 0.0
+    t, p = cfg.trajectory, cfg.params
+    z = p.r if mode is Mode.GROUND else t["altitude"]
+    T_Bz = t["T_Bz_frac"] * p.weight if mode is Mode.GROUND else 0.0
     seg = tj.Lemniscate(
-        A=A, B=B, omega=1.0, center=[0.0, 0.0, z], mode=mode, laps=laps, T_Bz=T_Bz
+        A=t["A"], B=t["B"], omega=1.0, center=[0.0, 0.0, z], mode=mode, laps=laps, T_Bz=T_Bz
     )
-    rep = tj.scale_to_limits(seg, float(t["v_max"]), float(t["a_max"]))
-    return rep
+    return tj.scale_to_limits(seg, t["v_max"], t["a_max"])
 
 
 def _plain_eight(rep: tj.ScaleReport) -> tj.Lemniscate:
@@ -222,22 +266,25 @@ def _plain_eight(rep: tj.ScaleReport) -> tj.Lemniscate:
     return seg
 
 
-TRAJECTORY_KEYS = {
-    "kind", "A", "B", "altitude", "v_max", "a_max", "T_Bz_frac",
-    "laps_run", "speed_cases", "p0", "duration",
-}
+def _start_heading(seg: tj.Segment):
+    """Start flat sample, planar start speed and start direction of a segment."""
+    f = seg.start_flat()
+    speed = float(np.linalg.norm(f[1][:2]))
+    return f, speed, f[1] / speed
+
+
 SPEED_LIMITED_KINDS = ("eight_ground", "eight_aerial", "hybrid_3d")
 
 
 def build_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
     """Instantiate the scenario trajectory; returns it plus realized peaks."""
-    _require_keys(cfg.trajectory, TRAJECTORY_KEYS, "trajectory")
-    kind = cfg.trajectory.get("kind")
-    missing = sorted({"v_max", "a_max"} - set(cfg.trajectory))
+    t = cfg.trajectory
+    kind = t.get("kind")
+    missing = sorted({"v_max", "a_max"} - set(t))
     if kind in SPEED_LIMITED_KINDS and missing:
         raise ConfigError(f"trajectory kind {kind!r} needs {missing}")
     with _config_block("trajectory"):
-        laps_run = float(cfg.trajectory.get("laps_run", 1.0))
+        laps_run = t["laps_run"]
         lead = laps_run + 0.3  # margin so horizon samples stay defined
         if kind in ("eight_ground", "eight_aerial"):
             mode = Mode.GROUND if kind == "eight_ground" else Mode.AERIAL
@@ -251,9 +298,7 @@ def build_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
         if kind == "hybrid_3d":
             return build_hybrid_trajectory(cfg)
         if kind == "rest_hover":
-            p0 = np.asarray(cfg.trajectory.get("p0", [0.0, 0.0, 1.0]), dtype=float)
-            seg = tj.Rest(p0=p0, psi0=0.0, duration=float(cfg.trajectory.get("duration", 10.0)),
-                          mode=Mode.AERIAL)
+            seg = tj.Rest(p0=t["p0"], psi0=0.0, duration=t["duration"], mode=Mode.AERIAL)
             return tj.HybridTrajectory([seg]), {"lap_s": seg.duration}
         raise ConfigError(f"unknown trajectory kind {kind!r}")
 
@@ -265,20 +310,15 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     Mode switches happen at rest points with the vertical thrust ramped to
     the weight, so reference inputs stay continuous through the switches.
     """
-    t = cfg.trajectory
-    p = cfg.params
-    v_max, a_max = float(t["v_max"]), float(t["a_max"])
-    frac = float(t.get("T_Bz_frac", 0.6))
-    T_ground = frac * p.weight
+    t, p = cfg.trajectory, cfg.params
+    a_max = t["a_max"]
+    T_ground = t["T_Bz_frac"] * p.weight
     zc = p.r
-    z_alt = float(t.get("altitude", 1.2))
+    z_alt = t["altitude"]
 
     g8 = _eight_segment(cfg, Mode.GROUND, laps=1.0)
     eight = _plain_eight(g8)
-    f0 = eight.start_flat()
-    v0 = f0[1]
-    speed0 = float(np.linalg.norm(v0[:2]))
-    dir0 = v0 / speed0
+    f0, speed0, dir0 = _start_heading(eight)
 
     leg = 0.8  # straight lead-in length [m]
     ramp_T = max(2.0 * speed0 / a_max, 1.5)
@@ -310,10 +350,7 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     # aerial eight placed ahead of the takeoff point at altitude
     a8 = _eight_segment(cfg, Mode.AERIAL, laps=1.0)
     aeight = _plain_eight(a8)
-    fa = aeight.start_flat()
-    va = fa[1]
-    speed_a = float(np.linalg.norm(va[:2]))
-    dir_a = va / speed_a
+    fa, _, dir_a = _start_heading(aeight)
     chi_a = math.atan2(dir_a[1], dir_a[0])
     entry = rest_mid + dir_a * 2.0 + np.array([0.0, 0.0, z_alt - zc])
     shift = entry - fa[0]
@@ -374,43 +411,48 @@ class ScenarioResult:
     files: List[Path] = field(default_factory=list)
 
 
+def _start(cfg: ScenarioConfig):
+    """The scenario trajectory, its realized peaks, and a Simulator in the
+    trajectory's first reference state."""
+    traj, peaks = build_trajectory(cfg)
+    ref0 = traj.reference(0.0, cfg.params)
+    sim = Simulator(
+        params=cfg.params, x=ref0.x_array(), dt=1.0 / cfg.environment["sim_rate_hz"],
+        mode=ref0.mode, slip_enabled=cfg.environment["slip_enabled"],
+    )
+    return traj, peaks, sim
+
+
+def _report(report: dict, out_dir: Optional[Path], filename: str, quiet: bool) -> dict:
+    """Write `report` as JSON to out_dir/filename when out_dir is given, and
+    print it unless quiet."""
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / filename).write_text(text)
+    if not quiet:
+        print(text)
+    return report
+
+
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                  quiet: bool = True, stop_when=None) -> ScenarioResult:
     """Closed-loop run of one scenario; deterministic for a given seed."""
     env = cfg.environment
-    control_rate = float(env.get("control_rate_hz", 200.0))
-    sim_rate = float(env.get("sim_rate_hz", 1000.0))
-    traj, peaks = build_trajectory(cfg)
-
-    ref0 = traj.reference(0.0, cfg.params)
-    sim = Simulator(
-        params=cfg.params,
-        x=ref0.x_array(),
-        dt=1.0 / sim_rate,
-        mode=ref0.mode,
-        slip_enabled=bool(env.get("slip_enabled", False)),
-    )
-
-    duration = cfg.run.get("duration")
-    if duration is None:
-        duration = peaks["lap_s"]
-    duration = float(duration)
-
-    noise = NoiseModel(
-        pos_std=float(env.get("noise_pos_std", 0.0)),
-        att_std=float(env.get("noise_att_std", 0.0)),
-    )
-    rng = np.random.default_rng(cfg.seed)
+    traj, peaks, sim = _start(cfg)
+    duration = float(cfg.run["duration"] or peaks["lap_s"])
+    if round(duration * env["control_rate_hz"]) < 1:
+        raise ConfigError(f"a {duration} s run is shorter than one control period")
     log = control_loop(
         sim, traj, cfg.controller, cfg.params,
-        duration=duration, control_rate=control_rate, noise=noise, rng=rng,
-        stop_when=stop_when,
+        duration=duration, control_rate=env["control_rate_hz"],
+        noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
+        rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
     )
     if log.aborted and log.abort_reason != "stop condition met":
         raise SolverFailure(log.abort_reason)
 
     act, ref = log.positions()
-    planar = bool(cfg.run.get("rmse_planar", True))
     speeds = np.stack([row.x[3:6] for row in log.sim.log])
     summary = {
         "scenario": cfg.name,
@@ -418,7 +460,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         "ticks": len(log.ticks),
         "duration_s": duration,
         "stopped_early": log.aborted,
-        "rmse_m": analysis.rmse(act, ref, planar=planar),
+        "rmse_m": analysis.rmse(act, ref, planar=cfg.run["rmse_planar"]),
         "rmse_3d_m": analysis.rmse(act, ref, planar=False),
         "peak_speed_ref": peaks.get("peak_speed"),
         "peak_accel_ref": peaks.get("peak_accel"),
@@ -464,13 +506,7 @@ def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         "rmse_ground_m": results["eight_ground"].summary["rmse_m"],
         "rmse_aerial_m": results["eight_aerial"].summary["rmse_m"],
     }
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        path = Path(out_dir) / f"{cfg.name}_report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    if not quiet:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return report
+    return _report(report, out_dir, f"{cfg.name}_report.json", quiet)
 
 
 def _lateral_error(tick) -> float:
@@ -533,13 +569,7 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         "cases": cases,
         "first_failing_speed": first_fail,
     }
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        path = Path(out_dir) / f"{cfg.name}_report.json"
-        path.write_text(json.dumps(report, indent=2, sort_keys=True))
-    if not quiet:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    return report
+    return _report(report, out_dir, f"{cfg.name}_report.json", quiet)
 
 
 def width_report(params: VehicleParams, m: float = 0.835, quiet: bool = True) -> dict:
@@ -559,14 +589,6 @@ def width_report(params: VehicleParams, m: float = 0.835, quiet: bool = True) ->
     return report
 
 
-def _write_width_report(params: VehicleParams, out_dir: Optional[Path], filename: str,
-                        quiet: bool) -> None:
-    report = width_report(params, quiet=quiet)
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(json.dumps(report, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -584,41 +606,30 @@ SIMLOG_COLUMNS = (
 )
 
 
+def _write_csv(path: Path, header: str, rows: Iterable[list]) -> Path:
+    """A header line, then one comma-joined line of `_fmt` values per row."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    return Path(path)
+
+
 def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) -> List[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-
-    runlog_path = out_dir / f"{cfg.name}_runlog.csv"
-    with runlog_path.open("w", newline="") as fh:
-        fh.write(RUNLOG_COLUMNS + "\n")
-        for row in result.runlog.ticks:
-            vals = (
-                [row.t] + list(row.x_ref[0:3]) + list(row.x_ref[6:10])
-                + list(row.x[0:3]) + list(row.x[6:10]) + list(row.u)
-            )
-            fh.write(
-                ",".join(_fmt(v) for v in vals)
-                + f",{row.mode},{_fmt(row.solve_time_us)},{row.qp_status},"
-                + f"{_fmt(row.cost)},{_fmt(row.slack_max)},"
-                + f"{_fmt(row.qp_iters)},{_fmt(row.kkt_residual)}\n"
-            )
-    files.append(runlog_path)
-
-    dec = int(cfg.output.get("decimation", 5))
-    simlog_path = out_dir / f"{cfg.name}_simlog.csv"
-    with simlog_path.open("w", newline="") as fh:
-        fh.write(SIMLOG_COLUMNS + "\n")
-        for row in result.runlog.sim.log[::dec]:
-            vals = (
-                [row.t] + list(row.x) + list(row.u)
-                + [row.F_n_left, row.F_n_right, row.f_l, row.slip, row.lift_off, row.power]
-            )
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
-    files.append(simlog_path)
-
-    summary_path = out_dir / f"{cfg.name}_summary.json"
-    summary_path.write_text(json.dumps(result.summary, indent=2, sort_keys=True))
-    files.append(summary_path)
+    ticks = (
+        [r.t, *r.x_ref[0:3], *r.x_ref[6:10], *r.x[0:3], *r.x[6:10], *r.u, r.mode,
+         r.solve_time_us, r.qp_status, r.cost, r.slack_max, r.qp_iters, r.kkt_residual]
+        for r in result.runlog.ticks
+    )
+    steps = (
+        [r.t, *r.x, *r.u, r.F_n_left, r.F_n_right, r.f_l, r.slip, r.lift_off, r.power]
+        for r in result.runlog.sim.log[::cfg.output["decimation"]]
+    )
+    files = [_write_csv(out_dir / f"{cfg.name}_runlog.csv", RUNLOG_COLUMNS, ticks),
+             _write_csv(out_dir / f"{cfg.name}_simlog.csv", SIMLOG_COLUMNS, steps),
+             out_dir / f"{cfg.name}_summary.json"]
+    files[2].write_text(json.dumps(result.summary, indent=2, sort_keys=True))
     return files
 
 
@@ -626,8 +637,6 @@ def deterministic_digest(path: Path) -> str:
     """SHA-256 of a log CSV with the wall-clock solve-time column masked
     (every physical and control quantity must be bit-reproducible; the
     measured solver latency cannot be)."""
-    import hashlib
-
     lines = Path(path).read_text().splitlines()
     digest = hashlib.sha256()
     header = lines[0].split(",") if lines else []
@@ -677,52 +686,36 @@ def export_references(traj, params: VehicleParams, duration: float, dt: float,
                       out_path: Path) -> Path:
     """Sample the reference pipeline along the trajectory and write one row
     per sample (state, input, mode) for offline inspection."""
-    hint = None
-    with Path(out_path).open("w", newline="") as fh:
-        fh.write(REFLOG_COLUMNS + "\n")
-        n = round(duration / dt)
-        for i in range(n + 1):
+    def rows():
+        hint = None
+        for i in range(round(duration / dt) + 1):
             ref = traj.reference(i * dt, params, psi_hint=hint, clamp=True)
             hint = ref.psi
-            vals = [i * dt] + list(ref.x_array()) + list(ref.u_array())
-            fh.write(",".join(_fmt(v) for v in vals) + f",{ref.mode.name}\n")
-    return Path(out_path)
+            yield [i * dt, *ref.x_array(), *ref.u_array(), ref.mode.name]
+    return _write_csv(out_path, REFLOG_COLUMNS, rows())
 
 
 def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                   quiet: bool = True) -> dict:
     """Feed the flatness reference inputs into the simulator open loop and
     report the drift; a quick model-consistency probe, not a controller."""
-    traj, peaks = build_trajectory(cfg)
-    ref0 = traj.reference(0.0, cfg.params)
-    sim = Simulator(
-        params=cfg.params, x=ref0.x_array(),
-        dt=1.0 / float(cfg.environment.get("sim_rate_hz", 1000.0)),
-        mode=ref0.mode,
-        slip_enabled=bool(cfg.environment.get("slip_enabled", False)),
-    )
-    duration = float(cfg.run.get("duration") or min(2.0, peaks["lap_s"]))
+    traj, peaks, sim = _start(cfg)
+    duration = float(cfg.run["duration"] or min(2.0, peaks["lap_s"]))
     hint = None
     n = round(duration * 200)
     drift = 0.0
     for _ in range(n):
         ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
         hint = ref.psi
-        sim.apply(ref.u_r, 1.0 / 200.0)
+        sim.apply(ref.u_array(), 1.0 / 200.0)
         drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x_r.p)))
-    report = {"scenario": cfg.name, "duration_s": duration, "max_drift_m": drift}
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         export_references(
-            traj, cfg.params, duration, 0.02, out / f"{cfg.name}_references.csv"
+            traj, cfg.params, duration, 0.02, Path(out_dir) / f"{cfg.name}_references.csv"
         )
-        (out / f"{cfg.name}_openloop.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True)
-        )
-    if not quiet:
-        print(json.dumps(report, indent=2))
-    return report
+    report = {"scenario": cfg.name, "duration_s": duration, "max_drift_m": drift}
+    return _report(report, out_dir, f"{cfg.name}_openloop.json", quiet)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +731,8 @@ def _load_config(args) -> ScenarioConfig:
     else:
         raise ConfigError("provide --config PATH or --scenario NAME")
     if args.seed is not None:
-        cfg.seed = args.seed
+        with _config_block("--seed"):
+            cfg.seed = require_integer(args.seed, "seed", 0)
     return cfg
 
 
@@ -768,11 +762,12 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else None
     try:
         if args.command == "analyze":
-            _write_width_report(VehicleParams(), out_dir, "width_report.json", args.quiet)
+            _report(width_report(VehicleParams(), quiet=args.quiet), out_dir,
+                    "width_report.json", quiet=True)
             return EXIT_OK
         if args.command == "export":
-            if not args.runlog:
-                raise ConfigError("export requires --runlog PATH")
+            if not args.runlog or not Path(args.runlog).is_file():
+                raise ConfigError(f"export requires --runlog PATH of a file, got {args.runlog!r}")
             target = (out_dir or Path(".")) / (Path(args.runlog).stem + "_tidy.csv")
             if out_dir:
                 out_dir.mkdir(parents=True, exist_ok=True)
@@ -793,7 +788,8 @@ def main(argv=None) -> int:
             if kind == "energy_compare":
                 run_energy_compare(cfg, out_dir, quiet=args.quiet)
             elif kind == "width_report":
-                _write_width_report(cfg.params, out_dir, f"{cfg.name}.json", args.quiet)
+                _report(width_report(cfg.params, quiet=args.quiet), out_dir,
+                        f"{cfg.name}.json", quiet=True)
             else:
                 run_scenario(cfg, out_dir, quiet=args.quiet)
             return EXIT_OK

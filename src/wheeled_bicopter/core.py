@@ -20,7 +20,8 @@ constructor helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Tuple
 
@@ -60,6 +61,14 @@ class DivergenceError(RuntimeError):
 
 def vec3(x: float, y: float, z: float) -> Vec3:
     return np.array([float(x), float(y), float(z)])
+
+
+def require_integer(value, name: str, least: int) -> int:
+    """`value` as an int; raises ValueError for a bool, a non-integer or a
+    value below `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def quat_derivative(q, omega_world) -> np.ndarray:
 
 @dataclass
 class Orientation:
-    """Unit-quaternion attitude with rotation-matrix and Euler views."""
+    """Unit-quaternion attitude with an Euler view."""
 
     q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -166,21 +175,11 @@ class Orientation:
         self.q = quat_normalize(self.q)
 
     @classmethod
-    def identity(cls) -> "Orientation":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]))
-
-    @classmethod
     def from_euler(cls, phi: float, theta: float, psi: float) -> "Orientation":
         return cls(quat_from_euler(phi, theta, psi))
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
-
     def to_euler(self) -> Tuple[float, float, float]:
         return quat_to_euler(self.q)
-
-    def rotate(self, v) -> Vec3:
-        return self.rotation_matrix() @ np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +188,11 @@ class Orientation:
 
 
 class Mode(Enum):
-    """Locomotion mode; `s` is the ground-interaction switch of the dynamics."""
+    """Locomotion mode; the value is the ground-interaction switch s of the
+    dynamics."""
 
     AERIAL = 0
     GROUND = 1
-
-    @property
-    def s(self) -> int:
-        return self.value
 
 
 @dataclass
@@ -231,11 +227,6 @@ class RobotState:
         """Pack as [p(3), v(3), q(4), omega(3)]."""
         return np.concatenate([self.p, self.v, self.q.q, self.omega])
 
-    @classmethod
-    def from_array(cls, x) -> "RobotState":
-        x = np.asarray(x, dtype=float)
-        return cls(x[0:3].copy(), x[3:6].copy(), Orientation(x[6:10]), x[10:13].copy())
-
 
 @dataclass
 class ControlInput:
@@ -248,10 +239,6 @@ class ControlInput:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.T1, self.T2, self.delta1, self.delta2])
-
-    @classmethod
-    def from_array(cls, u) -> "ControlInput":
-        return cls(float(u[0]), float(u[1]), float(u[2]), float(u[3]))
 
     def validate(self, params: "VehicleParams") -> None:
         if not (0.0 <= self.T1 <= params.T_max and 0.0 <= self.T2 <= params.T_max):
@@ -294,6 +281,10 @@ class VehicleParams:
     rho: float = 1.225  # air density [kg/m^3]
     S: float = math.pi * 0.0635**2  # rotor disk area [m^2]
 
+    # fields that must be finite and strictly positive
+    POSITIVE = ("m", "m_w", "l", "h1", "h2", "r", "W", "c_t", "c_q", "g", "T_max",
+                "delta_max", "rho", "S")
+
     def __post_init__(self):
         self.J = np.asarray(self.J, dtype=float)
         if self.J.ndim == 2:
@@ -303,28 +294,13 @@ class VehicleParams:
             self.J = np.diag(self.J).copy()
         if self.J.shape != (3,):
             raise ConfigError(f"inertia must be 3 diagonal entries, got {self.J.shape}")
-        positive = {
-            "m": self.m,
-            "m_w": self.m_w,
-            "l": self.l,
-            "h1": self.h1,
-            "h2": self.h2,
-            "r": self.r,
-            "W": self.W,
-            "c_t": self.c_t,
-            "c_q": self.c_q,
-            "g": self.g,
-            "T_max": self.T_max,
-            "delta_max": self.delta_max,
-            "rho": self.rho,
-            "S": self.S,
-        }
-        for name, value in positive.items():
+        for name in self.POSITIVE:
+            value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ConfigError(f"{name} must be strictly positive, got {value}")
         if np.any(self.J <= 0.0) or not np.all(np.isfinite(self.J)):
             raise ConfigError("inertia entries must be strictly positive")
-        if self.mu < 0.0 or self.mu_s < 0.0:
+        if not (self.mu >= 0.0 and self.mu_s >= 0.0):
             raise ConfigError("friction coefficients must be non-negative")
         if not self.h1 < self.r:
             raise ConfigError("h1 must be smaller than the wheel radius r")
@@ -336,33 +312,9 @@ class VehicleParams:
     def weight(self) -> float:
         return self.m * self.g
 
-    @property
-    def hover_thrust_per_rotor(self) -> float:
-        return self.weight / 2.0
-
     @classmethod
     def from_dict(cls, d: dict) -> "VehicleParams":
-        known = {
-            "m",
-            "m_w",
-            "J",
-            "l",
-            "h1",
-            "h2",
-            "r",
-            "W",
-            "mu",
-            "mu_s",
-            "c_t",
-            "c_q",
-            "g",
-            "T_max",
-            "delta_max",
-            "rho",
-            "S",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown vehicle parameter keys: {sorted(unknown)}")
         return cls(**d)
-

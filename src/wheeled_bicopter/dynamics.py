@@ -364,44 +364,9 @@ def derivative(
     )
 
 
-def step(
-    state: RobotState,
-    u: ControlInput,
-    mode: Mode,
-    dt: float,
-    params: VehicleParams,
-) -> RobotState:
-    """Advance the state by one RK4 step of length dt (dt in (0, 0.02] s)."""
-    if not 0.0 < dt <= 0.02:
-        raise ValueError(f"dt must lie in (0, 0.02] s, got {dt}")
-    xn = rk4_step(state.as_array(), u.as_array(), mode, dt, params)
-    if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
-        raise DivergenceError(f"state diverged: {xn}")
-    return RobotState.from_array(xn)
-
-
-def rotor_power(u: ControlInput, params: VehicleParams) -> float:
-    """Ideal (momentum theory) power of both rotors."""
-    return sum(ideal_power(T, params.S, params.rho) for T in (u.T1, u.T2))
-
-
-def mechanical_energy(state: RobotState, params: VehicleParams) -> float:
-    """Kinetic plus gravitational potential energy (aerial mode)."""
-    R = state.q.rotation_matrix()
-    wb = R.T @ state.omega
-    rot = 0.5 * float(wb @ (params.J * wb))
-    trans = 0.5 * params.m * float(state.v @ state.v)
-    pot = params.m * params.g * float(state.p[2])
-    return trans + rot + pot
-
-
-def thrust_power(state: RobotState, u: ControlInput, params: VehicleParams) -> float:
-    """Mechanical power delivered by the actuators to the rigid body."""
-    w = actuator_wrench(u, params)
-    R = state.q.rotation_matrix()
-    force_world = R @ w.T_B
-    wb = R.T @ state.omega
-    return float(force_world @ state.v) + float(w.tau_B @ wb)
+def rotor_power(u: np.ndarray, params: VehicleParams) -> float:
+    """Ideal (momentum theory) power of both rotors for a packed input (4,)."""
+    return sum(ideal_power(T, params.S, params.rho) for T in u[:2].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +415,6 @@ class Simulator:
     def __post_init__(self):
         self.x = np.array(RobotState.rest().as_array() if self.x is None else self.x, dtype=float)
 
-    @staticmethod
-    def _lateral_speed(x: np.ndarray) -> float:
-        _, psi, _, _, cpsi, spsi = _ground_geometry(x[None, :])
-        return float(-x[3] * spsi[0] + x[4] * cpsi[0])
-
     def _try_touchdown(self, x: np.ndarray, u: np.ndarray) -> None:
         r = self.params.r
         if x[2] > r + self.TOUCHDOWN_TOL or x[5] > 0.0:
@@ -467,17 +427,17 @@ class Simulator:
         self.mode = Mode.GROUND
         x[2] = r
         x[5] = 0.0
-        lateral = self._lateral_speed(x)
-        keep = self.slip_enabled and abs(lateral) > LATERAL_STICK_EPS
+        keep = self.slip_enabled and abs(float(diag["w_lat"])) > LATERAL_STICK_EPS
         _project_ground(x, keep_lateral=keep)
         x[6:10] = quat_normalize(x[6:10])  # as after every step
         self.slipping = keep
 
-    def apply(self, u: ControlInput, duration: float) -> None:
-        """Hold the input for `duration` seconds, integrating at the sim rate."""
-        ua = u.as_array()
+    def apply(self, u: np.ndarray, duration: float) -> None:
+        """Hold the packed input u (4,) for `duration` seconds, integrating at
+        the sim rate."""
+        ua = np.array(u, dtype=float)  # one copy, shared by the call's log rows
         P = self.params
-        power = rotor_power(u, P)
+        power = rotor_power(ua, P)
         for _ in range(max(1, round(duration / self.dt))):
             x = self.x.copy()
             if self.mode is Mode.AERIAL:
@@ -507,7 +467,7 @@ class Simulator:
                     self.lift_off_events += lift
                     self.slip_steps += self.slipping
             self.log.append(SimLogRow(
-                t=self.t, x=x, u=ua.copy(), F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
+                t=self.t, x=x, u=ua, F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
                 slip=int(self.slipping), lift_off=int(lift), power=power,
             ))
             xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping)

@@ -148,29 +148,21 @@ def ground_yaw(
     return psi, False
 
 
-def ground_pitch(
-    a: Vec3, psi: float, T_Bz: float, params: VehicleParams, direction: int = 1
-) -> float:
-    """Pitch angle that realizes the commanded longitudinal acceleration
-    against gravity load and rolling friction (signed by travel direction)."""
-    if T_Bz <= THRUST_EPS:
-        raise InfeasibleReferenceError(f"vertical body thrust {T_Bz} too small")
-    mu = direction * params.mu
-    ax = float(a[0]) * math.cos(psi) + float(a[1]) * math.sin(psi)
-    c = math.sqrt(1.0 + mu * mu)
-    z = (params.m * ax + mu * params.m * params.g) / (c * T_Bz)
-    if abs(z) > 1.0 - ARCSIN_MARGIN:
-        raise InfeasibleReferenceError(
-            f"pitch equation out of the arcsine domain: argument {z:.6f} "
-            f"(accel {ax:.3f} m/s^2 at T_Bz {T_Bz:.3f} N)"
-        )
-    return math.asin(z) - math.atan(mu)
-
-
 def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float) -> Vec3:
     """World-frame angular velocity of the roll-free attitude family."""
     return np.array(
         [-theta_dot * math.sin(psi), theta_dot * math.cos(psi), psi_dot]
+    )
+
+
+def _roll_free_state(sample, theta: float, theta_dot: float, psi: float,
+                     psi_dot: float) -> RobotState:
+    """Reference state of a flat sample with the roll-free attitude (0, theta, psi)."""
+    return RobotState(
+        p=np.asarray(sample.p, dtype=float).copy(),
+        v=np.asarray(sample.v, dtype=float).copy(),
+        q=Orientation.from_euler(0.0, theta, psi),
+        omega=ground_body_rates(theta, theta_dot, psi, psi_dot),
     )
 
 
@@ -350,14 +342,9 @@ def ground_flat_to_reference(
     u_r, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
     flags.extend(clamp_flags)
 
-    x_r = RobotState(
-        p=np.asarray(sample.p, dtype=float).copy(),
-        v=np.asarray(sample.v, dtype=float).copy(),
-        q=Orientation.from_euler(0.0, theta, psi),
-        omega=ground_body_rates(theta, theta_dot, psi, psi_dot),
-    )
     return ReferencePoint(
-        x_r=x_r, u_r=u_r, mode=Mode.GROUND, t=sample.t, flags=tuple(flags), psi=psi,
+        x_r=_roll_free_state(sample, theta, theta_dot, psi, psi_dot), u_r=u_r,
+        mode=Mode.GROUND, t=sample.t, flags=tuple(flags), psi=psi,
         heading="held" if held else "tangent",
     )
 
@@ -425,14 +412,8 @@ def aerial_flat_to_reference(
 
     u_r, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
 
-    x_r = RobotState(
-        p=np.asarray(sample.p, dtype=float).copy(),
-        v=np.asarray(sample.v, dtype=float).copy(),
-        q=Orientation.from_euler(0.0, theta, psi),
-        omega=ground_body_rates(theta, theta_dot, psi, psi_dot),
-    )
     return ReferencePoint(
-        x_r=x_r,
+        x_r=_roll_free_state(sample, theta, theta_dot, psi, psi_dot),
         u_r=u_r,
         mode=Mode.AERIAL,
         t=sample.t,

@@ -10,10 +10,11 @@ Schur complement of the working set is kept factored as rows enter and
 leave, and each step is refined once against the full KKT residual.  The
 cost penalizes deviations from the flatness references,
 
-    sum_k  xerr(k)' Q xerr(k) + uerr(k)' Q_u uerr(k)  +  terminal term,
+    sum_{k=0..K} xerr(k)' Q xerr(k)  +  sum_{k<K} uerr(k)' Q_u uerr(k),
 
-with the attitude error taken as the component difference of hemisphere-
-aligned quaternions.  Input boxes are hard constraints; the ground-contact
+with no terminal weight beyond the last stage's Q, and with the attitude
+error taken as the component difference of hemisphere-aligned
+quaternions.  Input boxes are hard constraints; the ground-contact
 wheel-normal constraints  s(k) F_n_{left,right}(k) >= 0  enter linearized
 and L1-softened so a transiently infeasible QP degrades gracefully instead
 of failing.  The per-step ground/aerial switch follows the reference mode
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ControlInput, Mode, VehicleParams, quat_multiply
+from .core import Mode, VehicleParams, quat_multiply, require_integer
 from .dynamics import (
     DIVERGENCE_LIMIT,
     Simulator,
@@ -71,9 +72,7 @@ class NmpcConfig:
 
     def __post_init__(self):
         for name in ("K", "max_qp_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            require_integer(getattr(self, name), name, 1)
         # slack_reg > 0 keeps the QP Hessian positive definite, and
         # slack_penalty > 0 makes every softened newton cost something
         for name in ("dt", "kkt_tol", "slack_reg", "slack_penalty"):
@@ -111,10 +110,6 @@ class OcpSolution:
     cost: float
     kkt_residual: float
     qp_iters: int
-
-    @property
-    def u0(self) -> ControlInput:
-        return ControlInput.from_array(self.u_seq[0])
 
     @classmethod
     def degraded(cls, u_bar: np.ndarray, x_bar: np.ndarray, qp_iters: int = 0) -> "OcpSolution":
@@ -361,12 +356,6 @@ def solve_qp(
 # ---------------------------------------------------------------------------
 # RTI solve
 # ---------------------------------------------------------------------------
-
-
-def _align_quaternion(q_ref: np.ndarray, q_nom: np.ndarray) -> np.ndarray:
-    if float(q_ref @ q_nom) < 0.0:
-        return -q_ref
-    return q_ref
 
 
 def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
@@ -684,8 +673,7 @@ def control_loop(
         else:
             degraded_run = 0
             warm = shift_warm_start(sol)
-        u0 = sol.u0
-        sim.apply(u0, dt_ctrl)
+        sim.apply(sol.u_seq[0], dt_ctrl)
         tick = TickRow(
             t=t,
             x_ref=refs[0].x_array(),

@@ -47,8 +47,12 @@ class Segment:
         return getattr(self, "psi0", None)
 
     def yaw(self, tau: float) -> Optional[Tuple[float, float, float]]:
-        """Aerial yaw profile; None means heading-tangent yaw."""
-        return None
+        """Aerial yaw profile: an aerial segment with a fixed heading `psi0`
+        holds it; None means heading-tangent yaw."""
+        psi0 = self.heading_hint(tau)
+        if psi0 is None or self.mode is not Mode.AERIAL:
+            return None
+        return psi0, 0.0, 0.0
 
     def end_flat(self) -> np.ndarray:
         return self.flat(self.duration)
@@ -142,11 +146,6 @@ class Line(Segment):
         out[1] = self.velocity
         return out
 
-    def yaw(self, tau: float):
-        if self.mode is Mode.AERIAL:
-            return self.psi0, 0.0, 0.0
-        return None
-
 
 @dataclass
 class Rest(Segment):
@@ -182,11 +181,6 @@ class Rest(Segment):
         dT = self.T_Bz_end - self.T_Bz
         return self.T_Bz + dT * s, dT * sd, dT * sdd
 
-    def yaw(self, tau: float):
-        if self.mode is Mode.AERIAL:
-            return self.psi0, 0.0, 0.0
-        return None
-
 
 @dataclass
 class StraightRamp(Segment):
@@ -219,11 +213,6 @@ class StraightRamp(Segment):
         for order in range(1, 5):
             out[order] = self.direction * _quintic_eval(self._c, tau, order)
         return out
-
-    def yaw(self, tau: float):
-        if self.mode is Mode.AERIAL:
-            return self.psi0, 0.0, 0.0
-        return None
 
 
 def _quintic_coeffs(y0, yd0, ydd0, y1, yd1, ydd1, T):

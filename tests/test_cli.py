@@ -3,6 +3,8 @@ import json
 import math
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheeled_bicopter import cli
 from wheeled_bicopter.core import ConfigError
@@ -95,14 +97,30 @@ def test_main_requires_config_or_scenario():
     assert cli.main(["track"]) == cli.EXIT_CONFIG
 
 
+def test_main_missing_input_files_exit_with_config_error(tmp_path):
+    missing = str(tmp_path / "missing")
+    assert cli.main(["track", "--config", missing, "--quiet"]) == cli.EXIT_CONFIG
+    assert cli.main(["export", "--runlog", missing, "--quiet"]) == cli.EXIT_CONFIG
+
+
 def _set(block, **values):
     def mutate(doc):
         doc[block].update(values)
     return mutate
 
 
+def _top(**values):
+    def mutate(doc):
+        doc.update(values)
+    return mutate
+
+
 def _aerial_eight_without_v_max(doc):
     doc["trajectory"] = {"kind": "eight_aerial", "a_max": 1.0}
+
+
+def _environment_not_an_object(doc):
+    doc["environment"] = [1.0]
 
 
 @pytest.mark.parametrize(
@@ -129,6 +147,23 @@ def _aerial_eight_without_v_max(doc):
         _set("controller", slack_reg=0),
         _set("controller", slack_penalty=0),
         _set("controller", slack_penalty=-1),
+        _set("trajectory", A=math.nan),
+        _set("run", duration=math.inf),
+        _set("environment", noise_pos_std=math.nan),
+        _set("trajectory", speed_cases=[[1.0]]),
+        _set("trajectory", speed_cases="fast"),
+        _set("trajectory", speed_cases=[[1.0, -0.7]]),
+        _set("output", decimation=2.7),
+        _set("output", decimation=True),
+        _top(seed=2.5),
+        _top(seed=-1),
+        _set("run", label="tiny"),
+        _environment_not_an_object,
+        _set("trajectory", p0=[0.0, None, 1.0]),
+        _set("environment", control_rate_hz=0.5),
+        _set("environment", slip_enabled="false"),
+        _set("run", rmse_planar=None),
+        _top(name=["tiny"]),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
@@ -137,7 +172,12 @@ def _aerial_eight_without_v_max(doc):
          "decimation_not_a_number", "decimation_zero",
          "K_not_an_integer", "max_qp_iter_not_a_number", "max_qp_iter_zero",
          "negative_kkt_tol", "slack_reg_zero", "slack_penalty_zero",
-         "negative_slack_penalty"],
+         "negative_slack_penalty", "trajectory_A_nan", "duration_infinite",
+         "noise_std_nan", "speed_case_not_a_pair", "speed_cases_not_a_list",
+         "negative_speed_case_limit", "decimation_not_an_integer", "decimation_bool",
+         "seed_not_an_integer", "negative_seed", "run_label_unknown",
+         "environment_not_an_object", "p0_with_null", "run_shorter_than_a_control_period",
+         "slip_enabled_not_a_bool", "rmse_planar_not_a_bool", "name_not_a_string"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()
@@ -146,6 +186,45 @@ def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsy
     path.write_text(json.dumps(doc))
     assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def test_main_overflowing_number_exits_with_config_error(tmp_path, capsys):
+    # json reads 1e999 as inf
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(tiny_hover_doc()).replace('"duration": 0.4', '"duration": 1e999'))
+    assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_main_rejects_negative_seed_override():
+    assert cli.main(["track", "--scenario", "aerial_8shape", "--seed", "-1"]) == cli.EXIT_CONFIG
+
+
+def _value_paths(node, path=()):
+    """Paths of every value (leaf or block) inside a scenario document."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from _value_paths(child, path + (key,))
+
+
+DRAWN_VALUES = [math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0, 0.37, 2.5,
+                "x", None, [], [1.0, 2.0], {}, True, False]
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(list(_value_paths(tiny_hover_doc()))),
+       value=st.sampled_from(DRAWN_VALUES))
+def test_main_any_replaced_value_ends_in_a_documented_exit_code(tmp_path_factory, path, value):
+    doc = tiny_hover_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg = tmp_path_factory.mktemp("mutated") / "scenario.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["track", "--config", str(cfg), "--quiet"]) in {
+        cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_SOLVER, cli.EXIT_DIVERGED}
 
 
 # ---------------------------------------------------------------------------

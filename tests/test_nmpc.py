@@ -26,7 +26,7 @@ def hover_state(params, p=(0.0, 0.0, 1.0)):
 
 
 def hover_input_array(params):
-    T = params.hover_thrust_per_rotor
+    T = params.weight / 2
     return np.array([T, T, 0.0, 0.0])
 
 
@@ -641,7 +641,7 @@ def test_warm_start_not_worse_than_cold(params, cfg):
 def test_control_loop_hover_steady_state(params, cfg):
     traj = hover_trajectory(params)
     x0 = RobotState(
-        vec3(0.02, -0.03, 0.98), vec3(0, 0, 0), Orientation.identity(), vec3(0, 0, 0)
+        vec3(0.02, -0.03, 0.98), vec3(0, 0, 0), Orientation(), vec3(0, 0, 0)
     ).as_array()
     sim = dyn.Simulator(params=params, x=x0, dt=5e-3, mode=Mode.AERIAL)
     log = nmpc.control_loop(sim, traj, cfg, params, duration=4.0, control_rate=200.0)
@@ -656,7 +656,7 @@ def test_control_loop_tick_states_are_the_logged_plant_states(params, cfg):
     seg = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=5.0, mode=Mode.GROUND,
                   T_Bz=0.6 * params.weight)
     x0 = RobotState(
-        vec3(0, 0, params.r + 0.004), vec3(0.2, 0, -0.05), Orientation.identity(), vec3(0, 0, 0)
+        vec3(0, 0, params.r + 0.004), vec3(0.2, 0, -0.05), Orientation(), vec3(0, 0, 0)
     ).as_array()
     sim = dyn.Simulator(params=params, x=x0, dt=1e-3, mode=Mode.AERIAL)
     log = nmpc.control_loop(sim, tj.HybridTrajectory([seg]), cfg, params, duration=0.3)
