@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import VehicleParams
+from .core import GRAVITY, VehicleParams
 
 
 def ideal_power(T: float, S: float, rho: float) -> float:
@@ -27,18 +27,20 @@ def ideal_power(T: float, S: float, rho: float) -> float:
     return math.sqrt(T**3 / (2.0 * S * rho))
 
 
-def hover_efficiency(m: float, k: int, S: float, rho: float, g: float = 9.81) -> float:
+def hover_efficiency(m: float, k: int, S: float, rho: float) -> float:
     """Mass per ideal hover power for k rotors of disk area S each."""
     if min(m, k, S, rho) <= 0:
         raise ValueError("arguments must be positive")
+    g = GRAVITY
     return math.sqrt(2.0 * k * S * rho) / (g * math.sqrt(m * g))
 
 
-def rotor_radius(eta_h: float, m: float, k: int, rho: float, g: float = 9.81) -> float:
+def rotor_radius(eta_h: float, m: float, k: int, rho: float) -> float:
     """Rotor radius implied by a hover efficiency target at given mass and
     rotor count; inverse of hover_efficiency with S = pi R^2."""
     if min(eta_h, m, k, rho) <= 0:
         raise ValueError("arguments must be positive")
+    g = GRAVITY
     return eta_h * g * math.sqrt(m * g) / math.sqrt(2.0 * math.pi * k * rho)
 
 
@@ -59,8 +61,8 @@ class LayoutSpec:
     k: int
     width_per_radius: float
 
-    def width(self, R: float, clearance: float = 0.0) -> float:
-        return self.width_per_radius * R * (1.0 + clearance)
+    def width(self, R: float) -> float:
+        return self.width_per_radius * R
 
 
 # Zero-clearance packing rules (width across the direction of motion):
@@ -81,28 +83,19 @@ LAYOUTS: Tuple[LayoutSpec, ...] = (
 
 
 def traversing_width(
-    layout: LayoutSpec,
-    m: float,
-    eta_h: float,
-    rho: float,
-    g: float = 9.81,
-    clearance: float = 0.0,
+    layout: LayoutSpec, m: float, eta_h: float, rho: float
 ) -> Tuple[float, float]:
     """Minimum traversing width of a layout at fixed mass and hover
     efficiency, and its ratio to the single-rotor baseline."""
-    R = rotor_radius(eta_h, m, layout.k, rho, g)
-    w = layout.width(R, clearance)
-    R1 = rotor_radius(eta_h, m, 1, rho, g)
-    baseline = 2.0 * R1 * (1.0 + clearance)
+    w = layout.width(rotor_radius(eta_h, m, layout.k, rho))
+    baseline = 2.0 * rotor_radius(eta_h, m, 1, rho)
     return w, w / baseline
 
 
-def width_table(
-    m: float, eta_h: float, rho: float, g: float = 9.81, clearance: float = 0.0
-) -> List[dict]:
+def width_table(m: float, eta_h: float, rho: float) -> List[dict]:
     rows = []
     for spec in LAYOUTS:
-        w, ratio = traversing_width(spec, m, eta_h, rho, g, clearance)
+        w, ratio = traversing_width(spec, m, eta_h, rho)
         rows.append(
             {"layout": spec.kind.value, "rotors": spec.k, "width_m": w, "ratio": ratio}
         )

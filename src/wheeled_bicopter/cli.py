@@ -261,7 +261,7 @@ def _plain_eight(rep: tj.ScaleReport) -> tj.Lemniscate:
         return tj.Lemniscate(
             A=inner.A, B=inner.B, omega=inner.omega / seg.factor,
             center=inner.center.copy(), mode=inner.mode, laps=inner.laps,
-            T_Bz=inner.T_Bz, alpha=inner.alpha,
+            T_Bz=inner.T_Bz,
         )
     return seg
 
@@ -408,7 +408,7 @@ class ScenarioResult:
     name: str
     runlog: RunLog
     summary: dict
-    files: List[Path] = field(default_factory=list)
+    files: List[Path] = field(init=False, default_factory=list)
 
 
 def _start(cfg: ScenarioConfig):
@@ -519,9 +519,12 @@ def _lateral_error(tick) -> float:
     return -dx * math.sin(psi) + dy * math.cos(psi)
 
 
+# lateral error [m] past which a slippery-benchmark case counts as failed
+LATERAL_FAIL_THRESHOLD = 0.3
+
+
 def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
-                           quiet: bool = True,
-                           lateral_fail_threshold: float = 0.3) -> dict:
+                           quiet: bool = True) -> dict:
     """Two controller variants on the same slippery eight-shape at rising
     speed: the full vehicle with vectored lateral thrust, and an ablation
     with opposed servo tilts (no net side force, the quadrotor-equivalent)."""
@@ -540,13 +543,13 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             )
 
             def crossed(tick) -> bool:
-                return abs(_lateral_error(tick)) > lateral_fail_threshold
+                return abs(_lateral_error(tick)) > LATERAL_FAIL_THRESHOLD
 
             try:
                 res = run_scenario(sub, out_dir=None, quiet=True, stop_when=crossed)
                 max_lat = float(max(abs(_lateral_error(row)) for row in res.runlog.ticks))
                 completed = not res.summary["stopped_early"] and (
-                    max_lat <= lateral_fail_threshold
+                    max_lat <= LATERAL_FAIL_THRESHOLD
                 )
                 cases.append({
                     "v_max": v_max, "a_max": a_max, "variant": variant,
@@ -565,14 +568,19 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             first_fail.setdefault(case["variant"], case["v_max"])
     report = {
         "scenario": cfg.name,
-        "lateral_fail_threshold_m": lateral_fail_threshold,
+        "lateral_fail_threshold_m": LATERAL_FAIL_THRESHOLD,
         "cases": cases,
         "first_failing_speed": first_fail,
     }
     return _report(report, out_dir, f"{cfg.name}_report.json", quiet)
 
 
-def width_report(params: VehicleParams, m: float = 0.835, quiet: bool = True) -> dict:
+# all-up mass [kg] of the twin-rotor craft the width study sizes
+WIDTH_STUDY_MASS = 0.835
+
+
+def width_report(params: VehicleParams, quiet: bool = True) -> dict:
+    m = WIDTH_STUDY_MASS
     eta = analysis.hover_efficiency(m, 2, params.S, params.rho)
     rows = analysis.width_table(m, eta, params.rho)
     sweep = []
@@ -697,17 +705,18 @@ def export_references(traj, params: VehicleParams, duration: float, dt: float,
 
 def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                   quiet: bool = True) -> dict:
-    """Feed the flatness reference inputs into the simulator open loop and
-    report the drift; a quick model-consistency probe, not a controller."""
+    """Feed the flatness reference inputs into the simulator open loop, one
+    per control period, and report the drift; a quick model-consistency
+    probe, not a controller."""
     traj, peaks, sim = _start(cfg)
     duration = float(cfg.run["duration"] or min(2.0, peaks["lap_s"]))
+    rate = cfg.environment["control_rate_hz"]
     hint = None
-    n = round(duration * 200)
     drift = 0.0
-    for _ in range(n):
+    for _ in range(round(duration * rate)):
         ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
         hint = ref.psi
-        sim.apply(ref.u_array(), 1.0 / 200.0)
+        sim.apply(ref.u_array(), 1.0 / rate)
         drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x_r.p)))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

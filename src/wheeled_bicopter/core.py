@@ -218,10 +218,9 @@ class RobotState:
             raise ValueError("non-finite state component")
 
     @classmethod
-    def rest(cls, p=(0.0, 0.0, 0.0), psi: float = 0.0) -> "RobotState":
-        return cls(
-            vec3(*p), np.zeros(3), Orientation.from_euler(0.0, 0.0, psi), np.zeros(3)
-        )
+    def rest(cls, p=(0.0, 0.0, 0.0)) -> "RobotState":
+        """At rest at position p, level and heading along world x."""
+        return cls(vec3(*p), np.zeros(3), Orientation(), np.zeros(3))
 
     def as_array(self) -> np.ndarray:
         """Pack as [p(3), v(3), q(4), omega(3)]."""

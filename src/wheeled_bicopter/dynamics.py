@@ -33,13 +33,16 @@ releases the lateral constraint while sliding.
 
 Internally states are packed as x = [p(3), v(3), q(4), omega(3)] and all
 core routines broadcast over a leading batch axis; the typed API wraps the
-array core.
+array core.  A ground state's contact forces and derivative come from one
+`_f_ground_batch` evaluation: a caller that reads the contact (the
+simulator's lift-off and stick/slip decision, the controller's wheel-normal
+rows) passes that derivative to `rk4_step` as its first stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -154,8 +157,7 @@ def _ground_geometry(x: np.ndarray):
     return theta, psi, theta_dot, psi_dot, cpsi, spsi
 
 
-def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams,
-                   w_lat=None, clamp_liftoff: bool = False):
+def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams, w_lat=None):
     """Two-wheel ground reaction at a given total normal force F_n,
     broadcasting over leading axes.
 
@@ -165,8 +167,9 @@ def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams,
     Given the lateral speed w_lat the wheels slide: the lateral friction
     saturates at mu_s F_n against the sliding direction.  Returns
     (f_r, f_l, F_nl, F_nr, lift_off, G2, G3): rolling and lateral friction,
-    the left/right wheel normals (clamped at zero with clamp_liftoff;
-    lift_off flags a negative one) and the pitch/yaw ground torques.
+    the raw left/right wheel normals (lift_off flags a negative one) and the
+    pitch/yaw ground torques.  A lifted wheel carries no rolling friction, so
+    G3 takes the per-wheel friction from the normals clamped at zero.
     """
     # 0 inside the dead band (+0.0 turns the -0.0 of a negative speed into 0.0)
     sgn_u = np.sign(u_long) * (np.abs(u_long) >= SPEED_EPS) + 0.0
@@ -183,11 +186,8 @@ def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams,
     F_nl = half - split
     F_nr = half + split
     lift = (F_nl < 0.0) | (F_nr < 0.0)
-    if clamp_liftoff:
-        F_nl = np.maximum(F_nl, 0.0)
-        F_nr = np.maximum(F_nr, 0.0)
-    f_rl = -P.mu * F_nl * sgn_u
-    f_rr = -P.mu * F_nr * sgn_u
+    f_rl = -P.mu * np.maximum(F_nl, 0.0) * sgn_u
+    f_rr = -P.mu * np.maximum(F_nr, 0.0) * sgn_u
 
     G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
     G3 = (f_rr - f_rl) * P.W
@@ -206,17 +206,12 @@ def slip_check(f_l, F_n, params: VehicleParams) -> bool:
     return abs(f_l) <= params.mu_s * F_n
 
 
-def _f_ground_batch(
-    x: np.ndarray,
-    u: np.ndarray,
-    P: VehicleParams,
-    slipping: bool = False,
-    clamp_liftoff: bool = False,
-):
+def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bool = False):
     """Constrained ground dynamics.
 
     Returns (xdot, diag) where diag carries the contact forces used for
-    logging, constraints and the stick/slip decision.
+    logging, constraints and the stick/slip decision; xdot is the k1 that
+    `rk4_step` takes from a caller that needs both.
     """
     v = x[..., 3:6]
     theta, psi, theta_dot, psi_dot, cpsi, spsi = _ground_geometry(x)
@@ -234,7 +229,7 @@ def _f_ground_batch(
     f_l_req = P.m * a_l - TBy
     f_r, f_l, F_nl, F_nr, lift, G2, G3 = ground_contact(
         F_n, f_l_req, tau_x, cth, sth, u_long, P,
-        w_lat=w_lat if slipping else None, clamp_liftoff=clamp_liftoff,
+        w_lat=w_lat if slipping else None,
     )
 
     # pitch/yaw rows of the torque balance in the heading frame
@@ -274,14 +269,8 @@ def f_batch(
     """Packed-state dynamics, broadcasting over leading axes."""
     if mode is Mode.AERIAL:
         return _f_aerial_batch(x, u, P)
-    xdot, _ = _f_ground_batch(x, u, P, slipping=slipping, clamp_liftoff=True)
+    xdot, _ = _f_ground_batch(x, u, P, slipping=slipping)
     return xdot
-
-
-def wheel_normals_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams):
-    """Per-wheel normal forces for packed states (stick-regime lateral force)."""
-    _, diag = _f_ground_batch(x, u, P, slipping=False, clamp_liftoff=False)
-    return diag["F_nl"], diag["F_nr"]
 
 
 def _project_ground(x: np.ndarray, keep_lateral: bool) -> np.ndarray:
@@ -315,10 +304,18 @@ def rk4_step(
     dt: float,
     P: VehicleParams,
     slipping: bool = False,
+    k1: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One fixed-step RK4 integration of the packed state, with quaternion
-    renormalization and re-projection of the ground constraints."""
-    k1 = f_batch(x, u, mode, P, slipping)
+    renormalization and re-projection of the ground constraints.
+
+    k1 is the derivative at (x, u) when the caller already has it: a caller
+    that reads the ground contact gets it from the same `_f_ground_batch`
+    call, and the step then evaluates only stages 2 to 4.  Without it the
+    step evaluates k1 itself.
+    """
+    if k1 is None:
+        k1 = f_batch(x, u, mode, P, slipping)
     k2 = f_batch(x + 0.5 * dt * k1, u, mode, P, slipping)
     k3 = f_batch(x + 0.5 * dt * k2, u, mode, P, slipping)
     k4 = f_batch(x + dt * k3, u, mode, P, slipping)
@@ -352,7 +349,7 @@ def derivative(
     x = state.as_array()
     ua = u.as_array()
     if mode is Mode.GROUND:
-        xdot, diag = _f_ground_batch(x, ua, params, slipping=False, clamp_liftoff=True)
+        xdot, diag = _f_ground_batch(x, ua, params)
         if diag["F_n"] <= 0.0:
             raise ContactLossError(
                 f"total normal force {float(diag['F_n']):.6f} N <= 0 in ground mode"
@@ -402,13 +399,13 @@ class Simulator:
     params: VehicleParams
     x: np.ndarray = None  # type: ignore[assignment]
     mode: Mode = Mode.AERIAL
-    t: float = 0.0
     dt: float = 1e-3
     slip_enabled: bool = False
-    slipping: bool = False
-    log: List[SimLogRow] = field(default_factory=list)
-    lift_off_events: int = 0
-    slip_steps: int = 0
+    t: float = field(init=False, default=0.0)
+    slipping: bool = field(init=False, default=False)
+    log: List[SimLogRow] = field(init=False, default_factory=list)
+    lift_off_events: int = field(init=False, default=0)
+    slip_steps: int = field(init=False, default=0)
 
     TOUCHDOWN_TOL = 1e-3
 
@@ -444,22 +441,26 @@ class Simulator:
                 self._try_touchdown(x, ua)
             F_nl = F_nr = f_l = 0.0
             lift = False
+            k1 = None  # aerial: rk4_step evaluates it
             if self.mode is Mode.GROUND:
-                _, diag = _f_ground_batch(x, ua, P, slipping=self.slipping)
+                # the contact that decides lift-off and stick/slip is also
+                # RK4's k1, unless the decision changes the state or regime
+                k1, diag = _f_ground_batch(x, ua, P, slipping=self.slipping)
                 F_n = float(diag["F_n"])
                 if F_n < 0.0:
                     self.mode = Mode.AERIAL
                     self.slipping = False
+                    k1 = None
                 else:
                     stick = slip_check(float(diag["f_l_req"]), F_n, P)
                     if self.slip_enabled and not self.slipping and not stick:
                         self.slipping = True
-                        _, diag = _f_ground_batch(x, ua, P, slipping=True)
+                        k1, diag = _f_ground_batch(x, ua, P, slipping=True)
                     elif (self.slip_enabled and self.slipping and stick
                           and abs(float(diag["w_lat"])) < LATERAL_STICK_EPS):
                         self.slipping = False
                         _project_ground(x, keep_lateral=False)
-                        _, diag = _f_ground_batch(x, ua, P, slipping=False)
+                        k1, diag = _f_ground_batch(x, ua, P, slipping=False)
                     F_nl = max(float(diag["F_nl"]), 0.0)
                     F_nr = max(float(diag["F_nr"]), 0.0)
                     f_l = float(diag["f_l"])
@@ -470,7 +471,7 @@ class Simulator:
                 t=self.t, x=x, u=ua, F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
                 slip=int(self.slipping), lift_off=int(lift), power=power,
             ))
-            xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping)
+            xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping, k1=k1)
             if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
                 raise DivergenceError(
                     f"simulation diverged at t={self.t:.4f}s (mode {self.mode.name})"

@@ -34,16 +34,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Mode, VehicleParams, quat_multiply, require_integer
-from .dynamics import (
-    DIVERGENCE_LIMIT,
-    Simulator,
-    rk4_step,
-    wheel_normals_batch,
-)
+from .dynamics import DIVERGENCE_LIMIT, Simulator, _f_ground_batch, rk4_step
 from .flatness import ReferencePoint
 from .trajectory import HybridTrajectory, ReferenceTable
 
 FD_STEP = 1e-6
+
+# consecutive degraded ticks a closed loop tolerates before it aborts
+MAX_DEGRADED = 10
 
 
 @dataclass
@@ -79,8 +77,10 @@ class NmpcConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
-        for name in ("q_p", "q_v", "q_q", "q_w", "q_u"):
+        for name, size in (("q_p", 3), ("q_v", 3), ("q_q", 4), ("q_w", 3), ("q_u", 4)):
             arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != (size,):
+                raise ValueError(f"{name} must be {size} weights, got shape {arr.shape}")
             if np.any(arr < 0):
                 raise ValueError(f"{name} must be non-negative")
             setattr(self, name, arr)
@@ -133,19 +133,18 @@ class WarmStart:
 def discretize(x: np.ndarray, u: np.ndarray, mode: Mode, dt: float, params: VehicleParams):
     """One RK4 step of the packed state plus Jacobians d(x+)/dx, d(x+)/du
     by forward finite differences (a one-step horizon linearization)."""
-    x_next, A, B, _ = _linearize_horizon(
-        np.atleast_2d(x), np.atleast_2d(u), [mode], dt, params, need_normals=False
-    )
+    x_next, A, B, _ = _linearize_horizon(np.atleast_2d(x), np.atleast_2d(u), [mode], dt, params)
     return x_next[0], A[0], B[0]
 
 
-def _linearize_horizon(x_bar, u_bar, modes, dt, params, need_normals):
+def _linearize_horizon(x_bar, u_bar, modes, dt, params):
     """Vectorized linearization of the whole horizon: since the points
     (x_bar_k, u_bar_k) are given, the K finite-difference batches fuse into
     one array-core call per mode group.
 
-    Returns x_next (K,13), A (K,13,13), B (K,13,4) and, for ground steps
-    where `need_normals`, per-step wheel-normal values and gradients.
+    Returns x_next (K,13), A (K,13,13), B (K,13,4) and, for ground steps,
+    per-step wheel-normal values and gradients, read off the contact
+    evaluation that is also the batch's RK4 k1.
     """
     K = len(u_bar)
     n, m = 13, 4
@@ -167,13 +166,14 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params, need_normals):
             continue
         xm = xb[idx].reshape(-1, n)
         um = ub[idx].reshape(-1, m)
-        if mode is Mode.GROUND and need_normals:
-            Fl, Fr = wheel_normals_batch(xm, um, params)
-            Fl = Fl.reshape(len(idx), nb)
-            Fr = Fr.reshape(len(idx), nb)
+        k1 = None
+        if mode is Mode.GROUND:
+            k1, diag = _f_ground_batch(xm, um, params)
+            Fl = diag["F_nl"].reshape(len(idx), nb)
+            Fr = diag["F_nr"].reshape(len(idx), nb)
             for j, k in enumerate(idx):
                 normals[k] = (Fl[j], Fr[j])
-        out = rk4_step(xm, um, mode, dt, params).reshape(len(idx), nb, n)
+        out = rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
         for j, k in enumerate(idx):
             x_next[k] = out[j, 0]
             A[k] = (out[j, 1 : 1 + n] - out[j, 0]).T / FD_STEP
@@ -453,9 +453,7 @@ def solve(
 
     # linearization along the guess, with defects d_k = f(xbar,ubar) - xbar+
     n, m = 13, 4
-    x_next, A, B, normals = _linearize_horizon(
-        x_bar, u_bar, modes, cfg.dt, params, need_normals=True
-    )
+    x_next, A, B, normals = _linearize_horizon(x_bar, u_bar, modes, cfg.dt, params)
     d = x_next - x_bar[1:]
     if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         return OcpSolution.degraded(u_bar, x_bar)
@@ -625,7 +623,6 @@ def control_loop(
     control_rate: float = 200.0,
     noise: Optional[NoiseModel] = None,
     rng: Optional[np.random.Generator] = None,
-    max_degraded: int = 10,
     stop_when=None,
 ) -> RunLog:
     """Run the tracking loop: sample references, solve, hold u(0) for one
@@ -664,7 +661,7 @@ def control_loop(
         solve_us = (time.perf_counter() - t0) * 1e6
         if sol.status == "degraded":
             degraded_run += 1
-            if degraded_run > max_degraded:
+            if degraded_run > MAX_DEGRADED:
                 return RunLog(
                     ticks, sim, aborted=True,
                     abort_reason=f"solver degraded for {degraded_run} consecutive ticks",

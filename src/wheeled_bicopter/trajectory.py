@@ -33,7 +33,7 @@ class Segment:
 
     duration: float
     mode: Mode
-    alpha: int = 1
+    T_Bz: float = 0.0  # ground vertical body thrust, for segments without their own
 
     def flat(self, tau: float) -> np.ndarray:
         """Stack (5, 3) of position derivatives [p, v, a, j, s] at local time."""
@@ -72,7 +72,6 @@ class Lemniscate(Segment):
     mode: Mode = Mode.GROUND
     laps: float = 1.0
     T_Bz: float = 0.0
-    alpha: int = 1
 
     def __post_init__(self):
         if min(self.A, self.B, self.omega) <= 0:
@@ -102,7 +101,6 @@ class Circle(Segment):
     mode: Mode = Mode.GROUND
     laps: float = 1.0
     T_Bz: float = 0.0
-    alpha: int = 1
 
     def __post_init__(self):
         if min(self.radius, self.omega) <= 0:
@@ -131,7 +129,6 @@ class Line(Segment):
     duration: float
     mode: Mode = Mode.GROUND
     T_Bz: float = 0.0
-    alpha: int = 1
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -157,7 +154,6 @@ class Rest(Segment):
     mode: Mode = Mode.GROUND
     T_Bz: float = 0.0
     T_Bz_end: Optional[float] = None
-    alpha: int = 1
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -192,9 +188,8 @@ class StraightRamp(Segment):
     v_start: float
     v_end: float
     duration: float
-    mode: Mode = Mode.GROUND
     T_Bz: float = 0.0
-    alpha: int = 1
+    mode = Mode.GROUND
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -243,18 +238,16 @@ def _quintic_eval(c, tau, order):
 class QuinticBlend(Segment):
     """C2 polynomial bridge between two flat states (per-coordinate quintic).
 
-    Optionally carries a quintic yaw profile (aerial) and a thrust ramp
-    (ground); used for mode-transition blends and speed-up/slow-down legs.
+    Optionally carries a quintic yaw profile; used for the takeoff and
+    landing blends.  It has no thrust profile of its own (`Segment.T_Bz`).
     """
 
     start: np.ndarray  # (3, 3): p, v, a rows
     end: np.ndarray
     duration: float
     mode: Mode = Mode.AERIAL
-    T_Bz: float = 0.0
     yaw_bc: Optional[Tuple[float, float, float, float, float, float]] = None
     psi0: Optional[float] = None
-    alpha: int = 1
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -301,7 +294,6 @@ class TimeDilated(Segment):
             raise ValueError("dilation factor must be positive")
         self.duration = self.inner.duration * self.factor
         self.mode = self.inner.mode
-        self.alpha = self.inner.alpha
 
     def flat(self, tau: float) -> np.ndarray:
         out = self.inner.flat(tau / self.factor).copy()
@@ -384,13 +376,15 @@ def takeoff_landing_blend(
     raise ValueError("could not satisfy a_max by extending the blend")
 
 
+# largest position or velocity jump [m, m/s] allowed at a segment joint
+JOINT_TOL = 1e-6
+
+
 @dataclass
 class HybridTrajectory:
     """Ordered flat segments with machine-checked joint continuity."""
 
     segments: Sequence[Segment]
-    t0: float = 0.0
-    joint_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.segments:
@@ -403,7 +397,7 @@ class HybridTrajectory:
             b = self.segments[i + 1].start_flat()
             gap_p = np.max(np.abs(a[0] - b[0]))
             gap_v = np.max(np.abs(a[1] - b[1]))
-            if gap_p > self.joint_tol or gap_v > self.joint_tol:
+            if gap_p > JOINT_TOL or gap_v > JOINT_TOL:
                 raise ValueError(
                     f"discontinuous joint between segments {i} and {i+1}: "
                     f"|dp|={gap_p:.2e}, |dv|={gap_v:.2e}"
@@ -414,14 +408,13 @@ class HybridTrajectory:
         return float(self.starts[-1])
 
     def locate(self, t: float) -> Tuple[Segment, float]:
-        tau = t - self.t0
-        if tau >= self.duration:
+        if t >= self.duration:
             seg = self.segments[-1]
             return seg, seg.duration
-        tau = max(tau, 0.0)
-        idx = int(np.searchsorted(self.starts, tau, side="right") - 1)
+        t = max(t, 0.0)
+        idx = int(np.searchsorted(self.starts, t, side="right") - 1)
         idx = min(idx, len(self.segments) - 1)
-        return self.segments[idx], tau - float(self.starts[idx])
+        return self.segments[idx], t - float(self.starts[idx])
 
     def reference(
         self,
@@ -431,7 +424,7 @@ class HybridTrajectory:
         clamp: bool = False,
     ) -> ReferencePoint:
         seg, tau = self.locate(t)
-        past_end = (t - self.t0) >= self.duration
+        past_end = t >= self.duration
         f = seg.flat(tau)
         if past_end:
             f = f.copy()
@@ -443,7 +436,7 @@ class HybridTrajectory:
             hint = psi_hint if psi_hint is not None else seg.heading_hint(tau)
             sample = FlatSampleGround(
                 p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
-                T_Bz=T, dT_Bz=dT, ddT_Bz=ddT, alpha=seg.alpha, t=t, psi_hint=hint,
+                T_Bz=T, dT_Bz=dT, ddT_Bz=ddT, t=t, psi_hint=hint,
             )
             return ground_flat_to_reference(sample, params, clamp=clamp)
         yaw = seg.yaw(tau)

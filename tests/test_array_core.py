@@ -62,9 +62,8 @@ def test_quat_derivative_batch_equals_rows(qw):
 @given(
     arrays(np.float64, st.tuples(st.integers(1, 6), st.just(7)), elements=finite),
     st.booleans(),
-    st.booleans(),
 )
-def test_ground_contact_batch_equals_rows(cols, sliding, clamp):
+def test_ground_contact_batch_equals_rows(cols, sliding):
     F_n, f_l_req, tau_x, theta, u_long, w_lat = (cols[:, j] for j in range(6))
     F_n = 4.0 * F_n  # both signs, lift-off on either wheel
     u_long = np.where(cols[:, 6] > 0, u_long, 0.002 * u_long)  # also inside SPEED_EPS
@@ -73,7 +72,7 @@ def test_ground_contact_batch_equals_rows(cols, sliding, clamp):
     def contact(k):
         return dyn.ground_contact(
             F_n[k], f_l_req[k], tau_x[k], cth[k], sth[k], u_long[k], PARAMS,
-            w_lat=w_lat[k] if sliding else None, clamp_liftoff=clamp,
+            w_lat=w_lat[k] if sliding else None,
         )
 
     batch = contact(slice(None))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wheeled_bicopter import cli
 from wheeled_bicopter.core import ConfigError
+from wheeled_bicopter.dynamics import Simulator
 
 
 def tiny_hover_doc(duration=0.4, seed=3):
@@ -164,6 +165,10 @@ def _environment_not_an_object(doc):
         _set("environment", slip_enabled="false"),
         _set("run", rmse_planar=None),
         _top(name=["tiny"]),
+        _set("controller", q_p=[1.0, 2.0]),
+        _set("controller", q_u=[1.0]),
+        _set("controller", q_q=[[1, 2], [3, 4]]),
+        _set("controller", q_p=5.0),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
@@ -177,7 +182,8 @@ def _environment_not_an_object(doc):
          "negative_speed_case_limit", "decimation_not_an_integer", "decimation_bool",
          "seed_not_an_integer", "negative_seed", "run_label_unknown",
          "environment_not_an_object", "p0_with_null", "run_shorter_than_a_control_period",
-         "slip_enabled_not_a_bool", "rmse_planar_not_a_bool", "name_not_a_string"],
+         "slip_enabled_not_a_bool", "rmse_planar_not_a_bool", "name_not_a_string",
+         "q_p_too_short", "q_u_too_short", "q_q_a_matrix", "q_p_a_scalar"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()
@@ -354,6 +360,21 @@ def test_open_loop_simulate_smoke(tmp_path):
     assert lines[0] == cli.REFLOG_COLUMNS
     assert len(lines) > 40
     assert lines[1].endswith("GROUND")
+
+
+def test_open_loop_steps_at_the_scenario_control_rate(monkeypatch):
+    doc = tiny_ground_doc(duration=0.3)
+    doc["environment"]["control_rate_hz"] = 100.0
+    holds = []
+    apply = Simulator.apply
+
+    def counted(sim, u, duration):
+        holds.append(duration)
+        apply(sim, u, duration)
+
+    monkeypatch.setattr(Simulator, "apply", counted)
+    cli.run_open_loop(cli.ScenarioConfig.from_dict(doc))
+    assert holds == [1.0 / 100.0] * round(0.3 * 100)
 
 
 def test_main_exit_code_infeasible_reference(tmp_path):

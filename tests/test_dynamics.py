@@ -11,6 +11,7 @@ from wheeled_bicopter.core import (
     Orientation,
     RobotState,
     VehicleParams,
+    quat_normalize,
     quat_to_euler,
     quat_to_matrix,
     vec3,
@@ -142,9 +143,7 @@ def ground_reaction(params, u, a_l, v=(0.0, 0.0, 0.0), theta=0.0):
     cth, sth = math.cos(theta), math.sin(theta)
     F_n = params.m * params.g - w.T_B[2] * cth
     f_l_req = params.m * a_l - w.T_B[1]
-    forces = dyn.ground_contact(
-        F_n, f_l_req, w.tau_B[0], cth, sth, v[0], params, clamp_liftoff=True
-    )
+    forces = dyn.ground_contact(F_n, f_l_req, w.tau_B[0], cth, sth, v[0], params)
     return w, F_n, forces
 
 
@@ -172,19 +171,21 @@ def test_ground_reaction_turning_case(params):
     w, F_n, (_, f_l, F_nl, F_nr, lift, _, _) = ground_reaction(params, u, 2.0, v=(1.0, 0, 0))
     assert w.T_B[1] == pytest.approx(-1.0, abs=1e-12)
     assert f_l == pytest.approx(0.83 * 2.0 + 1.0, abs=1e-9)
-    # independent re-derivation of the per-wheel split (raw, before the
-    # lift-off clamp; this combination tips the load past one wheel)
+    # independent re-derivation of the raw per-wheel split (this
+    # combination tips the load past one wheel)
     split = (f_l * params.r + w.tau_B[0] * 1.0) / params.W
     left_raw = F_n / 2 - split
     right_raw = F_n / 2 + split
     assert left_raw + right_raw == pytest.approx(F_n, abs=1e-12)
     assert lift
-    assert F_nl == max(left_raw, 0.0)
+    assert left_raw < 0.0
+    assert F_nl == pytest.approx(left_raw, abs=1e-12)
     assert F_nr == pytest.approx(right_raw, abs=1e-12)
 
 
 def test_ground_reaction_torque_rows_from_per_wheel_forces(params):
     rng = np.random.default_rng(6)
+    lifted = 0
     for _ in range(50):
         u = ControlInput(
             rng.uniform(0.5, 3.5), rng.uniform(0.5, 3.5),
@@ -195,13 +196,14 @@ def test_ground_reaction_torque_rows_from_per_wheel_forces(params):
         _, _, (_, _, F_nl, F_nr, lift, G2, G3) = ground_reaction(
             params, u, rng.uniform(-1.0, 1.0), v=v, theta=theta
         )
-        if lift:
-            continue
-        f_rl, f_rr = -params.mu * F_nl, -params.mu * F_nr  # rolling forward
+        lifted += bool(lift)
+        # rolling forward; a lifted wheel (negative raw normal) rolls freely
+        f_rl, f_rr = -params.mu * max(F_nl, 0.0), -params.mu * max(F_nr, 0.0)
         assert G3 == pytest.approx((f_rr - f_rl) * params.W, abs=1e-12)
         assert G2 == pytest.approx(
             (params.m - 2 * params.m_w) * params.h2 * params.g * math.sin(theta), abs=1e-12
         )
+    assert lifted  # the seed covers rows with a lifted wheel
 
 
 def test_ground_reaction_wheel_liftoff_flagged(params):
@@ -210,8 +212,7 @@ def test_ground_reaction_wheel_liftoff_flagged(params):
     u = ControlInput(3.0, 3.0, delta, delta)
     _, _, (_, _, F_nl, F_nr, lift, _, _) = ground_reaction(params, u, 4.0, v=(1, 0, 0))
     assert lift
-    assert F_nl == 0.0 or F_nr == 0.0
-    assert min(F_nl, F_nr) >= 0.0
+    assert min(F_nl, F_nr) < 0.0  # raw normals: the lifted wheel would pull
 
 
 # ---------------------------------------------------------------------------
@@ -424,3 +425,90 @@ def test_simulator_slip_saturates_lateral_friction(params):
     # lateral velocity actually developed (constraint released)
     lat = abs(lateral_speed(sim.x))
     assert lat > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# one contact evaluation per plant step
+# ---------------------------------------------------------------------------
+
+
+def apply_with_separate_k1(sim, u, duration):
+    """Simulator.apply as a stepper that evaluates the contact diagnostics
+    and RK4's first stage in separate calls."""
+    ua = np.array(u, dtype=float)
+    P = sim.params
+    power = dyn.rotor_power(ua, P)
+    for _ in range(max(1, round(duration / sim.dt))):
+        x = sim.x.copy()
+        if sim.mode is Mode.AERIAL:
+            sim._try_touchdown(x, ua)
+        F_nl = F_nr = f_l = 0.0
+        lift = False
+        if sim.mode is Mode.GROUND:
+            _, diag = dyn._f_ground_batch(x, ua, P, slipping=sim.slipping)
+            F_n = float(diag["F_n"])
+            if F_n < 0.0:
+                sim.mode = Mode.AERIAL
+                sim.slipping = False
+            else:
+                stick = dyn.slip_check(float(diag["f_l_req"]), F_n, P)
+                if sim.slip_enabled and not sim.slipping and not stick:
+                    sim.slipping = True
+                    _, diag = dyn._f_ground_batch(x, ua, P, slipping=True)
+                elif (sim.slip_enabled and sim.slipping and stick
+                      and abs(float(diag["w_lat"])) < dyn.LATERAL_STICK_EPS):
+                    sim.slipping = False
+                    dyn._project_ground(x, keep_lateral=False)
+                    _, diag = dyn._f_ground_batch(x, ua, P, slipping=False)
+                F_nl = max(float(diag["F_nl"]), 0.0)
+                F_nr = max(float(diag["F_nr"]), 0.0)
+                f_l = float(diag["f_l"])
+                lift = bool(diag["lift_off"])
+                sim.lift_off_events += lift
+                sim.slip_steps += sim.slipping
+        sim.log.append(dyn.SimLogRow(
+            t=sim.t, x=x, u=ua, F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
+            slip=int(sim.slipping), lift_off=int(lift), power=power,
+        ))
+        xn = dyn.rk4_step(x, ua, sim.mode, sim.dt, P, sim.slipping)
+        xn[6:10] = quat_normalize(xn[6:10])
+        sim.x = xn
+        sim.t += sim.dt
+
+
+def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
+    # slow descent to touchdown; a tilted push that lifts the left wheel,
+    # then a harder one that slides both; low thrust until they stick
+    # again; full thrust to lift off
+    p = VehicleParams()
+    x0 = RobotState(
+        vec3(0, 0, p.r + 0.002), 0.8 * vec3(math.cos(0.1), math.sin(0.1), -0.0625),
+        Orientation.from_euler(0, 0.02, 0.1), vec3(0, 0, 0),
+    ).as_array()
+    descend, roll = 0.45 * p.weight, 0.3 * p.weight
+    phases = [([descend, descend, 0.0, 0.0], 40), ([2.5, 2.5, 0.35, 0.35], 20),
+              ([3.0, 3.0, 0.6, 0.6], 30), ([roll, roll, 0.0, 0.0], 200),
+              ([6.0, 6.0, 0.0, 0.0], 20)]
+    sims = [dyn.Simulator(params=p, x=x0, dt=1e-3, slip_enabled=True, mode=Mode.AERIAL)
+            for _ in range(2)]
+    seen = []
+    for u, steps in phases:
+        for _ in range(steps):
+            sims[0].apply(u, 1e-3)
+            apply_with_separate_k1(sims[1], u, 1e-3)
+            seen.append((sims[0].mode, sims[0].slipping))
+    modes, slips = [m for m, _ in seen], [s for _, s in seen]
+    # touchdown, lift-off, slip onset and re-stick all happen in ground mode
+    assert (Mode.AERIAL, Mode.GROUND) in set(zip(modes, modes[1:]))
+    assert (Mode.GROUND, Mode.AERIAL) in set(zip(modes, modes[1:]))
+    assert {(False, True), (True, False)} <= set(zip(slips, slips[1:]))
+    fast, ref = sims
+    assert fast.lift_off_events > 0  # a wheel lifted: k1 uses clamped normals
+    assert len(fast.log) == len(ref.log) == sum(n for _, n in phases)
+    for a, b in zip(fast.log, ref.log):
+        assert a.x.tobytes() == b.x.tobytes() and a.u.tobytes() == b.u.tobytes()
+        assert (a.t, a.F_n_left, a.F_n_right, a.f_l, a.slip, a.lift_off, a.power) == (
+            b.t, b.F_n_left, b.F_n_right, b.f_l, b.slip, b.lift_off, b.power)
+    assert fast.x.tobytes() == ref.x.tobytes()
+    assert (fast.t, fast.mode, fast.slipping, fast.slip_steps, fast.lift_off_events) == (
+        ref.t, ref.mode, ref.slipping, ref.slip_steps, ref.lift_off_events)

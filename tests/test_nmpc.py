@@ -529,8 +529,8 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
         assert np.all(sol.u_seq >= lo - 1e-9) and np.all(sol.u_seq <= hi + 1e-9)
         for k in range(cfg.K):
             if refs[k].mode is Mode.GROUND:
-                Fl, Fr = dyn.wheel_normals_batch(sol.x_pred[k], sol.u_seq[k], params)
-                assert Fl >= -1e-6 and Fr >= -1e-6
+                _, diag = dyn._f_ground_batch(sol.x_pred[k], sol.u_seq[k], params)
+                assert diag["F_nl"] >= -1e-6 and diag["F_nr"] >= -1e-6
 
     # scattered evaluation points around the lap (cold starts)
     for i in range(8):
