@@ -417,7 +417,7 @@ def _start(cfg: ScenarioConfig):
     traj, peaks = build_trajectory(cfg)
     ref0 = traj.reference(0.0, cfg.params)
     sim = Simulator(
-        params=cfg.params, x=ref0.x_array(), dt=1.0 / cfg.environment["sim_rate_hz"],
+        params=cfg.params, x=ref0.x, dt=1.0 / cfg.environment["sim_rate_hz"],
         mode=ref0.mode, slip_enabled=cfg.environment["slip_enabled"],
     )
     return traj, peaks, sim
@@ -529,39 +529,29 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     speed: the full vehicle with vectored lateral thrust, and an ablation
     with opposed servo tilts (no net side force, the quadrotor-equivalent)."""
     speeds = cfg.trajectory.get("speed_cases", [[1.0, 0.7], [2.0, 1.8]])
+
+    def crossed(tick) -> bool:
+        return abs(_lateral_error(tick)) > LATERAL_FAIL_THRESHOLD
+
     cases = []
     for v_max, a_max in speeds:
+        doc_traj = {**cfg.trajectory, "kind": "eight_ground", "v_max": v_max, "a_max": a_max}
+        doc_traj.pop("speed_cases", None)
         for variant in ("full", "no_lateral"):
-            doc_traj = dict(cfg.trajectory)
-            doc_traj["kind"] = "eight_ground"
-            doc_traj["v_max"] = v_max
-            doc_traj["a_max"] = a_max
-            doc_traj.pop("speed_cases", None)
             ctrl = replace(cfg.controller, lock_lateral=(variant == "no_lateral"))
             sub = replace(
                 cfg, name=f"{cfg.name}_{variant}_v{v_max}", controller=ctrl, trajectory=doc_traj
             )
-
-            def crossed(tick) -> bool:
-                return abs(_lateral_error(tick)) > LATERAL_FAIL_THRESHOLD
-
+            case = {"v_max": v_max, "a_max": a_max, "variant": variant}
             try:
                 res = run_scenario(sub, out_dir=None, quiet=True, stop_when=crossed)
                 max_lat = float(max(abs(_lateral_error(row)) for row in res.runlog.ticks))
-                completed = not res.summary["stopped_early"] and (
-                    max_lat <= LATERAL_FAIL_THRESHOLD
-                )
-                cases.append({
-                    "v_max": v_max, "a_max": a_max, "variant": variant,
-                    "completed": completed, "max_lateral_error_m": max_lat,
-                    "rmse_m": res.summary["rmse_m"],
-                    "slip_steps": res.summary["slip_steps"],
-                })
+                completed = not res.summary["stopped_early"] and max_lat <= LATERAL_FAIL_THRESHOLD
+                case.update(completed=completed, max_lateral_error_m=max_lat,
+                            rmse_m=res.summary["rmse_m"], slip_steps=res.summary["slip_steps"])
             except (SolverFailure, DivergenceError) as exc:
-                cases.append({
-                    "v_max": v_max, "a_max": a_max, "variant": variant,
-                    "completed": False, "failure": str(exc),
-                })
+                case.update(completed=False, failure=str(exc))
+            cases.append(case)
     first_fail = {}
     for case in cases:
         if not case["completed"]:
@@ -692,15 +682,12 @@ REFLOG_COLUMNS = (
 
 def export_references(traj, params: VehicleParams, duration: float, dt: float,
                       out_path: Path) -> Path:
-    """Sample the reference pipeline along the trajectory and write one row
-    per sample (state, input, mode) for offline inspection."""
-    def rows():
-        hint = None
-        for i in range(round(duration / dt) + 1):
-            ref = traj.reference(i * dt, params, psi_hint=hint, clamp=True)
-            hint = ref.psi
-            yield [i * dt, *ref.x_array(), *ref.u_array(), ref.mode.name]
-    return _write_csv(out_path, REFLOG_COLUMNS, rows())
+    """Sample the reference pipeline along the trajectory, heading-continuous
+    from t = 0, and write one row per sample (state, input, mode) for
+    offline inspection."""
+    refs = traj.sample_references(0.0, round(duration / dt), dt, params, clamp=True)
+    return _write_csv(out_path, REFLOG_COLUMNS,
+                      ([ref.t, *ref.x, *ref.u, ref.mode.name] for ref in refs))
 
 
 def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
@@ -716,8 +703,8 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     for _ in range(round(duration * rate)):
         ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
         hint = ref.psi
-        sim.apply(ref.u_array(), 1.0 / rate)
-        drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x_r.p)))
+        sim.apply(ref.u, 1.0 / rate)
+        drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x[0:3])))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         export_references(
@@ -759,13 +746,14 @@ def main(argv=None) -> int:
         ("export", "re-shape a runlog CSV into tidy long format"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", type=str, default=None, help="scenario JSON path")
-        p.add_argument("--scenario", type=str, default=None, help="bundled scenario name")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--quiet", action="store_true")
         if name == "export":
             p.add_argument("--runlog", type=str, required=False, help="runlog CSV to export")
+        elif name != "analyze":
+            p.add_argument("--config", type=str, default=None, help="scenario JSON path")
+            p.add_argument("--scenario", type=str, default=None, help="bundled scenario name")
+            p.add_argument("--seed", type=int, default=None, help="override RNG seed")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out) if args.out else None

@@ -174,10 +174,6 @@ class Orientation:
     def __post_init__(self):
         self.q = quat_normalize(self.q)
 
-    @classmethod
-    def from_euler(cls, phi: float, theta: float, psi: float) -> "Orientation":
-        return cls(quat_from_euler(phi, theta, psi))
-
     def to_euler(self) -> Tuple[float, float, float]:
         return quat_to_euler(self.q)
 

@@ -36,10 +36,11 @@ from .core import (
     ControlInput,
     InfeasibleReferenceError,
     Mode,
-    Orientation,
     RobotState,
     Vec3,
     VehicleParams,
+    quat_from_euler,
+    quat_normalize,
 )
 from .dynamics import ground_contact, heading_inertia
 
@@ -87,14 +88,18 @@ class FlatSampleAerial:
 class ReferencePoint:
     """Reference state/input pair recovered from a flat sample.
 
+    `x` is the packed state [p, v, q, omega] (13,) and `u` the packed input
+    [T1, T2, delta1, delta2] (4,).  Horizon windows share these arrays
+    between overlapping ticks, so they are read-only.
+
     `heading` says what a heading hint does to the sample: "explicit" (a
     prescribed yaw; the hint is ignored), "tangent" (the travel direction;
     the hint only unwraps it by whole turns) or "held" (the hint is the
     heading).
     """
 
-    x_r: RobotState
-    u_r: ControlInput
+    x: np.ndarray
+    u: np.ndarray
     mode: Mode
     t: float
     flags: Tuple[str, ...] = ()
@@ -102,23 +107,35 @@ class ReferencePoint:
     psi: float = 0.0  # unwrapped heading used by the transform
     heading: str = "explicit"
 
-    def x_array(self) -> np.ndarray:
-        return self.x_r.as_array()
+    def __post_init__(self):
+        self.x.flags.writeable = False
+        self.u.flags.writeable = False
 
-    def u_array(self) -> np.ndarray:
-        return self.u_r.as_array()
+    @property
+    def x_r(self) -> RobotState:
+        """Typed view of `x`, built on each access."""
+        x = self.x.copy()
+        return RobotState(x[0:3], x[3:6], x[6:10], x[10:13])
+
+    @property
+    def u_r(self) -> ControlInput:
+        """Typed view of `u`, built on each access."""
+        return ControlInput(*self.u.tolist())
+
+    def x_array(self) -> np.ndarray:
+        """The packed state `x` itself."""
+        return self.x
 
     def turned(self, n: int) -> "ReferencePoint":
         """The same point with its heading n whole turns on: psi + 2 pi n,
         and the quaternion negated exactly for odd n (q(psi + 2 pi) = -q(psi))."""
         if n == 0:
             return self
-        x_r = self.x_r
+        x = self.x
         if n % 2:
-            q = Orientation.__new__(Orientation)  # no re-normalization
-            q.q = -x_r.q.q
-            x_r = replace(x_r, q=q)
-        return replace(self, x_r=x_r, psi=self.psi + 2 * math.pi * n)
+            x = x.copy()
+            x[6:10] = -x[6:10]
+        return replace(self, x=x, psi=self.psi + 2 * math.pi * n)
 
 
 def heading_turns(psi: float, psi_hint: float) -> int:
@@ -126,26 +143,23 @@ def heading_turns(psi: float, psi_hint: float) -> int:
     return round((psi_hint - psi) / (2 * math.pi))
 
 
-def ground_yaw(
-    v: Vec3, alpha: int, psi_hint: Optional[float] = None
-) -> Tuple[float, bool]:
-    """Heading from the planar velocity: psi = alpha * atan2(vy, vx).
+def travel_heading(v: Vec3, a: Vec3, j: Vec3, alpha: int,
+                   psi_hint: Optional[float]) -> Optional[Tuple[float, float, float, bool]]:
+    """Heading along the planar travel direction, psi = alpha * atan2(vy, vx),
+    with its rate and acceleration: (psi, psi_dot, psi_ddot, held).
 
-    Below the speed dead-band the previous heading (psi_hint) is held and the
-    hold is flagged.  The returned angle is unwrapped to within pi of the
-    hint when one is given.
+    Below the speed dead-band the hint is held with zero rates (held is
+    True), and without a hint there is no heading (None).  Otherwise psi is
+    unwrapped to within pi of the hint when one is given.
     """
-    speed = math.hypot(float(v[0]), float(v[1]))
-    if speed < SPEED_EPS:
+    if math.hypot(float(v[0]), float(v[1])) < SPEED_EPS:
         if psi_hint is None:
-            raise InfeasibleReferenceError(
-                "heading undefined at rest and no held value available"
-            )
-        return float(psi_hint), True
+            return None
+        return float(psi_hint), 0.0, 0.0, True
     psi = alpha * math.atan2(float(v[1]), float(v[0]))
     if psi_hint is not None:
         psi += 2 * math.pi * heading_turns(psi, psi_hint)
-    return psi, False
+    return (psi, *tangent_yaw_derivatives(v, a, j, alpha), False)
 
 
 def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float) -> Vec3:
@@ -156,14 +170,17 @@ def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float
 
 
 def _roll_free_state(sample, theta: float, theta_dot: float, psi: float,
-                     psi_dot: float) -> RobotState:
-    """Reference state of a flat sample with the roll-free attitude (0, theta, psi)."""
-    return RobotState(
-        p=np.asarray(sample.p, dtype=float).copy(),
-        v=np.asarray(sample.v, dtype=float).copy(),
-        q=Orientation.from_euler(0.0, theta, psi),
-        omega=ground_body_rates(theta, theta_dot, psi, psi_dot),
-    )
+                     psi_dot: float) -> np.ndarray:
+    """Packed reference state of a flat sample with the roll-free attitude
+    (0, theta, psi); raises ValueError on a non-finite p, v or omega."""
+    x = np.concatenate([
+        np.asarray(sample.p, dtype=float), np.asarray(sample.v, dtype=float),
+        quat_normalize(quat_from_euler(0.0, theta, psi)),
+        ground_body_rates(theta, theta_dot, psi, psi_dot),
+    ])
+    if not (np.all(np.isfinite(x[0:6])) and np.all(np.isfinite(x[10:13]))):
+        raise ValueError("non-finite state component")
+    return x
 
 
 def wheel_normals(
@@ -220,7 +237,7 @@ def _heading_torque(
 def _assemble_input(
     a1: float, a2: float, b1: float, b2: float, params: VehicleParams, t: float,
     clamp: bool,
-) -> Tuple[ControlInput, Tuple[str, ...]]:
+) -> Tuple[np.ndarray, Tuple[str, ...]]:
     flags = []
     T1, T2 = math.hypot(a1, b1), math.hypot(a2, b2)
     d1, d2 = math.atan2(b1, a1), math.atan2(b2, a2)
@@ -239,7 +256,7 @@ def _assemble_input(
         d1 = max(-params.delta_max, min(params.delta_max, d1))
         d2 = max(-params.delta_max, min(params.delta_max, d2))
         flags.append("input_clamped")
-    return ControlInput(T1, T2, d1, d2), tuple(flags)
+    return np.array([T1, T2, d1, d2]), tuple(flags)
 
 
 def ground_flat_to_reference(
@@ -264,20 +281,15 @@ def ground_flat_to_reference(
             f"ground sample must be planar (vz={sample.v[2]}, az={sample.a[2]})"
         )
 
-    flags = []
-    psi, held = ground_yaw(sample.v, alpha, sample.psi_hint)
-    if held:
-        flags.append("psi_held")
-        psi_dot = psi_ddot = 0.0
-        mu_eff = 0.0
-        speed = 0.0
-    else:
-        psi_dot, psi_ddot = tangent_yaw_derivatives(sample.v, sample.a, sample.j, alpha)
-        mu_eff = alpha * params.mu
-        speed = math.hypot(float(sample.v[0]), float(sample.v[1]))
+    heading = travel_heading(sample.v, sample.a, sample.j, alpha, sample.psi_hint)
+    if heading is None:
+        raise InfeasibleReferenceError("heading undefined at rest and no held value available")
+    psi, psi_dot, psi_ddot, held = heading
+    flags = ["psi_held"] if held else []
+    mu_eff = 0.0 if held else alpha * params.mu
 
     xg, yg = _heading_frame(psi)
-    a_l = speed * psi_dot
+    a_l = math.hypot(float(sample.v[0]), float(sample.v[1])) * psi_dot
 
     # pitch and its derivatives from the longitudinal force balance
     c = math.sqrt(1.0 + mu_eff * mu_eff)
@@ -339,11 +351,11 @@ def ground_flat_to_reference(
     b1 = 0.5 * (-y - d)
     b2 = 0.5 * (d - y)
 
-    u_r, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
+    u, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
     flags.extend(clamp_flags)
 
     return ReferencePoint(
-        x_r=_roll_free_state(sample, theta, theta_dot, psi, psi_dot), u_r=u_r,
+        x=_roll_free_state(sample, theta, theta_dot, psi, psi_dot), u=u,
         mode=Mode.GROUND, t=sample.t, flags=tuple(flags), psi=psi,
         heading="held" if held else "tangent",
     )
@@ -410,15 +422,10 @@ def aerial_flat_to_reference(
     b2 = 0.5 * (bsum + bdiff)
     roll_residual = float(tau_req[0] - T_By * params.h1)
 
-    u_r, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
+    u, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
 
     return ReferencePoint(
-        x_r=_roll_free_state(sample, theta, theta_dot, psi, psi_dot),
-        u_r=u_r,
-        mode=Mode.AERIAL,
-        t=sample.t,
-        flags=clamp_flags,
-        roll_residual=roll_residual,
-        psi=psi,
+        x=_roll_free_state(sample, theta, theta_dot, psi, psi_dot), u=u, mode=Mode.AERIAL,
+        t=sample.t, flags=clamp_flags, roll_residual=roll_residual, psi=psi,
         heading=sample.heading,
     )

@@ -44,6 +44,11 @@ FD_STEP = 1e-6
 MAX_DEGRADED = 10
 
 
+def _finite(value) -> bool:
+    """A finite real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class NmpcConfig:
     """Horizon, weights and solver knobs (defaults: 20 steps of 50 ms,
@@ -75,8 +80,20 @@ class NmpcConfig:
         # slack_penalty > 0 makes every softened newton cost something
         for name in ("dt", "kkt_tol", "slack_reg", "slack_penalty"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not (_finite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        margin = self.constraint_margin
+        if not _finite(margin):
+            raise ValueError(f"constraint_margin must be a finite number, got {margin!r}")
+        if not isinstance(self.lock_lateral, bool):
+            raise ValueError(f"lock_lateral must be true or false, got {self.lock_lateral!r}")
+        for name in ("u_min", "u_max"):
+            value = getattr(self, name)
+            if value is not None:
+                if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 4
+                        and all(map(_finite, value))):
+                    raise ValueError(f"{name} must be 4 finite numbers, got {value!r}")
+                setattr(self, name, np.asarray(value, dtype=float))
         for name, size in (("q_p", 3), ("q_v", 3), ("q_q", 4), ("q_w", 3), ("q_u", 4)):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (size,):
@@ -89,13 +106,9 @@ class NmpcConfig:
         return np.concatenate([self.q_p, self.q_v, self.q_q, self.q_w])
 
     def bounds(self, params: VehicleParams) -> Tuple[np.ndarray, np.ndarray]:
-        lo = self.u_min if self.u_min is not None else np.array(
-            [0.0, 0.0, -params.delta_max, -params.delta_max]
-        )
-        hi = self.u_max if self.u_max is not None else np.array(
-            [params.T_max, params.T_max, params.delta_max, params.delta_max]
-        )
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        d = params.delta_max
+        lo = self.u_min if self.u_min is not None else np.array([0.0, 0.0, -d, -d])
+        hi = self.u_max if self.u_max is not None else np.array([params.T_max, params.T_max, d, d])
         if np.any(lo >= hi):
             raise ValueError("u_min must be componentwise below u_max")
         return lo, hi
@@ -171,13 +184,11 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
             k1, diag = _f_ground_batch(xm, um, params)
             Fl = diag["F_nl"].reshape(len(idx), nb)
             Fr = diag["F_nr"].reshape(len(idx), nb)
-            for j, k in enumerate(idx):
-                normals[k] = (Fl[j], Fr[j])
+            normals.update(zip(idx, zip(Fl, Fr)))
         out = rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
-        for j, k in enumerate(idx):
-            x_next[k] = out[j, 0]
-            A[k] = (out[j, 1 : 1 + n] - out[j, 0]).T / FD_STEP
-            B[k] = (out[j, 1 + n :] - out[j, 0]).T / FD_STEP
+        x_next[idx] = out[:, 0]
+        A[idx] = (out[:, 1 : 1 + n] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
+        B[idx] = (out[:, 1 + n :] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
     return x_next, A, B, normals
 
 
@@ -438,8 +449,8 @@ def solve(
     x_current = np.asarray(x_current, dtype=float)
     lo, hi = cfg.bounds(params)
 
-    u_ref = np.stack([r.u_array() for r in refs[:K]])
-    x_ref = np.stack([r.x_array() for r in refs])
+    u_ref = np.stack([r.u for r in refs[:K]])
+    x_ref = np.stack([r.x for r in refs])
     if warm_start is None:
         u_bar = u_ref.copy()
         x_bar = x_ref.copy()
@@ -673,7 +684,7 @@ def control_loop(
         sim.apply(sol.u_seq[0], dt_ctrl)
         tick = TickRow(
             t=t,
-            x_ref=refs[0].x_array(),
+            x_ref=refs[0].x,
             x=x_meas,
             u=sol.u_seq[0].copy(),
             mode=refs[0].mode.name,

@@ -16,7 +16,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import SPEED_EPS, InfeasibleReferenceError, Mode, VehicleParams
+from .core import InfeasibleReferenceError, Mode, VehicleParams
 from .flatness import (
     FlatSampleAerial,
     FlatSampleGround,
@@ -24,7 +24,7 @@ from .flatness import (
     aerial_flat_to_reference,
     ground_flat_to_reference,
     heading_turns,
-    tangent_yaw_derivatives,
+    travel_heading,
 )
 
 
@@ -442,23 +442,16 @@ class HybridTrajectory:
         yaw = seg.yaw(tau)
         heading = "explicit"
         if yaw is None:
-            speed = math.hypot(f[1][0], f[1][1])
-            if speed < SPEED_EPS or past_end:
-                base = psi_hint if psi_hint is not None else (seg.heading_hint(tau) or 0.0)
-                yaw = (base, 0.0, 0.0)
-                heading = "held"
-            else:
-                chi = math.atan2(f[1][1], f[1][0])
-                if psi_hint is not None:
-                    chi += 2 * math.pi * heading_turns(chi, psi_hint)
-                cd, cdd = tangent_yaw_derivatives(f[1], f[2], f[3])
-                yaw = (chi, cd, cdd)
-                heading = "tangent"
+            # at rest without a chain hint: the segment's heading, or 0
+            yaw = travel_heading(f[1], f[2], f[3], 1, psi_hint) or (
+                seg.heading_hint(tau) or 0.0, 0.0, 0.0, True)
+            heading = "held" if yaw[3] else "tangent"
+        psi, psi_dot, psi_ddot = yaw[:3]
         if past_end:
-            yaw = (yaw[0], 0.0, 0.0)
+            psi_dot = psi_ddot = 0.0
         sample = FlatSampleAerial(
             p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
-            psi=yaw[0], psi_dot=yaw[1], psi_ddot=yaw[2], t=t, heading=heading,
+            psi=psi, psi_dot=psi_dot, psi_ddot=psi_ddot, t=t, heading=heading,
         )
         return aerial_flat_to_reference(sample, params, clamp=clamp)
 

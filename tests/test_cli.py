@@ -169,6 +169,17 @@ def _environment_not_an_object(doc):
         _set("controller", q_u=[1.0]),
         _set("controller", q_q=[[1, 2], [3, 4]]),
         _set("controller", q_p=5.0),
+        _set("controller", lock_lateral="no"),
+        _set("controller", lock_lateral=1),
+        _set("controller", constraint_margin="x"),
+        _set("controller", constraint_margin=None),
+        _set("controller", constraint_margin=[1, 2]),
+        _set("controller", constraint_margin=True),
+        _set("controller", u_max=[None, 8.0, 0.7, 0.7]),
+        _set("controller", u_min=[0.0, None, -0.7, -0.7]),
+        _set("controller", u_max=[8.0, 8.0, 0.7]),
+        _set("controller", u_max=[8.0, 8.0, True, 0.7]),
+        _set("controller", u_min="low"),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
@@ -183,7 +194,11 @@ def _environment_not_an_object(doc):
          "seed_not_an_integer", "negative_seed", "run_label_unknown",
          "environment_not_an_object", "p0_with_null", "run_shorter_than_a_control_period",
          "slip_enabled_not_a_bool", "rmse_planar_not_a_bool", "name_not_a_string",
-         "q_p_too_short", "q_u_too_short", "q_q_a_matrix", "q_p_a_scalar"],
+         "q_p_too_short", "q_u_too_short", "q_q_a_matrix", "q_p_a_scalar",
+         "lock_lateral_a_string", "lock_lateral_an_integer", "constraint_margin_a_string",
+         "constraint_margin_null", "constraint_margin_a_list", "constraint_margin_bool",
+         "u_max_with_null", "u_min_with_null", "u_max_too_short", "u_max_with_bool",
+         "u_min_a_string"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()
@@ -200,6 +215,18 @@ def test_main_overflowing_number_exits_with_config_error(tmp_path, capsys):
     path.write_text(json.dumps(tiny_hover_doc()).replace('"duration": 0.4', '"duration": 1e999'))
     assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--scenario", "aerial_8shape"],
+    ["analyze", "--seed", "5"],
+    ["analyze", "--config", "scenario.json"],
+    ["export", "--scenario", "aerial_8shape", "--runlog", "runlog.csv"],
+])
+def test_subcommand_rejects_options_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_main_rejects_negative_seed_override():

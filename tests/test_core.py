@@ -11,6 +11,7 @@ from wheeled_bicopter.core import (
     RobotState,
     VehicleParams,
     quat_derivative,
+    quat_from_euler,
     quat_normalize,
     quat_to_matrix,
     vec3,
@@ -19,12 +20,12 @@ from wheeled_bicopter.flatness import heading_turns
 
 
 def test_euler_identity():
-    o = Orientation.from_euler(0.0, 0.0, 0.0)
+    o = Orientation(quat_from_euler(0.0, 0.0, 0.0))
     np.testing.assert_allclose(quat_to_matrix(o.q), np.eye(3), atol=1e-15)
 
 
 def test_euler_yaw_quarter_turn_maps_x_to_y():
-    o = Orientation.from_euler(0.0, 0.0, math.pi / 2)
+    o = Orientation(quat_from_euler(0.0, 0.0, math.pi / 2))
     np.testing.assert_allclose(quat_to_matrix(o.q) @ vec3(1, 0, 0), vec3(0, 1, 0), atol=1e-12)
 
 
@@ -34,13 +35,13 @@ def test_euler_round_trip_random():
         phi = rng.uniform(-math.pi, math.pi)
         theta = rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01)
         psi = rng.uniform(-math.pi, math.pi)
-        back = Orientation.from_euler(phi, theta, psi).to_euler()
+        back = Orientation(quat_from_euler(phi, theta, psi)).to_euler()
         np.testing.assert_allclose(back, (phi, theta, psi), atol=1e-9)
 
 
 def test_euler_matches_rotation_product():
     phi, theta, psi = 0.3, -0.4, 1.1
-    o = Orientation.from_euler(phi, theta, psi)
+    o = Orientation(quat_from_euler(phi, theta, psi))
     Rx = np.array(
         [[1, 0, 0], [0, math.cos(phi), -math.sin(phi)], [0, math.sin(phi), math.cos(phi)]]
     )
@@ -54,7 +55,7 @@ def test_euler_matches_rotation_product():
 
 
 def test_gimbal_lock_reported():
-    o = Orientation.from_euler(0.0, math.pi / 2 - 5e-4, 0.0)
+    o = Orientation(quat_from_euler(0.0, math.pi / 2 - 5e-4, 0.0))
     with pytest.raises(GimbalLockError):
         o.to_euler()
 
@@ -70,7 +71,7 @@ def test_rotation_matrix_orthonormal():
 
 def yaw_matrix(psi):
     """Rotation from the heading frame to the world frame: a pure yaw."""
-    return quat_to_matrix(Orientation.from_euler(0.0, 0.0, psi).q)
+    return quat_to_matrix(Orientation(quat_from_euler(0.0, 0.0, psi)).q)
 
 
 def test_yaw_rotation_identity_and_pi():
@@ -147,7 +148,8 @@ def test_params_from_dict_rejects_unknown_keys():
 
 def test_state_pack_round_trip():
     s = RobotState(
-        vec3(1, 2, 3), vec3(0.1, -0.2, 0.3), Orientation.from_euler(0.1, 0.2, 0.3), vec3(1, 0, -1)
+        vec3(1, 2, 3), vec3(0.1, -0.2, 0.3), Orientation(quat_from_euler(0.1, 0.2, 0.3)),
+        vec3(1, 0, -1),
     )
     x = s.as_array()
     s2 = RobotState(x[0:3], x[3:6], x[6:10], x[10:13])

@@ -24,11 +24,13 @@ PUBLIC_API = {
     "dynamics.actuator_wrench",
     "dynamics.derivative",
     "flatness.lateral_thrust_approx",
+    "flatness.ReferencePoint.u_r",
+    "flatness.ReferencePoint.x_array",
+    "flatness.ReferencePoint.x_r",
     "flatness.wheel_normals",
     "nmpc.discretize",
     "nmpc.RunLog.input_series",
     "trajectory.Circle",
-    "trajectory.HybridTrajectory.sample_references",
 }
 
 

@@ -11,6 +11,7 @@ from wheeled_bicopter.core import (
     Orientation,
     RobotState,
     VehicleParams,
+    quat_from_euler,
     quat_normalize,
     quat_to_euler,
     quat_to_matrix,
@@ -132,7 +133,7 @@ def test_centripetal_straight_line(params):
 
 def ground_state(params, v=(0.0, 0.0, 0.0), theta=0.0, psi=0.0, omega=(0, 0, 0)):
     return RobotState(
-        vec3(0, 0, params.r), vec3(*v), Orientation.from_euler(0.0, theta, psi), vec3(*omega)
+        vec3(0, 0, params.r), vec3(*v), Orientation(quat_from_euler(0.0, theta, psi)), vec3(*omega)
     )
 
 
@@ -278,7 +279,7 @@ def test_rk4_fourth_order_convergence(params):
     u = ControlInput(4.2, 3.9, 0.12, -0.05)
     st0 = RobotState(
         vec3(0, 0, 2.0), vec3(0.5, -0.2, 0.1),
-        Orientation.from_euler(0.05, -0.1, 0.4), vec3(0.4, 0.3, -0.2),
+        Orientation(quat_from_euler(0.05, -0.1, 0.4)), vec3(0.4, 0.3, -0.2),
     )
 
     def integrate(dt, T=0.32):
@@ -353,7 +354,7 @@ def test_aerial_energy_balance(params):
     # energy change equals actuator work on a short horizon
     st = RobotState(
         vec3(0, 0, 1.5), vec3(0.4, -0.1, 0.2),
-        Orientation.from_euler(0.1, -0.05, 0.2), vec3(0.5, -0.3, 0.4),
+        Orientation(quat_from_euler(0.1, -0.05, 0.2)), vec3(0.5, -0.3, 0.4),
     )
     u = ControlInput(4.3, 3.8, 0.08, -0.03)
     dt = 2e-4
@@ -375,7 +376,7 @@ def test_ground_stick_constraints_hold(params):
     st = RobotState(
         vec3(0, 0, params.r),
         1.2 * vec3(math.cos(psi0), math.sin(psi0), 0.0),
-        Orientation.from_euler(0.0, 0.02, psi0),
+        Orientation(quat_from_euler(0.0, 0.02, psi0)),
         vec3(0, 0, 0.2),
     )
     u = ControlInput(2.0, 2.0, 0.04, 0.05)
@@ -415,7 +416,7 @@ def test_simulator_slip_saturates_lateral_friction(params):
     p = VehicleParams(mu_s=0.05)
     psi0 = 0.0
     x0 = RobotState(
-        vec3(0, 0, p.r), vec3(2.0, 0, 0), Orientation.from_euler(0, 0, psi0), vec3(0, 0, 1.5)
+        vec3(0, 0, p.r), vec3(2.0, 0, 0), Orientation(quat_from_euler(0, 0, psi0)), vec3(0, 0, 1.5)
     ).as_array()
     sim = dyn.Simulator(params=p, x=x0, dt=1e-3, slip_enabled=True, mode=Mode.GROUND)
     u = np.array([2.0, 2.0, 0.0, 0.0])
@@ -483,7 +484,7 @@ def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
     p = VehicleParams()
     x0 = RobotState(
         vec3(0, 0, p.r + 0.002), 0.8 * vec3(math.cos(0.1), math.sin(0.1), -0.0625),
-        Orientation.from_euler(0, 0.02, 0.1), vec3(0, 0, 0),
+        Orientation(quat_from_euler(0, 0.02, 0.1)), vec3(0, 0, 0),
     ).as_array()
     descend, roll = 0.45 * p.weight, 0.3 * p.weight
     phases = [([descend, descend, 0.0, 0.0], 40), ([2.5, 2.5, 0.35, 0.35], 20),

@@ -52,34 +52,51 @@ def reference_xdot_fd(make_ref, t, h=1e-4):
 
 
 # ---------------------------------------------------------------------------
-# ground yaw
+# travel heading
 # ---------------------------------------------------------------------------
 
 
-def test_ground_yaw_forward_x():
-    psi, held = fl.ground_yaw(vec3(1, 0, 0), 1)
-    assert psi == 0.0 and not held
+def heading(v, alpha=1, psi_hint=None, a=(0, 0, 0), j=(0, 0, 0)):
+    return fl.travel_heading(np.asarray(v, dtype=float), np.asarray(a, dtype=float),
+                             np.asarray(j, dtype=float), alpha, psi_hint)
 
 
-def test_ground_yaw_forward_y():
-    psi, _ = fl.ground_yaw(vec3(0, 2, 0), 1)
+def test_travel_heading_forward_x():
+    psi, psi_dot, psi_ddot, held = heading((1, 0, 0))
+    assert (psi, psi_dot, psi_ddot, held) == (0.0, 0.0, 0.0, False)
+
+
+def test_travel_heading_forward_y():
+    psi, _, _, _ = heading((0, 2, 0))
     assert psi == pytest.approx(math.pi / 2)
 
 
-def test_ground_yaw_reverse_flag_negates():
-    psi, _ = fl.ground_yaw(vec3(1, 1, 0), -1)
+def test_travel_heading_reverse_flag_negates():
+    psi, _, _, _ = heading((1, 1, 0), alpha=-1)
     assert psi == pytest.approx(-math.pi / 4)
 
 
-def test_ground_yaw_holds_below_deadband():
-    psi, held = fl.ground_yaw(vec3(1e-3, 0, 0), 1, psi_hint=0.7)
+def test_travel_heading_rates_are_the_tangent_rates():
+    v, a, j = vec3(1.0, 0.5, 0), vec3(-0.3, 0.8, 0), vec3(0.2, -0.1, 0)
+    for alpha in (1, -1):
+        _, psi_dot, psi_ddot, _ = fl.travel_heading(v, a, j, alpha, None)
+        assert (psi_dot, psi_ddot) == fl.tangent_yaw_derivatives(v, a, j, alpha)
+        assert psi_dot != 0.0 and psi_ddot != 0.0
+
+
+def test_travel_heading_holds_below_deadband_with_zero_rates():
+    psi, psi_dot, psi_ddot, held = heading((1e-3, 0, 0), psi_hint=0.7, a=(1, 2, 0), j=(3, 1, 0))
     assert held and psi == 0.7
-    with pytest.raises(InfeasibleReferenceError):
-        fl.ground_yaw(vec3(0, 0, 0), 1)
+    assert psi_dot == 0.0 and psi_ddot == 0.0
 
 
-def test_ground_yaw_unwraps_to_hint():
-    psi, _ = fl.ground_yaw(vec3(-1, -0.01, 0), 1, psi_hint=math.pi - 0.02)
+def test_travel_heading_at_rest_without_hint_is_none():
+    assert heading((0, 0, 0)) is None
+    assert heading((1e-3, 0, 0), a=(1, 0, 0)) is None
+
+
+def test_travel_heading_unwraps_to_hint():
+    psi, _, _, _ = heading((-1, -0.01, 0), psi_hint=math.pi - 0.02)
     assert abs(psi - (math.pi - 0.02)) < 0.1
 
 
@@ -257,10 +274,13 @@ def test_ground_transform_rest_sample(params):
     s = fl.FlatSampleGround(
         p=np.array([1.0, 2.0, params.r]),
         v=np.zeros(3), a=np.zeros(3), j=np.zeros(3), s=np.zeros(3),
-        T_Bz=4.0, psi_hint=0.4,
+        T_Bz=4.0,
     )
+    with pytest.raises(InfeasibleReferenceError, match="heading undefined at rest"):
+        fl.ground_flat_to_reference(s, params)
+    s.psi_hint = 0.4
     ref = fl.ground_flat_to_reference(s, params)
-    assert "psi_held" in ref.flags
+    assert "psi_held" in ref.flags and ref.heading == "held" and ref.psi == 0.4
     assert ref.u_r.T1 == pytest.approx(2.0, abs=1e-12)
     assert ref.u_r.delta1 == 0.0
     d = dyn.derivative(ref.x_r, ref.u_r, Mode.GROUND, params).as_array()
@@ -296,7 +316,7 @@ def test_psi_continuity_along_circle(params):
         s.psi_hint = hint
         ref = fl.ground_flat_to_reference(s, params)
         _, _, psi = ref.x_r.q.to_euler()
-        psi_cont = fl.ground_yaw(s.v, 1, hint)[0]
+        psi_cont = fl.travel_heading(s.v, s.a, s.j, 1, hint)[0]
         hint = psi_cont
         psis.append(psi_cont)
     assert np.all(np.abs(np.diff(psis)) < math.pi)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wheeled_bicopter.core import Mode, Orientation, RobotState, VehicleParams, vec3
+from wheeled_bicopter.core import (
+    Mode, Orientation, RobotState, VehicleParams, quat_from_euler, vec3)
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
@@ -68,7 +69,7 @@ def test_discretize_jacobians_match_central_differences(params, cfg):
             psi = rng.uniform(-2, 2)
             theta = rng.uniform(-0.25, 0.25)
             phi = 0.0 if mode is Mode.GROUND else rng.uniform(-0.25, 0.25)
-            q = Orientation.from_euler(phi, theta, psi).q
+            q = Orientation(quat_from_euler(phi, theta, psi)).q
             x[6:10] = q
             if mode is Mode.GROUND:
                 speed = rng.uniform(0.3, 2.0)
@@ -124,6 +125,58 @@ def test_discretize_step_composition(params):
 
     e1, e2 = compose_err(0.05), compose_err(0.025)
     assert e2 < e1 / 12.0  # ~2^-4 .. 2^-5 scaling
+
+
+def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
+    """Reference for nmpc._linearize_horizon: the same batched evaluations,
+    scattered into the outputs stage by stage."""
+    K, n, m = len(u_bar), 13, 4
+    nb = 1 + n + m
+    x_next, A, B, normals = np.empty((K, n)), np.empty((K, n, n)), np.empty((K, n, m)), {}
+    for mode in (Mode.GROUND, Mode.AERIAL):
+        idx = [k for k in range(K) if modes[k] is mode]
+        if not idx:
+            continue
+        xb = np.repeat(x_bar[idx], nb, axis=0).reshape(len(idx), nb, n)
+        ub = np.repeat(u_bar[idx], nb, axis=0).reshape(len(idx), nb, m)
+        xb[:, 1 : 1 + n] += nmpc.FD_STEP * np.eye(n)
+        ub[:, 1 + n :] += nmpc.FD_STEP * np.eye(m)
+        xm, um = xb.reshape(-1, n), ub.reshape(-1, m)
+        k1 = None
+        if mode is Mode.GROUND:
+            k1, diag = dyn._f_ground_batch(xm, um, params)
+            Fl = diag["F_nl"].reshape(len(idx), nb)
+            Fr = diag["F_nr"].reshape(len(idx), nb)
+            for j, k in enumerate(idx):
+                normals[k] = (Fl[j], Fr[j])
+        out = dyn.rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
+        for j, k in enumerate(idx):
+            x_next[k] = out[j, 0]
+            A[k] = (out[j, 1 : 1 + n] - out[j, 0]).T / nmpc.FD_STEP
+            B[k] = (out[j, 1 + n :] - out[j, 0]).T / nmpc.FD_STEP
+    return x_next, A, B, normals
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), ground=st.lists(st.booleans(), min_size=1, max_size=8))
+def test_linearize_horizon_equals_the_stage_loop(seed, ground):
+    params = VehicleParams()
+    rng = np.random.default_rng(seed)
+    modes = [Mode.GROUND if g else Mode.AERIAL for g in ground]
+    K = len(modes)
+    x_bar = np.stack([hover_state(params, (0.0, 0.0, params.r))] * (K + 1))
+    x_bar[:, 3:5] = rng.uniform(0.5, 1.5, (K + 1, 2))
+    x_bar[:, 6:10] += rng.normal(0.0, 0.05, (K + 1, 4))
+    x_bar[:, 6:10] /= np.linalg.norm(x_bar[:, 6:10], axis=1, keepdims=True)
+    u_bar = hover_input_array(params) * 0.6 + rng.uniform(-0.1, 0.1, (K, 4))
+    got = nmpc._linearize_horizon(x_bar, u_bar, modes, 0.05, params)
+    want = loop_linearize_horizon(x_bar, u_bar, modes, 0.05, params)
+    for g, w in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(g, w)
+    assert list(got[3]) == list(want[3]) == [k for k in range(K) if modes[k] is Mode.GROUND]
+    for k in got[3]:
+        for g, w in zip(got[3][k], want[3][k]):
+            np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +537,7 @@ def test_solve_zero_error_fixed_point(params, cfg):
     refs = traj.sample_references(1.0, cfg.K, cfg.dt, params)
     sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
     assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.u_seq[0], refs[0].u_array(), atol=1e-6)
+    np.testing.assert_allclose(sol.u_seq[0], refs[0].u, atol=1e-6)
     assert sol.kkt_residual < 1e-6
 
 
@@ -510,7 +563,7 @@ def test_solve_lateral_offset_contracts_error(params, cfg):
             e[6:10] = x[6:10] + refs[k].x_array()[6:10]
         baseline += float(e @ (Qx * e))
         if k < cfg.K:
-            x = dyn.rk4_step(x, refs[k].u_array(), refs[k].mode, cfg.dt, params)
+            x = dyn.rk4_step(x, refs[k].u, refs[k].mode, cfg.dt, params)
     assert sol.cost < baseline
 
 

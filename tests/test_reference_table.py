@@ -102,7 +102,7 @@ def _assert_same_window(got, want):
         # same sign: the table negates q itself when it unwraps by an odd turn
         np.testing.assert_allclose(g.x_r.q.q, w.x_r.q.q, rtol=0, atol=TOL,
                                    err_msg=f"node {k} q")
-        np.testing.assert_allclose(g.u_array(), w.u_array(), rtol=0, atol=TOL,
+        np.testing.assert_allclose(g.u, w.u, rtol=0, atol=TOL,
                                    err_msg=f"node {k} u")
 
 
@@ -163,6 +163,47 @@ def test_table_sweep_covers_odd_turns_and_held_headings():
                 seen["held"] += ref.heading == "held"
                 seen["odd turn"] += entry is not None and float(ref.x_r.q.q @ entry.x_r.q.q) < 0
     assert seen["odd turn"] > 0 and seen["held"] > 0, seen
+
+
+def _assert_views_match(ref):
+    """The typed views agree with the packed arrays: u exactly, x up to the
+    re-normalization of q."""
+    assert ref.x.shape == (13,) and ref.u.shape == (4,)
+    np.testing.assert_array_equal(ref.u_r.as_array(), ref.u)
+    np.testing.assert_allclose(ref.x_r.as_array(), ref.x, rtol=0, atol=1e-15)
+    assert ref.x_array() is ref.x
+
+
+def test_typed_views_match_packed_references():
+    refs = {
+        "tangent": TRAJECTORIES["ground_lemniscate"].reference(0.7, PARAMS),
+        "explicit": TRAJECTORIES["yaw_blend"].reference(0.9, PARAMS),
+        "held": TRAJECTORIES["rest"].reference(0.3, PARAMS),
+    }
+    refs["turned"] = refs["tangent"].turned(1)
+    assert refs["held"].mode is Mode.GROUND and refs["explicit"].mode is Mode.AERIAL
+    for heading, ref in refs.items():
+        assert ref.heading == ("tangent" if heading == "turned" else heading)
+        _assert_views_match(ref)
+
+
+def test_turned_copies_the_entry_and_negates_only_q():
+    table = tj.ReferenceTable(TRAJECTORIES["ground_lemniscate"], PARAMS, clamp=True)
+    entry = table.window([(j, j * DT_CTRL) for j in range(0, STRIDE * K + 1, STRIDE)])[3]
+    assert entry is table.entries[3 * STRIDE]
+    before = entry.x.copy()
+    for n in (1, -1, 2):
+        turned = entry.turned(n)
+        np.testing.assert_array_equal(entry.x, before)
+        sign = -1.0 if n % 2 else 1.0
+        np.testing.assert_array_equal(turned.x[6:10], sign * before[6:10])
+        np.testing.assert_array_equal(np.delete(turned.x, np.s_[6:10]),
+                                      np.delete(before, np.s_[6:10]))
+        assert turned.u is entry.u and turned.psi == entry.psi + 2 * np.pi * n
+    # shared between windows, so nothing may write to them
+    for arr in (entry.x, entry.u, entry.turned(1).x):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 class TwoArgError(Exception):
