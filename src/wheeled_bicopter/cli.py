@@ -23,6 +23,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
@@ -36,7 +37,10 @@ from .core import (
     InfeasibleReferenceError,
     Mode,
     VehicleParams,
+    require_bool,
     require_integer,
+    require_real,
+    require_reals,
 )
 from .dynamics import Simulator
 from .flatness import tangent_yaw_derivatives
@@ -87,46 +91,64 @@ def _reject_non_finite(value, where: str) -> None:
             _reject_non_finite(item, f"{where}.{key}")
 
 
-def _number(value, name: str, positive: bool = True) -> float:
-    """`value` as a finite float that is positive (or non-negative)."""
-    x = float(value)
-    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
-        kind = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be a finite {kind} number, got {value!r}")
-    return x
+def _optional_positive(value, name: str) -> Optional[float]:
+    return None if value is None else require_real(value, name, 0.0, True)
 
 
-def _block(doc: dict, name: str, defaults: Optional[dict] = None,
-           allowed: Optional[set] = None) -> dict:
-    """Scenario block `name` with its `defaults` filled in; its keys must be
-    in `allowed` (None: the consumer checks them)."""
+def _point(value, name: str) -> list:
+    return require_reals(value, name, 3, -math.inf, False).tolist()
+
+
+def _speed_cases(cases, name: str) -> list:
+    """A non-empty list of positive [v_max, a_max] pairs."""
+    if not (isinstance(cases, (list, tuple)) and cases):
+        raise ConfigError(f"{name} must be a list of [v_max, a_max] pairs, got {cases!r}")
+    return [require_reals(case, name, 2, 0.0, True).tolist() for case in cases]
+
+
+_positive = partial(require_real, least=0.0, strict=True)
+_non_negative = partial(require_real, least=0.0, strict=False)
+NO_DEFAULT = object()  # the key stays absent when the document leaves it out
+
+# every key of the checked scenario blocks: (default, check); a None check
+# leaves the value to its consumer (VehicleParams for mu and mu_s,
+# build_trajectory for kind)
+SCENARIO_BLOCKS = {
+    "environment": {
+        "slip_enabled": (False, require_bool), "noise_pos_std": (0.0, _non_negative),
+        "noise_att_std": (0.0, _non_negative), "control_rate_hz": (200.0, _positive),
+        "sim_rate_hz": (1000.0, _positive), "mu": (NO_DEFAULT, None),
+        "mu_s": (NO_DEFAULT, None)},
+    "trajectory": {
+        "kind": (NO_DEFAULT, None), "A": (3.5, _positive), "B": (1.0, _positive),
+        "altitude": (1.2, _positive), "T_Bz_frac": (0.6, _positive),
+        "laps_run": (1.0, _positive), "p0": ([0.0, 0.0, 1.0], _point),
+        "duration": (10.0, _positive),  # the rest_hover length
+        "v_max": (NO_DEFAULT, _positive), "a_max": (NO_DEFAULT, _positive),
+        "speed_cases": ([[1.0, 0.7], [2.0, 1.8]], _speed_cases)},
+    "run": {"duration": (None, _optional_positive), "rmse_planar": (True, require_bool)},
+    "output": {"decimation": (5, partial(require_integer, least=1))},
+}
+
+
+def _block(doc: dict, name: str) -> dict:
+    """Scenario block `name`.  A block of SCENARIO_BLOCKS has its defaults
+    filled in and its values checked; any other block is returned as it is,
+    for its consumer to check."""
     block = doc.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a JSON object, got {block!r}")
-    if allowed is not None:
-        _require_keys(block, allowed, name)
-    return {**(defaults or {}), **block}
-
-
-def _speed_cases(cases) -> list:
-    """trajectory.speed_cases as a non-empty list of positive [v_max, a_max]
-    pairs."""
-    if not (isinstance(cases, (list, tuple)) and cases and all(
-            isinstance(c, (list, tuple)) and len(c) == 2 for c in cases)):
-        raise ValueError(f"speed_cases must be a list of [v_max, a_max] pairs, got {cases!r}")
-    return [[_number(v, "a speed_cases limit") for v in case] for case in cases]
-
-
-# every scenario default, filled in at load
-ENVIRONMENT_DEFAULTS = {"slip_enabled": False, "noise_pos_std": 0.0, "noise_att_std": 0.0,
-                        "control_rate_hz": 200.0, "sim_rate_hz": 1000.0}
-TRAJECTORY_DEFAULTS = {"A": 3.5, "B": 1.0, "altitude": 1.2, "T_Bz_frac": 0.6,
-                       "laps_run": 1.0, "p0": [0.0, 0.0, 1.0], "duration": 10.0}
-RUN_DEFAULTS = {"duration": None, "rmse_planar": True}
-OUTPUT_DEFAULTS = {"decimation": 5}
-# positive trajectory numbers; "duration" is the rest_hover length
-TRAJECTORY_NUMBERS = ("A", "B", "altitude", "T_Bz_frac", "laps_run", "duration",
-                      "v_max", "a_max")
+    table = SCENARIO_BLOCKS.get(name)
+    if table is None:
+        return dict(block)
+    _require_keys(block, set(table), name)
+    out = {}
+    with _config_block(name):
+        for key, (default, check) in table.items():
+            value = block.get(key, default)
+            if value is not NO_DEFAULT:
+                out[key] = value if check is None else check(value, f"{name}.{key}")
+    return out
 
 
 @dataclass
@@ -144,74 +166,34 @@ class ScenarioConfig:
     def from_dict(cls, doc: dict, name: str = "scenario") -> "ScenarioConfig":
         if not isinstance(doc, dict):
             raise ConfigError(f"a scenario must be a JSON object, got {doc!r}")
-        _require_keys(
-            doc,
-            {"schema_version", "name", "seed", "vehicle", "environment",
-             "trajectory", "controller", "run", "output"},
-            "scenario",
-        )
+        _require_keys(doc, {"schema_version", "name", "seed", "vehicle", "controller",
+                            *SCENARIO_BLOCKS}, "scenario")
         _reject_non_finite(doc, "scenario")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema_version {doc.get('schema_version')!r}; "
-                f"expected {SCHEMA_VERSION}"
-            )
-        env = _block(doc, "environment", ENVIRONMENT_DEFAULTS,
-                     {*ENVIRONMENT_DEFAULTS, "mu", "mu_s"})
+        version = doc.get("schema_version")
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
+            raise ConfigError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+        blocks = {key: _block(doc, key) for key in SCENARIO_BLOCKS}
+        env = blocks["environment"]
         with _config_block("environment"):
-            for key in ("noise_pos_std", "noise_att_std"):
-                env[key] = _number(env[key], key, positive=False)
-            for key in ("control_rate_hz", "sim_rate_hz"):
-                env[key] = _number(env[key], key)
             check_loop_rates(1.0 / env["sim_rate_hz"], env["control_rate_hz"])
         vehicle = _block(doc, "vehicle")
+        if {"mu", "mu_s"} & set(env) & set(vehicle):
+            raise ConfigError("set mu and mu_s in environment or in vehicle, not in both")
         vehicle.update((key, env[key]) for key in ("mu", "mu_s") if key in env)
         with _config_block("vehicle"):
             params = VehicleParams.from_dict(vehicle)
 
-        ctrl = _block(doc, "controller", allowed={f.name for f in fields(NmpcConfig)})
+        ctrl = _block(doc, "controller")
+        _require_keys(ctrl, {f.name for f in fields(NmpcConfig)}, "controller")
         with _config_block("controller"):
             controller = NmpcConfig(**ctrl)
             controller.bounds(params)
 
-        traj = _block(doc, "trajectory", TRAJECTORY_DEFAULTS,
-                      {*TRAJECTORY_DEFAULTS, "kind", "v_max", "a_max", "speed_cases"})
-        with _config_block("trajectory"):
-            for key in TRAJECTORY_NUMBERS:
-                if key in traj:
-                    traj[key] = _number(traj[key], key)
-            p0 = np.array(traj["p0"], dtype=float)
-            if p0.shape != (3,) or not np.all(np.isfinite(p0)):
-                raise ValueError(f"p0 must be 3 finite numbers, got {traj['p0']!r}")
-            traj["p0"] = p0.tolist()
-            if "speed_cases" in traj:
-                traj["speed_cases"] = _speed_cases(traj["speed_cases"])
-        run = _block(doc, "run", RUN_DEFAULTS, set(RUN_DEFAULTS))
-        with _config_block("run"):
-            if run["duration"] is not None:
-                run["duration"] = _number(run["duration"], "duration")
-        output = _block(doc, "output", OUTPUT_DEFAULTS, set(OUTPUT_DEFAULTS))
-        with _config_block("output"):
-            output["decimation"] = require_integer(output["decimation"], "decimation", 1)
-        with _config_block("seed"):
-            seed = require_integer(doc.get("seed", 0), "seed", 0)
+        seed = require_integer(doc.get("seed", 0), "seed", 0)
         name = doc.get("name", name)
         if not isinstance(name, str):
             raise ConfigError(f"name must be a string, got {name!r}")
-        for key, value in (("slip_enabled", env["slip_enabled"]),
-                           ("rmse_planar", run["rmse_planar"])):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
-        return cls(
-            name=name,
-            seed=seed,
-            params=params,
-            controller=controller,
-            trajectory=traj,
-            environment=env,
-            run=run,
-            output=output,
-        )
+        return cls(name=name, seed=seed, params=params, controller=controller, **blocks)
 
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
@@ -528,7 +510,7 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     """Two controller variants on the same slippery eight-shape at rising
     speed: the full vehicle with vectored lateral thrust, and an ablation
     with opposed servo tilts (no net side force, the quadrotor-equivalent)."""
-    speeds = cfg.trajectory.get("speed_cases", [[1.0, 0.7], [2.0, 1.8]])
+    speeds = cfg.trajectory["speed_cases"]
 
     def crossed(tick) -> bool:
         return abs(_lateral_error(tick)) > LATERAL_FAIL_THRESHOLD
@@ -651,19 +633,28 @@ def deterministic_digest(path: Path) -> str:
 
 def export_plot_data(runlog_csv: Path, out_path: Path) -> Path:
     """Re-shape a runlog CSV into tidy long format (series, t, value)."""
-    lines = Path(runlog_csv).read_text().splitlines()
+    try:
+        lines = Path(runlog_csv).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"runlog {runlog_csv} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ConfigError(f"empty runlog {runlog_csv}")
     header = lines[0].split(",")
+    if "t" not in header:
+        raise ConfigError(f"runlog {runlog_csv} has no t column")
     t_idx = header.index("t")
     numeric = [
         (i, name) for i, name in enumerate(header)
         if name not in ("t", "mode", "qp_status")
     ]
+    rows = [line.split(",") for line in lines[1:]]
+    for n, parts in enumerate(rows, 2):
+        if len(parts) != len(header):
+            raise ConfigError(f"runlog {runlog_csv} line {n} has {len(parts)} fields, "
+                              f"its header {len(header)}")
     with Path(out_path).open("w", newline="") as fh:
         fh.write("series,t,value\n")
-        for line in lines[1:]:
-            parts = line.split(",")
+        for parts in rows:
             t = parts[t_idx]
             for i, name in numeric:
                 fh.write(f"{name},{t},{parts[i]}\n")
@@ -727,8 +718,7 @@ def _load_config(args) -> ScenarioConfig:
     else:
         raise ConfigError("provide --config PATH or --scenario NAME")
     if args.seed is not None:
-        with _config_block("--seed"):
-            cfg.seed = require_integer(args.seed, "seed", 0)
+        cfg.seed = require_integer(args.seed, "--seed", 0)
     return cfg
 
 
@@ -758,6 +748,10 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out) if args.out else None
     try:
+        # the nearest existing path of --out must be a directory
+        if out_dir is not None and not next(
+                p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+            raise ConfigError(f"--out {out_dir} is or lies under a path that is not a directory")
         if args.command == "analyze":
             _report(width_report(VehicleParams(), quiet=args.quiet), out_dir,
                     "width_report.json", quiet=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Tuple
@@ -63,12 +64,37 @@ def vec3(x: float, y: float, z: float) -> Vec3:
     return np.array([float(x), float(y), float(z)])
 
 
+def require_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def require_integer(value, name: str, least: int) -> int:
-    """`value` as an int; raises ValueError for a bool, a non-integer or a
+    """`value` as an int; raises ConfigError for a bool, a non-integer or a
     value below `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str, least: float, strict: bool) -> float:
+    """`value` as a float; raises ConfigError for a bool, a non-number, a NaN
+    or an infinity (an int beyond the float range too), and for a value
+    below `least` (or equal to it when `strict`)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or value < least
+            or (strict and value == least)):
+        bound = ">" if strict else ">="
+        raise ConfigError(f"{name} must be a finite number {bound} {least}, got {value!r}")
+    return float(value)
+
+
+def require_reals(values, name: str, size: int, least: float, strict: bool) -> np.ndarray:
+    """A list, tuple or array of `size` entries that pass `require_real`."""
+    if not (isinstance(values, (list, tuple, np.ndarray)) and len(values) == size):
+        raise ConfigError(f"{name} must be {size} numbers, got {values!r}")
+    return np.array([require_real(v, f"{name}[{i}]", least, strict) for i, v in enumerate(values)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,27 +302,22 @@ class VehicleParams:
     rho: float = 1.225  # air density [kg/m^3]
     S: float = math.pi * 0.0635**2  # rotor disk area [m^2]
 
-    # fields that must be finite and strictly positive
+    # fields that must be finite and strictly positive (J too, entrywise)
     POSITIVE = ("m", "m_w", "l", "h1", "h2", "r", "W", "c_t", "c_q", "g", "T_max",
                 "delta_max", "rho", "S")
 
     def __post_init__(self):
-        self.J = np.asarray(self.J, dtype=float)
-        if self.J.ndim == 2:
-            off = self.J - np.diag(np.diag(self.J))
-            if np.any(off != 0.0):
-                raise ConfigError("inertia must be diagonal")
-            self.J = np.diag(self.J).copy()
-        if self.J.shape != (3,):
-            raise ConfigError(f"inertia must be 3 diagonal entries, got {self.J.shape}")
+        J = self.J
+        if np.ndim(J) == 2:  # the 3x3 form, which must be diagonal
+            J = np.array([require_reals(row, "J", 3, -math.inf, False) for row in J])
+            if J.shape != (3, 3) or np.any(J != np.diag(np.diag(J))):
+                raise ConfigError("inertia must be 3 entries or a diagonal 3x3 matrix")
+            J = np.diag(J)
+        self.J = require_reals(J, "J", 3, 0.0, True)
         for name in self.POSITIVE:
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be strictly positive, got {value}")
-        if np.any(self.J <= 0.0) or not np.all(np.isfinite(self.J)):
-            raise ConfigError("inertia entries must be strictly positive")
-        if not (self.mu >= 0.0 and self.mu_s >= 0.0):
-            raise ConfigError("friction coefficients must be non-negative")
+            setattr(self, name, require_real(getattr(self, name), name, 0.0, True))
+        for name in ("mu", "mu_s"):
+            setattr(self, name, require_real(getattr(self, name), name, 0.0, False))
         if not self.h1 < self.r:
             raise ConfigError("h1 must be smaller than the wheel radius r")
         if self.m <= 2 * self.m_w:

@@ -210,14 +210,17 @@ def _heading_frame(psi: float):
 
 def tangent_yaw_derivatives(v: Vec3, a: Vec3, j: Vec3, alpha: int = 1) -> Tuple[float, float]:
     """Rate and acceleration of the heading psi = alpha * atan2(vy, vx)."""
-    vx, vy = float(v[0]), float(v[1])
-    ax, ay = float(a[0]), float(a[1])
-    jx, jy = float(j[0]), float(j[1])
-    den = vx * vx + vy * vy
-    num = vx * ay - vy * ax
-    chi_dot = num / den
-    chi_ddot = ((vx * jy - vy * jx) * den - num * 2.0 * (vx * ax + vy * ay)) / (den * den)
+    chi_dot, chi_ddot = _atan2_rates(float(v[0]), float(v[1]), float(a[0]), float(a[1]),
+                                     float(j[0]), float(j[1]))
     return alpha * chi_dot, alpha * chi_ddot
+
+
+def _atan2_rates(x: float, y: float, xd: float, yd: float, xdd: float,
+                 ydd: float) -> Tuple[float, float]:
+    """First and second time derivatives of the angle atan2(y, x)."""
+    den = x * x + y * y
+    num = x * yd - y * xd
+    return num / den, ((x * ydd - y * xdd) * den - num * 2.0 * (x * xd + y * yd)) / (den * den)
 
 
 def _heading_torque(
@@ -396,11 +399,7 @@ def aerial_flat_to_reference(
     Fdd1 = float(Fdd @ xg) + psi_dot * float(Fd @ yg) + psi_ddot * F2 + psi_dot * Fd2
     Fdd3 = float(Fdd[2])
 
-    num = Fd1 * F3 - F1 * Fd3
-    theta_dot = num / den
-    theta_ddot = ((Fdd1 * F3 - F1 * Fdd3) * den - num * 2.0 * (F1 * Fd1 + F3 * Fd3)) / (
-        den * den
-    )
+    theta_dot, theta_ddot = _atan2_rates(F3, F1, Fd3, Fd1, Fdd3, Fdd1)
 
     sth, cth = math.sin(theta), math.cos(theta)
     wb = np.array([-psi_dot * sth, theta_dot, psi_dot * cth])

@@ -26,14 +26,14 @@ The solver is deterministic: fixed pivot tie-breaking, no randomization.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Mode, VehicleParams, quat_multiply, require_integer
+from .core import (Mode, VehicleParams, quat_multiply, require_bool, require_integer,
+                   require_real, require_reals)
 from .dynamics import DIVERGENCE_LIMIT, Simulator, _f_ground_batch, rk4_step
 from .flatness import ReferencePoint
 from .trajectory import HybridTrajectory, ReferenceTable
@@ -42,11 +42,6 @@ FD_STEP = 1e-6
 
 # consecutive degraded ticks a closed loop tolerates before it aborts
 MAX_DEGRADED = 10
-
-
-def _finite(value) -> bool:
-    """A finite real number that is not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass
@@ -79,28 +74,15 @@ class NmpcConfig:
         # slack_reg > 0 keeps the QP Hessian positive definite, and
         # slack_penalty > 0 makes every softened newton cost something
         for name in ("dt", "kkt_tol", "slack_reg", "slack_penalty"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
-        margin = self.constraint_margin
-        if not _finite(margin):
-            raise ValueError(f"constraint_margin must be a finite number, got {margin!r}")
-        if not isinstance(self.lock_lateral, bool):
-            raise ValueError(f"lock_lateral must be true or false, got {self.lock_lateral!r}")
+            setattr(self, name, require_real(getattr(self, name), name, 0.0, True))
+        self.constraint_margin = require_real(
+            self.constraint_margin, "constraint_margin", -math.inf, False)
+        require_bool(self.lock_lateral, "lock_lateral")
         for name in ("u_min", "u_max"):
-            value = getattr(self, name)
-            if value is not None:
-                if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 4
-                        and all(map(_finite, value))):
-                    raise ValueError(f"{name} must be 4 finite numbers, got {value!r}")
-                setattr(self, name, np.asarray(value, dtype=float))
+            if getattr(self, name) is not None:
+                setattr(self, name, require_reals(getattr(self, name), name, 4, -math.inf, False))
         for name, size in (("q_p", 3), ("q_v", 3), ("q_q", 4), ("q_w", 3), ("q_u", 4)):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (size,):
-                raise ValueError(f"{name} must be {size} weights, got shape {arr.shape}")
-            if np.any(arr < 0):
-                raise ValueError(f"{name} must be non-negative")
-            setattr(self, name, arr)
+            setattr(self, name, require_reals(getattr(self, name), name, size, 0.0, False))
 
     def state_weights(self) -> np.ndarray:
         return np.concatenate([self.q_p, self.q_v, self.q_q, self.q_w])

@@ -1,14 +1,18 @@
+import copy
 import hashlib
 import json
 import math
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter import cli
-from wheeled_bicopter.core import ConfigError
+from wheeled_bicopter.core import ConfigError, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
+from wheeled_bicopter.nmpc import NmpcConfig
 
 
 def tiny_hover_doc(duration=0.4, seed=3):
@@ -124,6 +128,12 @@ def _environment_not_an_object(doc):
     doc["environment"] = [1.0]
 
 
+def _control_rate_bool(doc):
+    # true read as 1 Hz would also make the default 0.4 s run too short
+    doc["environment"]["control_rate_hz"] = True
+    doc["run"]["duration"] = 2.0
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -180,6 +190,11 @@ def _environment_not_an_object(doc):
         _set("controller", u_max=[8.0, 8.0, 0.7]),
         _set("controller", u_max=[8.0, 8.0, True, 0.7]),
         _set("controller", u_min="low"),
+        _set("trajectory", A="3.5"),
+        _set("trajectory", p0=[True, 0, 1]),
+        _set("run", duration=True),
+        _control_rate_bool,
+        _top(schema_version=True),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
@@ -198,7 +213,8 @@ def _environment_not_an_object(doc):
          "lock_lateral_a_string", "lock_lateral_an_integer", "constraint_margin_a_string",
          "constraint_margin_null", "constraint_margin_a_list", "constraint_margin_bool",
          "u_max_with_null", "u_min_with_null", "u_max_too_short", "u_max_with_bool",
-         "u_min_a_string"],
+         "u_min_a_string", "trajectory_A_a_string", "p0_with_bool", "duration_bool",
+         "control_rate_bool", "schema_version_bool"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()
@@ -258,6 +274,51 @@ def test_main_any_replaced_value_ends_in_a_documented_exit_code(tmp_path_factory
     cfg.write_text(json.dumps(doc))
     assert cli.main(["track", "--config", str(cfg), "--quiet"]) in {
         cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_SOLVER, cli.EXIT_DIVERGED}
+
+
+def _bundled_mutation_targets():
+    """(scenario, path, value held there) for every value of every bundled
+    scenario, and for every VehicleParams and NmpcConfig field that its
+    empty vehicle and controller blocks could add (held: the default)."""
+    for name in cli.bundled_scenario_names():
+        doc = cli.load_bundled_scenario(name)
+        for path in _value_paths(doc):
+            node = doc
+            for key in path:
+                node = node[key]
+            yield name, path, node
+        for block, cls in (("vehicle", VehicleParams), ("controller", NmpcConfig)):
+            assert doc[block] == {}
+            for f in fields(cls):
+                default = f.default if f.default_factory is MISSING else f.default_factory()
+                yield name, (block, f.name), default
+
+
+def _numeric(value) -> bool:
+    """A number that is not a bool, or a non-empty list or array of them."""
+    if isinstance(value, (list, np.ndarray)):
+        return len(value) > 0 and all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+LOADED_VALUES = DRAWN_VALUES + [10**400, "3.5", [True, 1.0, 1.0], [1.0, 2.0, 3.0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.sampled_from(list(_bundled_mutation_targets())),
+       value=st.sampled_from(LOADED_VALUES))
+def test_load_of_a_mutated_bundled_scenario_returns_or_raises_config_error(target, value):
+    name, path, held = target
+    doc = cli.load_bundled_scenario(name)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    try:
+        cli.ScenarioConfig.from_dict(doc, name)
+    except ConfigError:
+        return
+    assert not (_numeric(held) and isinstance(value, (bool, str))), f"{path} = {value!r} loaded"
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +516,35 @@ def test_export_header_only_for_empty_log(tmp_path):
     src.write_text(cli.RUNLOG_COLUMNS + "\n")
     tidy = cli.export_plot_data(src, tmp_path / "tidy.csv")
     assert tidy.read_text() == "series,t,value\n"
+
+
+@pytest.mark.parametrize("content", [b"time,px\n0.0,1.0\n", b"t,px\n0.0,\xff\n", b"t,px\n0.0\n"],
+                         ids=["no_t_column", "not_utf8", "row_shorter_than_header"])
+def test_main_export_of_a_malformed_runlog_exits_with_config_error(content, tmp_path, capsys):
+    runlog = tmp_path / "runlog.csv"
+    runlog.write_bytes(content)
+    argv = ["export", "--runlog", str(runlog), "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "runlog_tidy.csv").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["a_file", "under_a_file"])
+@pytest.mark.parametrize("argv", [["analyze"], ["track", "--scenario", "aerial_8shape"],
+                                  ["export", "--runlog", "RUNLOG"]])
+def test_main_out_that_is_a_file_exits_with_config_error_before_any_run(
+        argv, under, tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kw):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    runlog = tmp_path / "runlog.csv"
+    runlog.write_text(cli.RUNLOG_COLUMNS + "\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [str(runlog) if a == "RUNLOG" else a for a in argv]
+    assert cli.main([*argv, "--out", str(taken / under), "--quiet"]) == cli.EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,11 @@ def test_params_defaults_valid():
         {"W": -0.01},
         {"mu": -0.1},
         {"J": [1e-3, -1e-3, 1e-3]},
+        {"m": True},
+        {"mu": True},
+        {"J": [True, 1e-3, 1e-3]},
+        {"J": [[True, 0, 0], [0, 1e-3, 0], [0, 0, 1e-3]]},
+        {"m": 10**400},  # an int beyond the float range
     ],
 )
 def test_params_rejects_bad_values(kwargs):

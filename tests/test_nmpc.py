@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter.core import (
-    Mode, Orientation, RobotState, VehicleParams, quat_from_euler, vec3)
+    ConfigError, Mode, Orientation, RobotState, VehicleParams, quat_from_euler, vec3)
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
@@ -20,6 +20,12 @@ def params():
 @pytest.fixture
 def cfg():
     return nmpc.NmpcConfig()
+
+
+@pytest.mark.parametrize("kwargs", [{"q_p": [math.nan, 1, 1]}, {"q_u": ["1", 1, 1, 1]}])
+def test_config_rejects_weights_that_are_not_finite_numbers(kwargs):
+    with pytest.raises(ConfigError):
+        nmpc.NmpcConfig(**kwargs)
 
 
 def hover_state(params, p=(0.0, 0.0, 1.0)):
