@@ -431,34 +431,35 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
         rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
     )
-    if log.aborted and log.abort_reason != "stop condition met":
-        raise SolverFailure(log.abort_reason)
+    failed = log.aborted and log.abort_reason != "stop condition met"
 
-    act, ref = log.positions()
-    speeds = np.stack([row.x[3:6] for row in log.sim.log])
+    ticks, steps = log.ticks, log.sim.log
+    act, ref = ticks.x[:, 0:3], ticks.x_ref[:, 0:3]
+    statuses, counts = np.unique(ticks.qp_status, return_counts=True)
     summary = {
         "scenario": cfg.name,
         "seed": cfg.seed,
-        "ticks": len(log.ticks),
+        "ticks": len(ticks),
         "duration_s": duration,
         "stopped_early": log.aborted,
         "rmse_m": analysis.rmse(act, ref, planar=cfg.run["rmse_planar"]),
         "rmse_3d_m": analysis.rmse(act, ref, planar=False),
         "peak_speed_ref": peaks.get("peak_speed"),
         "peak_accel_ref": peaks.get("peak_accel"),
-        "peak_speed_actual": float(np.max(np.linalg.norm(speeds, axis=1))),
-        "mean_power_W": log.mean_power(),
+        "peak_speed_actual": float(np.max(np.linalg.norm(steps.x[:, 3:6], axis=1))),
+        "mean_power_W": float(np.mean(steps.power)),
         "slip_steps": log.sim.slip_steps,
         "lift_off_events": log.sim.lift_off_events,
-        "statuses": {
-            s: sum(1 for r in log.ticks if r.qp_status == s)
-            for s in {r.qp_status for r in log.ticks}
-        },
-        "max_slack": max((r.slack_max for r in log.ticks), default=0.0),
+        "statuses": {str(s): int(n) for s, n in zip(statuses, counts)},
+        "max_slack": float(np.max(ticks.slack_max)),
     }
+    if failed:
+        summary["abort_reason"] = log.abort_reason
     result = ScenarioResult(cfg.name, log, summary)
     if out_dir is not None:
         result.files = write_outputs(cfg, result, Path(out_dir))
+    if failed:
+        raise SolverFailure(log.abort_reason)
     if not quiet:
         print(json.dumps(summary, indent=2, sort_keys=True))
     return result
@@ -494,10 +495,11 @@ def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
 def _lateral_error(tick) -> float:
     """Planar position error of a tick across its reference heading (the
     world x axis when the reference stands still)."""
-    vx, vy = tick.x_ref[3], tick.x_ref[4]
+    ref, x = tick.x_ref, tick.x  # one field read each: a record's is slow
+    vx, vy = ref[3], ref[4]
     psi = math.atan2(vy, vx) if abs(vx) + abs(vy) > 1e-6 else 0.0
-    dx = tick.x[0] - tick.x_ref[0]
-    dy = tick.x[1] - tick.x_ref[1]
+    dx = x[0] - ref[0]
+    dy = x[1] - ref[1]
     return -dx * math.sin(psi) + dy * math.cos(psi)
 
 
@@ -597,14 +599,15 @@ def _write_csv(path: Path, header: str, rows: Iterable[list]) -> Path:
 
 def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) -> List[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
+    # records as tuples of Python scalars and lists; the scalar fields after
+    # `u` are written in dtype order
     ticks = (
-        [r.t, *r.x_ref[0:3], *r.x_ref[6:10], *r.x[0:3], *r.x[6:10], *r.u, r.mode,
-         r.solve_time_us, r.qp_status, r.cost, r.slack_max, r.qp_iters, r.kkt_residual]
-        for r in result.runlog.ticks
+        [t, *x_ref[0:3], *x_ref[6:10], *x[0:3], *x[6:10], *u, *rest]
+        for t, x_ref, x, u, *rest in result.runlog.ticks.tolist()
     )
     steps = (
-        [r.t, *r.x, *r.u, r.F_n_left, r.F_n_right, r.f_l, r.slip, r.lift_off, r.power]
-        for r in result.runlog.sim.log[::cfg.output["decimation"]]
+        [t, *x, *u, *rest]
+        for t, x, u, *rest in result.runlog.sim.log[::cfg.output["decimation"]].tolist()
     )
     files = [_write_csv(out_dir / f"{cfg.name}_runlog.csv", RUNLOG_COLUMNS, ticks),
              _write_csv(out_dir / f"{cfg.name}_simlog.csv", SIMLOG_COLUMNS, steps),

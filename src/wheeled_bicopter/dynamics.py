@@ -42,7 +42,7 @@ rows) passes that derivative to `rk4_step` as its first stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -371,17 +371,14 @@ def rotor_power(u: np.ndarray, params: VehicleParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SimLogRow:
-    t: float
-    x: np.ndarray  # packed state (13,)
-    u: np.ndarray  # (4,)
-    F_n_left: float
-    F_n_right: float
-    f_l: float
-    slip: int
-    lift_off: int
-    power: float
+# One plant step per record.  Every field is 8-byte aligned (flags as i8, not
+# i1): numpy reduces an unaligned field in 8,192-element buffered chunks,
+# which moves the last bit of `np.mean(log.power)` on long runs.
+SIMLOG_DTYPE = np.dtype([
+    ("t", "f8"), ("x", "f8", (13,)), ("u", "f8", (4,)),
+    ("F_n_left", "f8"), ("F_n_right", "f8"), ("f_l", "f8"),
+    ("slip", "i8"), ("lift_off", "i8"), ("power", "f8"),
+])
 
 
 @dataclass
@@ -389,6 +386,10 @@ class Simulator:
     """Owns one packed vehicle state `x` (13,) and integrates it with mode
     switching.  Each step works on a copy and then replaces `x`, so an array
     read from `x` never changes afterwards.
+
+    `log` holds one `SIMLOG_DTYPE` record per step: the filled part of a
+    record array that `apply` grows by doubling.  A view read from `log`
+    keeps its values when the array grows.
 
     Aerial -> Ground happens when the CoM reaches the wheel radius with
     non-positive vertical speed; Ground -> Aerial when the total normal
@@ -403,7 +404,8 @@ class Simulator:
     slip_enabled: bool = False
     t: float = field(init=False, default=0.0)
     slipping: bool = field(init=False, default=False)
-    log: List[SimLogRow] = field(init=False, default_factory=list)
+    _log: np.recarray = field(init=False, repr=False)
+    _n: int = field(init=False, default=0)
     lift_off_events: int = field(init=False, default=0)
     slip_steps: int = field(init=False, default=0)
 
@@ -411,6 +413,11 @@ class Simulator:
 
     def __post_init__(self):
         self.x = np.array(RobotState.rest().as_array() if self.x is None else self.x, dtype=float)
+        self._log = np.recarray(0, dtype=SIMLOG_DTYPE)
+
+    @property
+    def log(self) -> np.recarray:
+        return self._log[:self._n]
 
     def _try_touchdown(self, x: np.ndarray, u: np.ndarray) -> None:
         r = self.params.r
@@ -432,10 +439,15 @@ class Simulator:
     def apply(self, u: np.ndarray, duration: float) -> None:
         """Hold the packed input u (4,) for `duration` seconds, integrating at
         the sim rate."""
-        ua = np.array(u, dtype=float)  # one copy, shared by the call's log rows
+        ua = np.asarray(u, dtype=float)
         P = self.params
         power = rotor_power(ua, P)
-        for _ in range(max(1, round(duration / self.dt))):
+        steps = max(1, round(duration / self.dt))
+        if self._n + steps > len(self._log):
+            grown = np.recarray(max(self._n + steps, 2 * len(self._log)), dtype=SIMLOG_DTYPE)
+            grown[:self._n] = self._log[:self._n]
+            self._log = grown
+        for _ in range(steps):
             x = self.x.copy()
             if self.mode is Mode.AERIAL:
                 self._try_touchdown(x, ua)
@@ -467,10 +479,8 @@ class Simulator:
                     lift = bool(diag["lift_off"])
                     self.lift_off_events += lift
                     self.slip_steps += self.slipping
-            self.log.append(SimLogRow(
-                t=self.t, x=x, u=ua, F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
-                slip=int(self.slipping), lift_off=int(lift), power=power,
-            ))
+            self._log[self._n] = (self.t, x, ua, F_nl, F_nr, f_l, self.slipping, lift, power)
+            self._n += 1
             xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping, k1=k1)
             if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
                 raise DivergenceError(

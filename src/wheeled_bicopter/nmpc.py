@@ -564,38 +564,24 @@ class NoiseModel:
         return out
 
 
-@dataclass
-class TickRow:
-    t: float
-    x_ref: np.ndarray
-    x: np.ndarray
-    u: np.ndarray
-    mode: str
-    solve_time_us: float
-    qp_status: str
-    cost: float
-    slack_max: float
-    qp_iters: int
-    kkt_residual: float
+# One control tick per record, every field 8-byte aligned like SIMLOG_DTYPE;
+# U6 and U8 hold the mode and QP status names.
+RUNLOG_DTYPE = np.dtype([
+    ("t", "f8"), ("x_ref", "f8", (13,)), ("x", "f8", (13,)), ("u", "f8", (4,)),
+    ("mode", "U6"), ("solve_time_us", "f8"), ("qp_status", "U8"), ("cost", "f8"),
+    ("slack_max", "f8"), ("qp_iters", "i8"), ("kkt_residual", "f8"),
+])
 
 
 @dataclass
 class RunLog:
-    ticks: List[TickRow]
+    ticks: np.recarray  # RUNLOG_DTYPE records
     sim: Simulator
     aborted: bool = False
     abort_reason: str = ""
 
-    def positions(self) -> Tuple[np.ndarray, np.ndarray]:
-        act = np.stack([row.x[0:3] for row in self.ticks])
-        ref = np.stack([row.x_ref[0:3] for row in self.ticks])
-        return act, ref
-
     def input_series(self) -> np.ndarray:
-        return np.stack([row.u for row in self.ticks])
-
-    def mean_power(self) -> float:
-        return float(np.mean([r.power for r in self.sim.log])) if self.sim.log else 0.0
+        return self.ticks.u.copy()
 
 
 def check_loop_rates(sim_dt: float, control_rate: float) -> None:
@@ -636,10 +622,10 @@ def control_loop(
     table = ReferenceTable(traj, params, clamp=True)
     t_start = sim.t
 
-    ticks: List[TickRow] = []
+    n_ticks = round(duration * control_rate)
+    ticks = np.recarray(n_ticks, dtype=RUNLOG_DTYPE)
     warm: Optional[WarmStart] = None
     degraded_run = 0
-    n_ticks = round(duration * control_rate)
     for i in range(n_ticks):
         t = sim.t
         if on_grid:
@@ -656,7 +642,7 @@ def control_loop(
             degraded_run += 1
             if degraded_run > MAX_DEGRADED:
                 return RunLog(
-                    ticks, sim, aborted=True,
+                    ticks[:i], sim, aborted=True,
                     abort_reason=f"solver degraded for {degraded_run} consecutive ticks",
                 )
             warm = None  # cold restart from the references next tick
@@ -664,20 +650,9 @@ def control_loop(
             degraded_run = 0
             warm = shift_warm_start(sol)
         sim.apply(sol.u_seq[0], dt_ctrl)
-        tick = TickRow(
-            t=t,
-            x_ref=refs[0].x,
-            x=x_meas,
-            u=sol.u_seq[0].copy(),
-            mode=refs[0].mode.name,
-            solve_time_us=solve_us,
-            qp_status=sol.status,
-            cost=sol.cost,
-            slack_max=float(np.max(sol.slacks)) if sol.slacks.size else 0.0,
-            qp_iters=sol.qp_iters,
-            kkt_residual=sol.kkt_residual,
-        )
-        ticks.append(tick)
-        if stop_when is not None and stop_when(tick):
-            return RunLog(ticks, sim, aborted=True, abort_reason="stop condition met")
+        slack_max = float(np.max(sol.slacks)) if sol.slacks.size else 0.0
+        ticks[i] = (t, refs[0].x, x_meas, sol.u_seq[0], refs[0].mode.name, solve_us,
+                    sol.status, sol.cost, slack_max, sol.qp_iters, sol.kkt_residual)
+        if stop_when is not None and stop_when(ticks[i]):
+            return RunLog(ticks[:i + 1], sim, aborted=True, abort_reason="stop condition met")
     return RunLog(ticks, sim)

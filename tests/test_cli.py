@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wheeled_bicopter import cli
+from wheeled_bicopter import cli, nmpc
 from wheeled_bicopter.core import ConfigError, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
 from wheeled_bicopter.nmpc import NmpcConfig
@@ -360,6 +360,7 @@ def test_run_scenario_writes_outputs(tmp_path):
     assert len(runlog) == 1 + res.summary["ticks"]
     summary = json.loads((tmp_path / "tiny_hover_summary.json").read_text())
     assert summary["rmse_m"] == res.summary["rmse_m"]
+    assert "abort_reason" not in summary
 
 
 def test_summary_recomputable_from_runlog_rows(tmp_path):
@@ -440,6 +441,25 @@ def test_ground_run_logs_contact_columns(tmp_path):
     assert float(row[cols["power"]]) > 0
 
 
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_simlog_rows_are_the_simulator_log(tmp_path, decimation):
+    doc = tiny_ground_doc(duration=0.1)
+    doc["output"]["decimation"] = decimation
+    res = cli.run_scenario(cli.ScenarioConfig.from_dict(doc), out_dir=tmp_path)
+    lines = (tmp_path / "tiny_ground_simlog.csv").read_text().splitlines()
+    log = res.runlog.sim.log[::decimation]
+    assert lines[0] == cli.SIMLOG_COLUMNS and len(lines) == 1 + len(log)
+    header = lines[0].split(",")
+    flags = [header.index("slip"), header.index("lift_off")]
+    for rec, line in zip(log, lines[1:]):
+        parts = line.split(",")
+        # repr of a float parses back to the same float
+        assert [float(v) for v in parts] == [
+            rec.t, *rec.x, *rec.u, rec.F_n_left, rec.F_n_right, rec.f_l,
+            rec.slip, rec.lift_off, rec.power]
+        assert {parts[i] for i in flags} <= {"0", "1"}
+
+
 def test_open_loop_simulate_smoke(tmp_path):
     cfg = cli.ScenarioConfig.from_dict(tiny_ground_doc(duration=1.0))
     rep = cli.run_open_loop(cfg, out_dir=tmp_path)
@@ -473,6 +493,27 @@ def test_main_exit_code_infeasible_reference(tmp_path):
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_INFEASIBLE
+
+
+def test_main_solver_failure_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch):
+    def degraded(x, refs, cfg, params, warm_start=None):
+        return nmpc.OcpSolution.degraded(np.stack([r.u for r in refs]),
+                                         np.stack([r.x for r in refs]))
+
+    monkeypatch.setattr(nmpc, "solve", degraded)
+    path = tmp_path / "hover.json"
+    path.write_text(json.dumps(tiny_hover_doc()))
+    out = tmp_path / "out"
+    argv = ["track", "--config", str(path), "--out", str(out), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_SOLVER
+    runlog = (out / "tiny_hover_runlog.csv").read_text().splitlines()
+    status = runlog[0].split(",").index("qp_status")
+    assert [line.split(",")[status] for line in runlog[1:]] == ["degraded"] * 10
+    simlog = (out / "tiny_hover_simlog.csv").read_text().splitlines()
+    assert len(simlog) == 1 + 10 * 5 // 2  # 5 plant steps per tick, decimation 2
+    summary = json.loads((out / "tiny_hover_summary.json").read_text())
+    assert summary["ticks"] == 10 and summary["stopped_early"] is True
+    assert summary["abort_reason"] == "solver degraded for 11 consecutive ticks"
 
 
 def test_main_exit_code_negative_mass(tmp_path):

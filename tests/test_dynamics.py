@@ -435,10 +435,12 @@ def test_simulator_slip_saturates_lateral_friction(params):
 
 def apply_with_separate_k1(sim, u, duration):
     """Simulator.apply as a stepper that evaluates the contact diagnostics
-    and RK4's first stage in separate calls."""
+    and RK4's first stage in separate calls; returns its log records as
+    tuples in `SIMLOG_DTYPE` field order."""
     ua = np.array(u, dtype=float)
     P = sim.params
     power = dyn.rotor_power(ua, P)
+    rows = []
     for _ in range(max(1, round(duration / sim.dt))):
         x = sim.x.copy()
         if sim.mode is Mode.AERIAL:
@@ -467,14 +469,12 @@ def apply_with_separate_k1(sim, u, duration):
                 lift = bool(diag["lift_off"])
                 sim.lift_off_events += lift
                 sim.slip_steps += sim.slipping
-        sim.log.append(dyn.SimLogRow(
-            t=sim.t, x=x, u=ua, F_n_left=F_nl, F_n_right=F_nr, f_l=f_l,
-            slip=int(sim.slipping), lift_off=int(lift), power=power,
-        ))
+        rows.append((sim.t, x, ua, F_nl, F_nr, f_l, sim.slipping, lift, power))
         xn = dyn.rk4_step(x, ua, sim.mode, sim.dt, P, sim.slipping)
         xn[6:10] = quat_normalize(xn[6:10])
         sim.x = xn
         sim.t += sim.dt
+    return rows
 
 
 def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
@@ -492,11 +492,11 @@ def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
               ([6.0, 6.0, 0.0, 0.0], 20)]
     sims = [dyn.Simulator(params=p, x=x0, dt=1e-3, slip_enabled=True, mode=Mode.AERIAL)
             for _ in range(2)]
-    seen = []
+    seen, rows = [], []
     for u, steps in phases:
         for _ in range(steps):
             sims[0].apply(u, 1e-3)
-            apply_with_separate_k1(sims[1], u, 1e-3)
+            rows += apply_with_separate_k1(sims[1], u, 1e-3)
             seen.append((sims[0].mode, sims[0].slipping))
     modes, slips = [m for m, _ in seen], [s for _, s in seen]
     # touchdown, lift-off, slip onset and re-stick all happen in ground mode
@@ -505,11 +505,8 @@ def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
     assert {(False, True), (True, False)} <= set(zip(slips, slips[1:]))
     fast, ref = sims
     assert fast.lift_off_events > 0  # a wheel lifted: k1 uses clamped normals
-    assert len(fast.log) == len(ref.log) == sum(n for _, n in phases)
-    for a, b in zip(fast.log, ref.log):
-        assert a.x.tobytes() == b.x.tobytes() and a.u.tobytes() == b.u.tobytes()
-        assert (a.t, a.F_n_left, a.F_n_right, a.f_l, a.slip, a.lift_off, a.power) == (
-            b.t, b.F_n_left, b.F_n_right, b.f_l, b.slip, b.lift_off, b.power)
+    assert len(fast.log) == len(rows) == sum(n for _, n in phases)
+    assert fast.log.tobytes() == np.rec.array(rows, dtype=dyn.SIMLOG_DTYPE).tobytes()
     assert fast.x.tobytes() == ref.x.tobytes()
     assert (fast.t, fast.mode, fast.slipping, fast.slip_steps, fast.lift_off_events) == (
         ref.t, ref.mode, ref.slipping, ref.slip_steps, ref.lift_off_events)

@@ -771,5 +771,5 @@ def test_control_loop_off_grid_horizon_samples_every_node(params, monkeypatch):
     log, calls = _aerial_line_run(params, cfg, n, monkeypatch)
     assert len(calls) == n * (cfg.K + 1)
     # the line's feed-forward is exact: any misplaced node pulls the loop off it
-    act, ref = log.positions()
+    act, ref = log.ticks.x[:, 0:3], log.ticks.x_ref[:, 0:3]
     assert np.max(np.linalg.norm(act - ref, axis=1)) < 1e-9
