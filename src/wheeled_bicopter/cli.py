@@ -6,7 +6,7 @@ A scenario is one JSON document (schema_version 1) with blocks:
     vehicle      physical parameters (defaults in core.VehicleParams)
     environment  friction, slip model switch, sensor noise, loop rates
     trajectory   generator kind and geometry, speed/accel limits
-    controller   horizon, weights, solver knobs
+    controller   horizon, tracking weights, lateral lock
     run          duration control and RMSE dimensionality
     output       log decimation
 
@@ -187,7 +187,6 @@ class ScenarioConfig:
         _require_keys(ctrl, {f.name for f in fields(NmpcConfig)}, "controller")
         with _config_block("controller"):
             controller = NmpcConfig(**ctrl)
-            controller.bounds(params)
 
         seed = require_integer(doc.get("seed", 0), "seed", 0)
         name = doc.get("name", name)
@@ -312,7 +311,6 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
         p0=line_in.p0 - dir0 * (0.5 * speed0 * ramp_T),
         direction=dir0, v_start=0.0, v_end=speed0, duration=ramp_T, T_Bz=T_ground,
     )
-    rest_start = np.asarray(ramp_in.p0, dtype=float)
     psi0 = math.atan2(dir0[1], dir0[0])
 
     f1 = eight.end_flat()
@@ -370,12 +368,6 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
         "lap_s": traj.duration,
         "peak_speed": max(g8.peak_speed, a8.peak_speed),
         "peak_accel": max(g8.peak_accel, a8.peak_accel),
-        "switch_times": [
-            float(traj.starts[6]),  # takeoff: climb blend start
-            float(traj.starts[9]),  # touchdown: descent blend end
-        ],
-        "rest_start": [float(x) for x in rest_start],
-        "psi0": psi0,
     }
     return traj, peaks
 

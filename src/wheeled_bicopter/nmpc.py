@@ -43,11 +43,25 @@ FD_STEP = 1e-6
 # consecutive degraded ticks a closed loop tolerates before it aborts
 MAX_DEGRADED = 10
 
+# active-set QP: stationarity tolerance and iteration cap
+KKT_TOL = 1e-8
+MAX_QP_ITER = 200
+# L1 price of a softened wheel-normal newton, and the slacks' own weight
+# (SLACK_REG > 0 keeps the QP Hessian positive definite)
+SLACK_PENALTY = 1e5
+SLACK_REG = 1e-3
+# wheel-normal rows enter the QP only when the nominal margin is below
+# this many newtons (distant constraints cannot activate within one
+# correction; the receding horizon re-screens every tick)
+CONSTRAINT_MARGIN = 1.5
+
 
 @dataclass
 class NmpcConfig:
-    """Horizon, weights and solver knobs (defaults: 20 steps of 50 ms,
-    tracking gains of the reference vehicle)."""
+    """Horizon, tracking weights and the lateral lock (defaults: 20 steps
+    of 50 ms, tracking gains of the reference vehicle).  The solver
+    numerics are module constants and the input box comes from the
+    vehicle (`input_bounds`)."""
 
     K: int = 20
     dt: float = 0.05
@@ -56,44 +70,24 @@ class NmpcConfig:
     q_q: np.ndarray = field(default_factory=lambda: np.array([200.0, 200.0, 200.0, 200.0]))
     q_w: np.ndarray = field(default_factory=lambda: np.array([10.0, 10.0, 10.0]))
     q_u: np.ndarray = field(default_factory=lambda: np.array([10.0, 1.0, 1.0, 1.0]))
-    u_min: Optional[np.ndarray] = None
-    u_max: Optional[np.ndarray] = None
-    kkt_tol: float = 1e-8
-    max_qp_iter: int = 200
-    slack_penalty: float = 1e5
-    slack_reg: float = 1e-3
-    # wheel-normal rows enter the QP only when the nominal margin is below
-    # this many newtons (distant constraints cannot activate within one
-    # correction; the receding horizon re-screens every tick)
-    constraint_margin: float = 1.5
     lock_lateral: bool = False  # force delta1 + delta2 = 0 (no net side thrust)
 
     def __post_init__(self):
-        for name in ("K", "max_qp_iter"):
-            require_integer(getattr(self, name), name, 1)
-        # slack_reg > 0 keeps the QP Hessian positive definite, and
-        # slack_penalty > 0 makes every softened newton cost something
-        for name in ("dt", "kkt_tol", "slack_reg", "slack_penalty"):
-            setattr(self, name, require_real(getattr(self, name), name, 0.0, True))
-        self.constraint_margin = require_real(
-            self.constraint_margin, "constraint_margin", -math.inf, False)
+        require_integer(self.K, "K", 1)
+        self.dt = require_real(self.dt, "dt", 0.0, True)
         require_bool(self.lock_lateral, "lock_lateral")
-        for name in ("u_min", "u_max"):
-            if getattr(self, name) is not None:
-                setattr(self, name, require_reals(getattr(self, name), name, 4, -math.inf, False))
         for name, size in (("q_p", 3), ("q_v", 3), ("q_q", 4), ("q_w", 3), ("q_u", 4)):
             setattr(self, name, require_reals(getattr(self, name), name, size, 0.0, False))
 
     def state_weights(self) -> np.ndarray:
         return np.concatenate([self.q_p, self.q_v, self.q_q, self.q_w])
 
-    def bounds(self, params: VehicleParams) -> Tuple[np.ndarray, np.ndarray]:
-        d = params.delta_max
-        lo = self.u_min if self.u_min is not None else np.array([0.0, 0.0, -d, -d])
-        hi = self.u_max if self.u_max is not None else np.array([params.T_max, params.T_max, d, d])
-        if np.any(lo >= hi):
-            raise ValueError("u_min must be componentwise below u_max")
-        return lo, hi
+
+def input_bounds(params: VehicleParams) -> Tuple[np.ndarray, np.ndarray]:
+    """The input box (lo, hi) of [T1, T2, delta1, delta2]: thrusts in
+    [0, T_max], tilts in [-delta_max, delta_max]."""
+    d = params.delta_max
+    return np.array([0.0, 0.0, -d, -d]), np.array([params.T_max, params.T_max, d, d])
 
 
 @dataclass
@@ -115,16 +109,6 @@ class OcpSolution:
         )
 
 
-@dataclass
-class WarmStart:
-    """Shifted guess trajectory for the next RTI pass (multiple shooting:
-    the states are linearization points, not a fresh rollout, so unstable
-    internal dynamics do not amplify along the horizon)."""
-
-    u_seq: np.ndarray  # (K, 4)
-    x_seq: np.ndarray  # (K+1, 13)
-
-
 def discretize(x: np.ndarray, u: np.ndarray, mode: Mode, dt: float, params: VehicleParams):
     """One RK4 step of the packed state plus Jacobians d(x+)/dx, d(x+)/du
     by forward finite differences (a one-step horizon linearization)."""
@@ -137,9 +121,10 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
     (x_bar_k, u_bar_k) are given, the K finite-difference batches fuse into
     one array-core call per mode group.
 
-    Returns x_next (K,13), A (K,13,13), B (K,13,4) and, for ground steps,
-    per-step wheel-normal values and gradients, read off the contact
-    evaluation that is also the batch's RK4 k1.
+    Returns x_next (K,13), A (K,13,13), B (K,13,4) and, per ground step,
+    the wheel normals F_n (2,), dF_n/dx (2,13) and dF_n/du (2,4), left
+    wheel first, read off the contact evaluation that is also the batch's
+    RK4 k1.
     """
     K = len(u_bar)
     n, m = 13, 4
@@ -166,7 +151,9 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
             k1, diag = _f_ground_batch(xm, um, params)
             Fl = diag["F_nl"].reshape(len(idx), nb)
             Fr = diag["F_nr"].reshape(len(idx), nb)
-            normals.update(zip(idx, zip(Fl, Fr)))
+            F = np.stack([Fl, Fr], axis=1)  # (step, wheel, batch row)
+            dF = (F[:, :, 1:] - F[:, :, :1]) / FD_STEP
+            normals.update(zip(idx, zip(F[:, :, 0], dF[:, :, :n], dF[:, :, n:])))
         out = rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
         x_next[idx] = out[:, 0]
         A[idx] = (out[:, 1 : 1 + n] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
@@ -356,12 +343,11 @@ def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
     documents, with a feasible start z0 and the working-set seed active0.
     Returns (A_in, b_in, z0, active0, n_eq)."""
     K, m = u_bar.shape
-    n = S.shape[1]
     nz = K * m
     n_eq = K if cfg.lock_lateral else 0
     # NaN normals stay in, as they are not above the margin
-    soft = [(k, Fv) for k, pair in normals.items() for Fv in pair
-            if not Fv[0] > cfg.constraint_margin]
+    soft = [(k, F[w], Fx[w], Fu[w]) for k, (F, Fx, Fu) in normals.items() for w in (0, 1)
+            if not F[w] > CONSTRAINT_MARGIN]
     n_soft = len(soft)
     dim = nz + n_soft
     r_soft = n_eq + 2 * nz
@@ -386,10 +372,7 @@ def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
 
     # linearized wheel-normal constraints on ground steps, L1-softened
     active0 = []
-    for i, (k, Fv) in enumerate(soft):
-        val = Fv[0]
-        gx = (Fv[1 : 1 + n] - val) / FD_STEP
-        gu = (Fv[1 + n :] - val) / FD_STEP
+    for i, (k, val, gx, gu) in enumerate(soft):
         row = -(gx @ S[k])
         row[k * m : (k + 1) * m] -= gu
         r = r_soft + 2 * i
@@ -408,40 +391,43 @@ def solve(
     refs: Sequence[ReferencePoint],
     cfg: NmpcConfig,
     params: VehicleParams,
-    warm_start: Optional[WarmStart] = None,
+    prev: Optional[OcpSolution] = None,
 ) -> OcpSolution:
     """One real-time-iteration pass; returns the input sequence whose first
     element is applied by the control loop.
 
     `x_current` is a packed state (13,); `refs` must hold K+1 points.  The
-    linearization runs along the warm-start guess trajectory (reference
-    states/inputs on a cold start) with defect terms in the condensation,
-    so the prediction stays anchored even though the ground pitch axis is
-    open-loop unstable.
+    linearization runs along a guess trajectory with defect terms in the
+    condensation, so the prediction stays anchored even though the ground
+    pitch axis is open-loop unstable.  The guess is `prev`, the previous
+    tick's solution, shifted one step with its last entries repeated, or
+    the reference states and inputs when `prev` is None.  This is multiple
+    shooting: the shifted states are linearization points, not a fresh
+    rollout, so unstable internal dynamics do not amplify along the
+    horizon.  The guess inputs are clipped into `input_bounds`.
 
     QP rows on z = [du (K*m), slacks]: first the K `lock_lateral`
     equalities (if set); then the boxes, row n_eq + 2i being +e_i <= hi - u
     and row n_eq + 2i + 1 being -e_i <= u - lo; then, per wheel-normal row s
-    with a nominal normal within `constraint_margin`, the pair
+    with a nominal normal within `CONSTRAINT_MARGIN`, the pair
     [row, -e_s] <= b and [0, -e_s] <= 0.
     """
     K = cfg.K
     if len(refs) != K + 1:
         raise ValueError(f"expected {K + 1} reference points, got {len(refs)}")
     x_current = np.asarray(x_current, dtype=float)
-    lo, hi = cfg.bounds(params)
+    lo, hi = input_bounds(params)
 
     u_ref = np.stack([r.u for r in refs[:K]])
     x_ref = np.stack([r.x for r in refs])
-    if warm_start is None:
-        u_bar = u_ref.copy()
-        x_bar = x_ref.copy()
+    if prev is None:
+        u_bar, x_bar = u_ref, x_ref
     else:
-        u_bar = np.asarray(warm_start.u_seq, dtype=float).copy()
-        x_bar = np.asarray(warm_start.x_seq, dtype=float).copy()
+        u_bar = np.vstack([prev.u_seq[1:], prev.u_seq[-1:]])
+        x_bar = np.vstack([prev.x_pred[1:], prev.x_pred[-1:]])
     u_bar = np.clip(u_bar, lo, hi)
     if not np.all(np.isfinite(x_bar)) or np.any(np.abs(x_bar) > DIVERGENCE_LIMIT):
-        x_bar = x_ref.copy()
+        x_bar = x_ref
     modes = [r.mode for r in refs]
 
     # linearization along the guess, with defects d_k = f(xbar,ubar) - xbar+
@@ -497,13 +483,13 @@ def solve(
     n_soft = dim - nz
     Hfull = np.zeros((dim, dim))
     Hfull[:nz, :nz] = H
-    Hfull[nz:, nz:] = cfg.slack_reg * np.eye(n_soft)
-    gfull = np.concatenate([gvec, cfg.slack_penalty * np.ones(n_soft)])
+    Hfull[nz:, nz:] = SLACK_REG * np.eye(n_soft)
+    gfull = np.concatenate([gvec, SLACK_PENALTY * np.ones(n_soft)])
 
     try:
         z, work, lam, iters = solve_qp(
             Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0,
-            tol=cfg.kkt_tol, max_iter=cfg.max_qp_iter,
+            tol=KKT_TOL, max_iter=MAX_QP_ITER,
         )
     except QpError as exc:
         return OcpSolution.degraded(u_bar, x_bar, qp_iters=exc.iters)
@@ -517,8 +503,8 @@ def solve(
     u_seq = np.clip(u_bar + du, lo, hi)
     status = "relaxed" if n_soft and float(np.max(slacks)) > 1e-6 else "optimal"
 
-    # the optimizer's own (linearized) state prediction; also the next
-    # linearization guess after shifting
+    # the optimizer's own (linearized) state prediction; shifted, the next
+    # tick's linearization guess
     zu = z[:nz]
     x_pred = x_bar + c + S @ zu
     x_pred[:, 6:10] /= np.linalg.norm(x_pred[:, 6:10], axis=1, keepdims=True)
@@ -530,13 +516,6 @@ def solve(
         u_seq=u_seq, x_pred=x_pred, slacks=slacks,
         status=status, cost=cost, kkt_residual=kkt, qp_iters=iters,
     )
-
-
-def shift_warm_start(prev: OcpSolution) -> WarmStart:
-    """Shift the previous solution one step, duplicating the tail entries."""
-    u = np.vstack([prev.u_seq[1:], prev.u_seq[-1:]])
-    x = np.vstack([prev.x_pred[1:], prev.x_pred[-1:]])
-    return WarmStart(u_seq=u, x_seq=x)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +603,7 @@ def control_loop(
 
     n_ticks = round(duration * control_rate)
     ticks = np.recarray(n_ticks, dtype=RUNLOG_DTYPE)
-    warm: Optional[WarmStart] = None
+    prev: Optional[OcpSolution] = None
     degraded_run = 0
     for i in range(n_ticks):
         t = sim.t
@@ -636,7 +615,7 @@ def control_loop(
         refs = table.window(nodes)
         x_meas = noise.apply(sim.x, rng)
         t0 = time.perf_counter()
-        sol = solve(x_meas, refs, cfg, params, warm_start=warm)
+        sol = solve(x_meas, refs, cfg, params, prev=prev)
         solve_us = (time.perf_counter() - t0) * 1e6
         if sol.status == "degraded":
             degraded_run += 1
@@ -645,10 +624,10 @@ def control_loop(
                     ticks[:i], sim, aborted=True,
                     abort_reason=f"solver degraded for {degraded_run} consecutive ticks",
                 )
-            warm = None  # cold restart from the references next tick
+            prev = None  # cold restart from the references next tick
         else:
             degraded_run = 0
-            warm = shift_warm_start(sol)
+            prev = sol
         sim.apply(sol.u_seq[0], dt_ctrl)
         slack_max = float(np.max(sol.slacks)) if sol.slacks.size else 0.0
         ticks[i] = (t, refs[0].x, x_meas, sol.u_seq[0], refs[0].mode.name, solve_us,

@@ -225,6 +225,23 @@ def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsy
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("kkt_tol", 1e-8), ("max_qp_iter", 200), ("slack_penalty", 1e5), ("slack_reg", 1e-3),
+    ("constraint_margin", 1.5), ("u_min", [0.0, 0.0, -0.7, -0.7]),
+    ("u_max", [8.0, 8.0, 0.7, 0.7]),
+])
+def test_main_controller_key_that_is_now_a_constant_exits_with_config_error(
+        key, value, tmp_path, capsys):
+    # the solver numerics are nmpc constants and the input box comes from
+    # the vehicle, so a scenario that still sets one is rejected by name
+    doc = tiny_hover_doc()
+    doc["controller"][key] = value
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG
+    assert f"config error: unknown keys in controller: [{key!r}]" in capsys.readouterr().err
+
+
 def test_main_overflowing_number_exits_with_config_error(tmp_path, capsys):
     # json reads 1e999 as inf
     path = tmp_path / "overflow.json"
@@ -496,7 +513,7 @@ def test_main_exit_code_infeasible_reference(tmp_path):
 
 
 def test_main_solver_failure_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch):
-    def degraded(x, refs, cfg, params, warm_start=None):
+    def degraded(x, refs, cfg, params, prev=None):
         return nmpc.OcpSolution.degraded(np.stack([r.u for r in refs]),
                                          np.stack([r.x for r in refs]))
 
@@ -604,7 +621,7 @@ def test_width_report_contents(tmp_path):
 
 def test_benchmark_slippery_keeps_controller_block_in_both_variants(monkeypatch):
     doc = cli.load_bundled_scenario("benchmark_slippery")
-    doc["controller"] = {"q_p": [7.0, 8.0, 9.0], "u_max": [6.0, 6.0, 0.5, 0.5]}
+    doc["controller"] = {"q_p": [7.0, 8.0, 9.0], "K": 12}
     doc["trajectory"]["speed_cases"] = [[1.0, 0.7]]
     cfg = cli.ScenarioConfig.from_dict(doc, "benchmark_slippery")
     seen = []
@@ -619,4 +636,4 @@ def test_benchmark_slippery_keeps_controller_block_in_both_variants(monkeypatch)
     assert [c.lock_lateral for c in seen] == [False, True]
     for ctrl in seen:
         np.testing.assert_array_equal(ctrl.q_p, [7.0, 8.0, 9.0])
-        np.testing.assert_array_equal(ctrl.u_max, [6.0, 6.0, 0.5, 0.5])
+        assert ctrl.K == 12

@@ -154,7 +154,9 @@ def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
             Fl = diag["F_nl"].reshape(len(idx), nb)
             Fr = diag["F_nr"].reshape(len(idx), nb)
             for j, k in enumerate(idx):
-                normals[k] = (Fl[j], Fr[j])
+                F = np.stack([Fl[j], Fr[j]])
+                normals[k] = (F[:, 0], (F[:, 1 : 1 + n] - F[:, :1]) / nmpc.FD_STEP,
+                              (F[:, 1 + n :] - F[:, :1]) / nmpc.FD_STEP)
         out = dyn.rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
         for j, k in enumerate(idx):
             x_next[k] = out[j, 0]
@@ -181,6 +183,7 @@ def test_linearize_horizon_equals_the_stage_loop(seed, ground):
         np.testing.assert_array_equal(g, w)
     assert list(got[3]) == list(want[3]) == [k for k in range(K) if modes[k] is Mode.GROUND]
     for k in got[3]:
+        assert [np.shape(a) for a in got[3][k]] == [(2,), (2, 13), (2, 4)]
         for g, w in zip(got[3][k], want[3][k]):
             np.testing.assert_array_equal(g, w)
 
@@ -359,13 +362,12 @@ def solve_shaped_qp(rng, n_pairs, n_lock, n_soft, ill_conditioned):
     else:
         M = rng.normal(size=(nu, nu))
         Hu = M @ M.T + 0.1 * np.eye(nu)
-    cfg = nmpc.NmpcConfig()
     dim = nu + n_soft
     H = np.zeros((dim, dim))
     H[:nu, :nu] = Hu
-    H[nu:, nu:] = cfg.slack_reg * np.eye(n_soft)
+    H[nu:, nu:] = nmpc.SLACK_REG * np.eye(n_soft)
     g = np.concatenate([rng.normal(scale=3.0 * np.sqrt(np.diag(Hu))),
-                        np.full(n_soft, cfg.slack_penalty)])
+                        np.full(n_soft, nmpc.SLACK_PENALTY)])
     n_eq = min(n_lock, n_pairs)
     rows = n_eq + 2 * nu
     A = np.zeros((rows + 2 * n_soft, dim))
@@ -441,7 +443,7 @@ def loop_built_rows(u_bar, lo, hi, normals, S, c, cfg):
     """Row-by-row constraint assembly, the reference for the block-built
     `nmpc._constraint_rows`."""
     K, m = u_bar.shape
-    n, nz = S.shape[1], K * u_bar.shape[1]
+    nz = K * m
     rows, rhs, eq_rows, eq_rhs, soft = [], [], [], [], []
     if cfg.lock_lateral:
         for k in range(K):
@@ -458,13 +460,10 @@ def loop_built_rows(u_bar, lo, hi, normals, S, c, cfg):
             rhs.append(hi[j] - u_bar[k, j])
             rows.append(-row)
             rhs.append(u_bar[k, j] - lo[j])
-    for k, (Fl, Fr) in normals.items():
-        for Fv in (Fl, Fr):
-            val = Fv[0]
-            if val > cfg.constraint_margin:
+    for k, (F, Fx, Fu) in normals.items():
+        for val, gx, gu in zip(F, Fx, Fu):
+            if val > nmpc.CONSTRAINT_MARGIN:
                 continue
-            gx = (Fv[1 : 1 + n] - val) / nmpc.FD_STEP
-            gu = (Fv[1 + n :] - val) / nmpc.FD_STEP
             row = -(gx @ S[k])
             row[k * m : (k + 1) * m] -= gu
             soft.append((row, float(val + gx @ c[k])))
@@ -510,7 +509,7 @@ def test_block_built_rows_equal_loop_built(seed, K, lock_lateral, n_soft):
     rng = np.random.default_rng(seed)
     params = VehicleParams()
     cfg = nmpc.NmpcConfig(K=K, lock_lateral=lock_lateral)
-    lo, hi = cfg.bounds(params)
+    lo, hi = nmpc.input_bounds(params)
     n, m = 13, 4
     u_bar = rng.uniform(lo, hi, size=(K, m))
     S = rng.normal(size=(K + 1, n, K * m))
@@ -520,14 +519,12 @@ def test_block_built_rows_equal_loop_built(seed, K, lock_lateral, n_soft):
     n_ground = int(rng.integers((n_soft + 1) // 2, K + 1))
     steps = np.sort(rng.choice(K, size=n_ground, replace=False))
     near = set(rng.choice(2 * n_ground, size=n_soft, replace=False).tolist())
+    margin = nmpc.CONSTRAINT_MARGIN
     normals = {}
     for j, k in enumerate(steps):
-        pair = []
-        for w in range(2):
-            val = (rng.uniform(-1.0, cfg.constraint_margin) if 2 * j + w in near
-                   else cfg.constraint_margin + rng.uniform(0.1, 5.0))
-            pair.append(val + 1e-6 * rng.normal(size=1 + n + m) * np.r_[0.0, np.ones(n + m)])
-        normals[int(k)] = tuple(pair)
+        F = np.array([rng.uniform(-1.0, margin) if 2 * j + w in near
+                      else margin + rng.uniform(0.1, 5.0) for w in range(2)])
+        normals[int(k)] = (F, rng.normal(size=(2, n)), rng.normal(size=(2, m)))
 
     got = nmpc._constraint_rows(u_bar, lo, hi, normals, S, c, cfg)
     want = loop_built_rows(u_bar, lo, hi, normals, S, c, cfg)
@@ -580,7 +577,7 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
         v_max=2.8, a_max=3.0,
     )
     traj = tj.HybridTrajectory([rep.segment])
-    lo, hi = cfg.bounds(params)
+    lo, hi = nmpc.input_bounds(params)
     lap = rep.segment.duration / 1.2
 
     def check(sol, refs):
@@ -598,13 +595,12 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
         check(sol, refs)
 
     # consecutive warm-started ticks through the highest-curvature section
-    warm = None
+    sol = None
     t = 0.2 * lap
     for _ in range(12):
         refs = traj.sample_references(t, cfg.K, cfg.dt, params, clamp=True)
-        sol = nmpc.solve(refs[0].x_array(), refs, cfg, params, warm_start=warm)
+        sol = nmpc.solve(refs[0].x_array(), refs, cfg, params, prev=sol)
         check(sol, refs)
-        warm = nmpc.shift_warm_start(sol)
         t += cfg.dt
 
 
@@ -640,28 +636,44 @@ def test_solve_mixed_mode_horizon(params, cfg):
     assert sol.x_pred[-1][2] > zc + 0.05
 
 
-def test_shift_warm_start_basics(params, cfg):
-    u = np.tile(np.array([1.0, 2.0, 0.1, -0.1]), (cfg.K, 1))
-    sol = nmpc.OcpSolution(
-        u_seq=u, x_pred=np.zeros((cfg.K + 1, 13)), slacks=np.zeros(0),
+def test_shift_warm_start_basics(params, cfg, monkeypatch):
+    # `solve` linearizes along the previous solution shifted one step, its
+    # last entries repeated and its inputs clipped into the vehicle's box,
+    # and along the references without one
+    seen = []
+    linearize = nmpc._linearize_horizon
+
+    def spy(x_bar, u_bar, *args):
+        seen.append((x_bar.copy(), u_bar.copy()))
+        return linearize(x_bar, u_bar, *args)
+
+    monkeypatch.setattr(nmpc, "_linearize_horizon", spy)
+    refs = hover_trajectory(params).sample_references(0.0, cfg.K, cfg.dt, params)
+    x0 = refs[0].x_array()
+    lo, hi = nmpc.input_bounds(params)
+    rng = np.random.default_rng(0)
+    u = rng.uniform(lo, hi, (cfg.K, 4))
+    u[0] = hi + 1.0  # shifted away
+    u[3] = hi + 1.0  # outside the box: clipped to hi
+    u[-1] = lo - 1.0  # outside the box, and repeated as the tail: clipped to lo
+    x_pred = np.stack([r.x_array() for r in refs]) + rng.normal(0.0, 1e-3, (cfg.K + 1, 13))
+    prev = nmpc.OcpSolution(
+        u_seq=u, x_pred=x_pred, slacks=np.zeros(0),
         status="optimal", cost=0.0, kkt_residual=0.0, qp_iters=1,
     )
-    shifted = nmpc.shift_warm_start(sol)
-    np.testing.assert_array_equal(shifted.u_seq, u)  # constant sequence unchanged
-    u2 = u.copy()
-    u2[0] = [9.0, 9.0, 0.5, 0.5]
-    sol.u_seq = u2
-    shifted = nmpc.shift_warm_start(sol)
-    np.testing.assert_array_equal(shifted.u_seq[:-1], u2[1:])
-    np.testing.assert_array_equal(shifted.u_seq[-1], u2[-1])
-    # shifting twice equals shifting by two
-    twice = nmpc.shift_warm_start(
-        nmpc.OcpSolution(
-            u_seq=shifted.u_seq, x_pred=shifted.x_seq, slacks=np.zeros(0),
-            status="optimal", cost=0.0, kkt_residual=0.0, qp_iters=1,
-        )
-    )
-    np.testing.assert_array_equal(twice.u_seq[:-2], u2[2:])
+
+    nmpc.solve(x0, refs, cfg, params, prev=prev)
+    x_bar, u_bar = seen.pop()
+    np.testing.assert_array_equal(x_bar[:-1], x_pred[1:])
+    np.testing.assert_array_equal(x_bar[-1], x_pred[-1])
+    np.testing.assert_array_equal(u_bar[:-1], np.clip(u[1:], lo, hi))
+    np.testing.assert_array_equal(u_bar[2], hi)
+    np.testing.assert_array_equal(u_bar[-2:], [lo, lo])
+
+    nmpc.solve(x0, refs, cfg, params)
+    x_bar, u_bar = seen.pop()
+    np.testing.assert_array_equal(x_bar, [r.x_array() for r in refs])
+    np.testing.assert_array_equal(u_bar, [r.u for r in refs[:cfg.K]])
 
 
 def test_lock_lateral_enforces_opposed_tilts(params):
@@ -676,17 +688,16 @@ def test_lock_lateral_enforces_opposed_tilts(params):
 def test_warm_start_not_worse_than_cold(params, cfg):
     traj = circle_trajectory(params)
     sim_costs_warm, sim_costs_cold = [], []
-    warm = None
+    sol_w = None
     x = traj.sample_references(0.5, cfg.K, cfg.dt, params)[0].x_array().copy()
     x[0] += 0.03
     t = 0.5
     for _ in range(25):
         refs = traj.sample_references(t, cfg.K, cfg.dt, params)
-        sol_w = nmpc.solve(x, refs, cfg, params, warm_start=warm)
-        sol_c = nmpc.solve(x, refs, cfg, params, warm_start=None)
+        sol_w = nmpc.solve(x, refs, cfg, params, prev=sol_w)
+        sol_c = nmpc.solve(x, refs, cfg, params)
         sim_costs_warm.append(sol_w.cost)
         sim_costs_cold.append(sol_c.cost)
-        warm = nmpc.shift_warm_start(sol_w)
         x = dyn.rk4_step(x, sol_w.u_seq[0], refs[0].mode, cfg.dt, params)
         t += cfg.dt
     assert np.mean(sim_costs_warm) <= np.mean(sim_costs_cold) * 1.05 + 1e-9
