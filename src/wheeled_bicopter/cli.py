@@ -417,14 +417,29 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     duration = float(cfg.run["duration"] or peaks["lap_s"])
     if round(duration * env["control_rate_hz"]) < 1:
         raise ConfigError(f"a {duration} s run is shorter than one control period")
-    log = control_loop(
-        sim, traj, cfg.controller, cfg.params,
-        duration=duration, control_rate=env["control_rate_hz"],
-        noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
-        rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
-    )
-    failed = log.aborted and log.abort_reason != "stop condition met"
+    try:
+        log = control_loop(
+            sim, traj, cfg.controller, cfg.params,
+            duration=duration, control_rate=env["control_rate_hz"],
+            noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
+            rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
+        )
+    except (DivergenceError, InfeasibleReferenceError) as exc:
+        if out_dir is not None and hasattr(exc, "runlog"):  # the run had started
+            _scenario_result(cfg, exc.runlog, peaks, duration, out_dir)
+        raise
+    result = _scenario_result(cfg, log, peaks, duration, out_dir)
+    if "abort_reason" in result.summary:
+        raise SolverFailure(log.abort_reason)
+    if not quiet:
+        print(json.dumps(result.summary, indent=2, sort_keys=True))
+    return result
 
+
+def _scenario_result(cfg: ScenarioConfig, log: RunLog, peaks: dict, duration: float,
+                     out_dir: Optional[Path]) -> ScenarioResult:
+    """Summarize a closed-loop run, complete or cut short, and write its
+    outputs to out_dir when given."""
     ticks, steps = log.ticks, log.sim.log
     act, ref = ticks.x[:, 0:3], ticks.x_ref[:, 0:3]
     statuses, counts = np.unique(ticks.qp_status, return_counts=True)
@@ -445,15 +460,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         "statuses": {str(s): int(n) for s, n in zip(statuses, counts)},
         "max_slack": float(np.max(ticks.slack_max)),
     }
-    if failed:
+    if log.aborted and log.abort_reason != "stop condition met":
         summary["abort_reason"] = log.abort_reason
     result = ScenarioResult(cfg.name, log, summary)
     if out_dir is not None:
         result.files = write_outputs(cfg, result, Path(out_dir))
-    if failed:
-        raise SolverFailure(log.abort_reason)
-    if not quiet:
-        print(json.dumps(summary, indent=2, sort_keys=True))
     return result
 
 

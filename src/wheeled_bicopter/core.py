@@ -126,24 +126,27 @@ def quat_multiply(a, b) -> np.ndarray:
     )
 
 
-def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion, broadcasting over leading axes."""
-    q = np.asarray(q)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+def quat_matrix_entries(w, x, y, z):
+    """The nine entries, row by row, of the rotation matrix of the unit
+    quaternion (w, x, y, z): Python floats, or arrays evaluated
+    elementwise."""
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    R = np.empty(q.shape[:-1] + (3, 3))
-    R[..., 0, 0] = 1 - 2 * (yy + zz)
-    R[..., 0, 1] = 2 * (xy - wz)
-    R[..., 0, 2] = 2 * (xz + wy)
-    R[..., 1, 0] = 2 * (xy + wz)
-    R[..., 1, 1] = 1 - 2 * (xx + zz)
-    R[..., 1, 2] = 2 * (yz - wx)
-    R[..., 2, 0] = 2 * (xz - wy)
-    R[..., 2, 1] = 2 * (yz + wx)
-    R[..., 2, 2] = 1 - 2 * (xx + yy)
-    return R
+    return (
+        1 - 2 * (yy + zz), 2 * (xy - wz), 2 * (xz + wy),
+        2 * (xy + wz), 1 - 2 * (xx + zz), 2 * (yz - wx),
+        2 * (xz - wy), 2 * (yz + wx), 1 - 2 * (xx + yy),
+    )
+
+
+def pack_components(components, lead: tuple) -> np.ndarray:
+    """Pack components along a new last axis, the inverse of unpacking
+    `a.T` (each component then spans the leading axes reversed)."""
+    out = np.empty(lead + (len(components),))
+    for i, c in enumerate(components):
+        out.T[i] = c
+    return out
 
 
 def quat_from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
@@ -176,19 +179,23 @@ def quat_to_euler(q) -> Tuple[float, float, float]:
     return phi, theta, psi
 
 
+def quat_rate(qw, qx, qy, qz, ox, oy, oz):
+    """Components of the quaternion rate 0.5 (0, omega) (x) q for the
+    world-frame angular velocity omega (Rdot = skew(omega) R): Python
+    floats, or arrays evaluated elementwise."""
+    return (
+        0.5 * (-ox * qx - oy * qy - oz * qz),
+        0.5 * (ox * qw + oy * qz - oz * qy),
+        0.5 * (oy * qw + oz * qx - ox * qz),
+        0.5 * (oz * qw + ox * qy - oy * qx),
+    )
+
+
 def quat_derivative(q, omega_world) -> np.ndarray:
-    """Quaternion rate 0.5 (0, omega) (x) q for world-frame angular velocity
-    (Rdot = skew(omega) R); q (..., 4) and omega (..., 3) share their
+    """`quat_rate` of q (..., 4) and omega (..., 3), which share their
     leading axes."""
     q, w = np.asarray(q, dtype=float), np.asarray(omega_world, dtype=float)
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    ox, oy, oz = w[..., 0], w[..., 1], w[..., 2]
-    out = np.empty_like(q)
-    out[..., 0] = 0.5 * (-ox * qx - oy * qy - oz * qz)
-    out[..., 1] = 0.5 * (ox * qw + oy * qz - oz * qy)
-    out[..., 2] = 0.5 * (oy * qw + oz * qx - ox * qz)
-    out[..., 3] = 0.5 * (oz * qw + ox * qy - oy * qx)
-    return out
+    return pack_components(quat_rate(*q.T, *w.T), q.shape[:-1])
 
 
 @dataclass

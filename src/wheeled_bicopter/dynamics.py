@@ -31,16 +31,24 @@ as constraint forces.  The pitch/yaw rows of the torque balance drive
 An optional stick/slip model saturates the lateral friction at mu_s F_n and
 releases the lateral constraint while sliding.
 
-Internally states are packed as x = [p(3), v(3), q(4), omega(3)] and all
-core routines broadcast over a leading batch axis; the typed API wraps the
-array core.  A ground state's contact forces and derivative come from one
-`_f_ground_batch` evaluation: a caller that reads the contact (the
-simulator's lift-off and stick/slip decision, the controller's wheel-normal
-rows) passes that derivative to `rk4_step` as its first stage.
+Internally states are packed as x = [p(3), v(3), q(4), omega(3)]; the
+typed API wraps the core.  The aerial derivative is written once, component
+by component (`_wrench_terms`, `core.quat_matrix_entries`, `_aerial_rates`,
+`core.quat_rate`), and is evaluated on two kinds of value: Python floats
+with `math` in the simulator's aerial steps (`_rk4_aerial`), and arrays
+with numpy ufuncs in `_f_aerial_batch`, `rk4_step` and the controller's
+linearization batch.  Both give the same bits.  The ground routines are
+array code that broadcasts over leading axes, for one row in the simulator
+and for the linearization batch.  A ground state's contact forces and
+derivative come from one `_f_ground_batch` evaluation: a caller that reads
+the contact (the simulator's lift-off and stick/slip decision, the
+controller's wheel-normal rows) passes that derivative to `rk4_step` as its
+first stage.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,9 +64,11 @@ from .core import (
     RobotState,
     Vec3,
     VehicleParams,
+    pack_components,
     quat_derivative,
+    quat_matrix_entries,
     quat_normalize,
-    quat_to_matrix,
+    quat_rate,
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -96,10 +106,13 @@ class StateDerivative:
 # ---------------------------------------------------------------------------
 
 
-def _wrench_terms(u: np.ndarray, P: VehicleParams):
-    T1, T2, d1, d2 = u[..., 0], u[..., 1], u[..., 2], u[..., 3]
-    s1, c1 = np.sin(d1), np.cos(d1)
-    s2, c2 = np.sin(d2), np.cos(d2)
+def _wrench_terms(u, P: VehicleParams, lib):
+    """(T_By, T_Bz, tau_x, tau_y, tau_z) of the input components
+    u = (T1, T2, d1, d2): Python floats with lib = `math`, or arrays with
+    lib = `numpy`."""
+    T1, T2, d1, d2 = u
+    s1, c1 = lib.sin(d1), lib.cos(d1)
+    s2, c2 = lib.sin(d2), lib.cos(d2)
     a1, a2 = T1 * c1, T2 * c2
     b1, b2 = T1 * s1, T2 * s2
     TBy = -(b1 + b2)
@@ -110,37 +123,61 @@ def _wrench_terms(u: np.ndarray, P: VehicleParams):
     return TBy, TBz, tau_x, tau_y, tau_z
 
 
-def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarray:
-    v = x[..., 3:6]
-    q = x[..., 6:10]
-    w = x[..., 10:13]
-    TBy, TBz, tau_x, tau_y, tau_z = _wrench_terms(u, P)
-
-    R = quat_to_matrix(q)
-    xdot = np.empty_like(x)
-    xdot[..., 0:3] = v
-    # vdot = g + R @ (0, TBy, TBz) / m
-    xdot[..., 3:6] = (R[..., :, 1] * TBy[..., None] + R[..., :, 2] * TBz[..., None]) / P.m
-    xdot[..., 5] -= P.g
-
-    # body rates, Euler equation in body coordinates, rate back to world
-    wb = np.einsum("...ji,...j->...i", R, w)
-    J = P.J
-    Jw = wb * J
-    gyro0 = wb[..., 1] * Jw[..., 2] - wb[..., 2] * Jw[..., 1]
-    gyro1 = wb[..., 2] * Jw[..., 0] - wb[..., 0] * Jw[..., 2]
-    gyro2 = wb[..., 0] * Jw[..., 1] - wb[..., 1] * Jw[..., 0]
-    wbdot = np.stack(
-        [
-            (tau_x - gyro0) * P.J_inv[0],
-            (tau_y - gyro1) * P.J_inv[1],
-            (tau_z - gyro2) * P.J_inv[2],
-        ],
-        axis=-1,
+def _aerial_rates(x, wrench, P: VehicleParams, J, J_inv):
+    """The 13 components of the aerial f(x, u) from the 13 components of x
+    and the `_wrench_terms` of u: Python floats (J and J_inv as floats too)
+    or arrays evaluated elementwise.  R' omega is summed as (t0 + t1) + t2
+    and R wbdot as (t0 + t2) + t1, the orders of numpy's einsum, so floats,
+    array rows and the einsum form of the model give the same bits."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = x
+    TBy, TBz, tau_x, tau_y, tau_z = wrench
+    R00, R01, R02, R10, R11, R12, R20, R21, R22 = quat_matrix_entries(qw, qx, qy, qz)
+    # vdot = g + R (0, TBy, TBz) / m
+    ax = (R01 * TBy + R02 * TBz) / P.m
+    ay = (R11 * TBy + R12 * TBz) / P.m
+    az = (R21 * TBy + R22 * TBz) / P.m - P.g
+    # body rates R' omega, Euler equation in body coordinates, rate back to
+    # world R wbdot
+    wb0 = (R00 * ox + R10 * oy) + R20 * oz
+    wb1 = (R01 * ox + R11 * oy) + R21 * oz
+    wb2 = (R02 * ox + R12 * oy) + R22 * oz
+    Jw0, Jw1, Jw2 = wb0 * J[0], wb1 * J[1], wb2 * J[2]
+    e0 = (tau_x - (wb1 * Jw2 - wb2 * Jw1)) * J_inv[0]
+    e1 = (tau_y - (wb2 * Jw0 - wb0 * Jw2)) * J_inv[1]
+    e2 = (tau_z - (wb0 * Jw1 - wb1 * Jw0)) * J_inv[2]
+    return (
+        vx, vy, vz, ax, ay, az, *quat_rate(qw, qx, qy, qz, ox, oy, oz),
+        (R00 * e0 + R02 * e2) + R01 * e1,
+        (R10 * e0 + R12 * e2) + R11 * e1,
+        (R20 * e0 + R22 * e2) + R21 * e1,
     )
-    xdot[..., 10:13] = np.einsum("...ij,...j->...i", R, wbdot)
-    xdot[..., 6:10] = quat_derivative(q, w)
-    return xdot
+
+
+def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarray:
+    """`_aerial_rates` of packed states x (..., 13) and inputs u with the
+    same leading axes or one input (4,), each component a contiguous
+    array."""
+    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
+    rates = _aerial_rates(np.ascontiguousarray(x.T), wrench, P, P.J, P.J_inv)
+    return pack_components(rates, x.shape[:-1])
+
+
+def _rk4_aerial(x: list, wrench, dt: float, P: VehicleParams, J: list, J_inv: list) -> list:
+    """`rk4_step` of one aerial state given as 13 Python floats, with the
+    inertia as float lists: the same operations in the same order, so the
+    same bits, without numpy's per-call cost.  The quaternion norm adds
+    the squares in sequence, as `np.linalg.norm` does."""
+    h = 0.5 * dt
+    k1 = _aerial_rates(x, wrench, P, J, J_inv)
+    k2 = _aerial_rates([a + h * k for a, k in zip(x, k1)], wrench, P, J, J_inv)
+    k3 = _aerial_rates([a + h * k for a, k in zip(x, k2)], wrench, P, J, J_inv)
+    k4 = _aerial_rates([a + dt * k for a, k in zip(x, k3)], wrench, P, J, J_inv)
+    c = dt / 6.0
+    xn = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    q = xn[6:10]
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    xn[6:10] = [v / n for v in q]
+    return xn
 
 
 def _ground_geometry(x: np.ndarray):
@@ -217,7 +254,7 @@ def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bo
     theta, psi, theta_dot, psi_dot, cpsi, spsi = _ground_geometry(x)
     cth, sth = np.cos(theta), np.sin(theta)
 
-    TBy, TBz, tau_x, tau_y, tau_z = _wrench_terms(u, P)
+    TBy, TBz, tau_x, tau_y, tau_z = _wrench_terms(u.T, P, np)
 
     vx, vy = v[..., 0], v[..., 1]
     u_long = vx * cpsi + vy * spsi
@@ -335,7 +372,7 @@ def rk4_step(
 def actuator_wrench(u: ControlInput, params: VehicleParams) -> BodyWrench:
     """Body-frame thrust and torque produced by the rotors and servos."""
     u.validate(params)
-    TBy, TBz, tx, ty, tz = _wrench_terms(u.as_array(), params)
+    TBy, TBz, tx, ty, tz = _wrench_terms(u.as_array(), params, np)
     return BodyWrench(
         T_B=np.array([0.0, float(TBy), float(TBz)]),
         tau_B=np.array([float(tx), float(ty), float(tz)]),
@@ -438,10 +475,13 @@ class Simulator:
 
     def apply(self, u: np.ndarray, duration: float) -> None:
         """Hold the packed input u (4,) for `duration` seconds, integrating at
-        the sim rate."""
+        the sim rate: an aerial state steps as Python floats (`_rk4_aerial`),
+        a ground state as a one-row array (`rk4_step`)."""
         ua = np.asarray(u, dtype=float)
         P = self.params
         power = rotor_power(ua, P)
+        wrench = _wrench_terms(ua.tolist(), P, math)
+        J, J_inv = P.J.tolist(), P.J_inv.tolist()
         steps = max(1, round(duration / self.dt))
         if self._n + steps > len(self._log):
             grown = np.recarray(max(self._n + steps, 2 * len(self._log)), dtype=SIMLOG_DTYPE)
@@ -453,7 +493,6 @@ class Simulator:
                 self._try_touchdown(x, ua)
             F_nl = F_nr = f_l = 0.0
             lift = False
-            k1 = None  # aerial: rk4_step evaluates it
             if self.mode is Mode.GROUND:
                 # the contact that decides lift-off and stick/slip is also
                 # RK4's k1, unless the decision changes the state or regime
@@ -462,7 +501,6 @@ class Simulator:
                 if F_n < 0.0:
                     self.mode = Mode.AERIAL
                     self.slipping = False
-                    k1 = None
                 else:
                     stick = slip_check(float(diag["f_l_req"]), F_n, P)
                     if self.slip_enabled and not self.slipping and not stick:
@@ -481,8 +519,12 @@ class Simulator:
                     self.slip_steps += self.slipping
             self._log[self._n] = (self.t, x, ua, F_nl, F_nr, f_l, self.slipping, lift, power)
             self._n += 1
-            xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping, k1=k1)
-            if np.any(np.abs(xn) > DIVERGENCE_LIMIT) or not np.all(np.isfinite(xn)):
+            if self.mode is Mode.AERIAL:
+                xn = np.array(_rk4_aerial(x.tolist(), wrench, self.dt, P, J, J_inv))
+            else:
+                xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping, k1=k1)
+            # NaN and infinities fail the comparison too
+            if not (np.abs(xn) <= DIVERGENCE_LIMIT).all():
                 raise DivergenceError(
                     f"simulation diverged at t={self.t:.4f}s (mode {self.mode.name})"
                 )

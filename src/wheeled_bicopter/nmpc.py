@@ -32,8 +32,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (Mode, VehicleParams, quat_multiply, require_bool, require_integer,
-                   require_real, require_reals)
+from .core import (DivergenceError, InfeasibleReferenceError, Mode, VehicleParams,
+                   quat_multiply, require_bool, require_integer, require_real, require_reals)
 from .dynamics import DIVERGENCE_LIMIT, Simulator, _f_ground_batch, rk4_step
 from .flatness import ReferencePoint
 from .trajectory import HybridTrajectory, ReferenceTable
@@ -438,7 +438,7 @@ def solve(
         return OcpSolution.degraded(u_bar, x_bar)
 
     # condensation: dx_k = c_k + S_k du, with the known initial deviation
-    # and the defects folded into c_k
+    # and the defects folded into c_k; S_k is zero from column k*m on
     dx0 = x_current - x_bar[0]
     if float(x_current[6:10] @ x_bar[0][6:10]) < 0.0:
         dx0 = x_current.copy()
@@ -450,8 +450,8 @@ def solve(
     c[0] = dx0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            S[k + 1] = A[k] @ S[k]
-            S[k + 1][:, k * m : (k + 1) * m] += B[k]
+            S[k + 1][:, : k * m] = A[k] @ S[k][:, : k * m]
+            S[k + 1][:, k * m : (k + 1) * m] = B[k]
             c[k + 1] = A[k] @ c[k] + d[k]
     # unstable-mode amplification of an already-hopeless deviation: give up
     # on this linearization rather than build a garbage QP
@@ -585,7 +585,9 @@ def control_loop(
 ) -> RunLog:
     """Run the tracking loop: sample references, solve, hold u(0) for one
     control period.  The simulator integrates at its own (faster) rate.
-    `stop_when(tick)` may end the run early (e.g. a failure threshold).
+    `stop_when(tick)` may end the run early (e.g. a failure threshold).  A
+    plant divergence, or an infeasible reference after the first tick,
+    raises with the log of the ticks so far attached as `runlog`.
 
     Reference times come from the tick counter.  When the horizon step is a
     whole number r of control periods, node k of tick i is control-grid
@@ -612,7 +614,13 @@ def control_loop(
         else:
             t_i = t_start + i * dt_ctrl
             nodes = [((i, k), t_i + k * cfg.dt) for k in range(cfg.K + 1)]
-        refs = table.window(nodes)
+        try:
+            refs = table.window(nodes)
+        except InfeasibleReferenceError as exc:
+            if i > 0:  # once the run has started, its ticks are evidence
+                reason = "; ".join([f"infeasible reference: {exc}", *getattr(exc, "__notes__", ())])
+                exc.runlog = RunLog(ticks[:i], sim, aborted=True, abort_reason=reason)
+            raise
         x_meas = noise.apply(sim.x, rng)
         t0 = time.perf_counter()
         sol = solve(x_meas, refs, cfg, params, prev=prev)
@@ -628,10 +636,15 @@ def control_loop(
         else:
             degraded_run = 0
             prev = sol
-        sim.apply(sol.u_seq[0], dt_ctrl)
         slack_max = float(np.max(sol.slacks)) if sol.slacks.size else 0.0
         ticks[i] = (t, refs[0].x, x_meas, sol.u_seq[0], refs[0].mode.name, solve_us,
                     sol.status, sol.cost, slack_max, sol.qp_iters, sol.kkt_residual)
+        try:
+            sim.apply(sol.u_seq[0], dt_ctrl)
+        except DivergenceError as exc:
+            # the tick whose input the plant could not integrate stays logged
+            exc.runlog = RunLog(ticks[:i + 1], sim, aborted=True, abort_reason=str(exc))
+            raise
         if stop_when is not None and stop_when(ticks[i]):
             return RunLog(ticks[:i + 1], sim, aborted=True, abort_reason="stop condition met")
     return RunLog(ticks, sim)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter import cli, nmpc
-from wheeled_bicopter.core import ConfigError, VehicleParams
+from wheeled_bicopter import trajectory as tj
+from wheeled_bicopter.core import ConfigError, InfeasibleReferenceError, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
 from wheeled_bicopter.nmpc import NmpcConfig
 
@@ -531,6 +532,58 @@ def test_main_solver_failure_leaves_partial_logs_and_a_summary(tmp_path, monkeyp
     summary = json.loads((out / "tiny_hover_summary.json").read_text())
     assert summary["ticks"] == 10 and summary["stopped_early"] is True
     assert summary["abort_reason"] == "solver degraded for 11 consecutive ticks"
+
+
+def _failed_run_files(tmp_path, doc, code):
+    """Run `track` on doc, require exit `code`, and return the runlog rows,
+    the simlog row count and the summary it left."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["track", "--config", str(path), "--out", str(out), "--quiet"]) == code
+    name = doc["name"]
+    runlog = (out / f"{name}_runlog.csv").read_text().splitlines()
+    simlog = (out / f"{name}_simlog.csv").read_text().splitlines()
+    summary = json.loads((out / f"{name}_summary.json").read_text())
+    return runlog[1:], len(simlog) - 1, summary
+
+
+def test_main_divergence_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch):
+    # the sixth tick commands a thrust the plant cannot integrate
+    solve = nmpc.solve
+    calls = []
+
+    def faulty(x, refs, cfg, params, prev=None):
+        sol = solve(x, refs, cfg, params, prev=prev)
+        calls.append(sol)
+        if len(calls) == 6:
+            sol.u_seq = np.array([[1e9, 1e9, 0.0, 0.0]] * cfg.K)
+        return sol
+
+    monkeypatch.setattr(nmpc, "solve", faulty)
+    ticks, steps, summary = _failed_run_files(tmp_path, tiny_hover_doc(), cli.EXIT_DIVERGED)
+    assert len(ticks) == 6  # the diverging tick stays logged
+    assert steps == (5 * 5 + 1 + 1) // 2  # its first plant step too, decimation 2
+    assert summary["ticks"] == 6 and summary["stopped_early"] is True
+    assert summary["abort_reason"] == "simulation diverged at t=0.0250s (mode AERIAL)"
+
+
+def test_main_mid_run_infeasible_reference_leaves_partial_logs_and_a_summary(
+        tmp_path, monkeypatch):
+    # the hover becomes infeasible past t = 1.02 s, which the horizon of
+    # the sixth tick (nodes 0.025 s to 1.025 s) is the first to reach
+    transform = tj.aerial_flat_to_reference
+
+    def faulty(sample, params, clamp=False):
+        if sample.t > 1.02:
+            raise InfeasibleReferenceError("injected fault")
+        return transform(sample, params, clamp=clamp)
+
+    monkeypatch.setattr(tj, "aerial_flat_to_reference", faulty)
+    ticks, steps, summary = _failed_run_files(tmp_path, tiny_hover_doc(), cli.EXIT_INFEASIBLE)
+    assert len(ticks) == 5 and steps == 5 * 5 // 2 + 1
+    assert summary["ticks"] == 5 and summary["stopped_early"] is True
+    assert summary["abort_reason"] == "infeasible reference: injected fault; sample 20 (t=1.025s)"
 
 
 def test_main_exit_code_negative_mass(tmp_path):

@@ -13,10 +13,11 @@ from wheeled_bicopter.core import (
     quat_derivative,
     quat_from_euler,
     quat_normalize,
-    quat_to_matrix,
     vec3,
 )
 from wheeled_bicopter.flatness import heading_turns
+
+from rotation import quat_to_matrix
 
 
 def test_euler_identity():

@@ -14,10 +14,11 @@ from wheeled_bicopter.core import (
     quat_from_euler,
     quat_normalize,
     quat_to_euler,
-    quat_to_matrix,
     vec3,
 )
 from wheeled_bicopter import dynamics as dyn
+
+from rotation import quat_to_matrix
 
 
 @pytest.fixture
