@@ -385,16 +385,21 @@ class ScenarioResult:
     files: List[Path] = field(init=False, default_factory=list)
 
 
-def _start(cfg: ScenarioConfig):
-    """The scenario trajectory, its realized peaks, and a Simulator in the
-    trajectory's first reference state."""
+def _start(cfg: ScenarioConfig, cap: float = math.inf):
+    """The scenario trajectory, its realized peaks, a Simulator in the
+    trajectory's first reference state, and the run duration: `run.duration`
+    or else the lap time, at most `cap`.  Raises ConfigError for a run
+    shorter than one control period."""
     traj, peaks = build_trajectory(cfg)
+    duration = float(cfg.run["duration"] or min(cap, peaks["lap_s"]))
+    if round(duration * cfg.environment["control_rate_hz"]) < 1:
+        raise ConfigError(f"a {duration} s run is shorter than one control period")
     ref0 = traj.reference(0.0, cfg.params)
     sim = Simulator(
         params=cfg.params, x=ref0.x, dt=1.0 / cfg.environment["sim_rate_hz"],
         mode=ref0.mode, slip_enabled=cfg.environment["slip_enabled"],
     )
-    return traj, peaks, sim
+    return traj, peaks, sim, duration
 
 
 def _report(report: dict, out_dir: Optional[Path], filename: str, quiet: bool) -> dict:
@@ -413,10 +418,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                  quiet: bool = True, stop_when=None) -> ScenarioResult:
     """Closed-loop run of one scenario; deterministic for a given seed."""
     env = cfg.environment
-    traj, peaks, sim = _start(cfg)
-    duration = float(cfg.run["duration"] or peaks["lap_s"])
-    if round(duration * env["control_rate_hz"]) < 1:
-        raise ConfigError(f"a {duration} s run is shorter than one control period")
+    traj, peaks, sim, duration = _start(cfg)
     try:
         log = control_loop(
             sim, traj, cfg.controller, cfg.params,
@@ -692,8 +694,7 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     """Feed the flatness reference inputs into the simulator open loop, one
     per control period, and report the drift; a quick model-consistency
     probe, not a controller."""
-    traj, peaks, sim = _start(cfg)
-    duration = float(cfg.run["duration"] or min(2.0, peaks["lap_s"]))
+    traj, _, sim, duration = _start(cfg, cap=2.0)
     rate = cfg.environment["control_rate_hz"]
     hint = None
     drift = 0.0

@@ -191,13 +191,6 @@ def quat_rate(qw, qx, qy, qz, ox, oy, oz):
     )
 
 
-def quat_derivative(q, omega_world) -> np.ndarray:
-    """`quat_rate` of q (..., 4) and omega (..., 3), which share their
-    leading axes."""
-    q, w = np.asarray(q, dtype=float), np.asarray(omega_world, dtype=float)
-    return pack_components(quat_rate(*q.T, *w.T), q.shape[:-1])
-
-
 @dataclass
 class Orientation:
     """Unit-quaternion attitude with an Euler view."""

@@ -32,18 +32,17 @@ An optional stick/slip model saturates the lateral friction at mu_s F_n and
 releases the lateral constraint while sliding.
 
 Internally states are packed as x = [p(3), v(3), q(4), omega(3)]; the
-typed API wraps the core.  The aerial derivative is written once, component
-by component (`_wrench_terms`, `core.quat_matrix_entries`, `_aerial_rates`,
-`core.quat_rate`), and is evaluated on two kinds of value: Python floats
-with `math` in the simulator's aerial steps (`_rk4_aerial`), and arrays
-with numpy ufuncs in `_f_aerial_batch`, `rk4_step` and the controller's
-linearization batch.  Both give the same bits.  The ground routines are
-array code that broadcasts over leading axes, for one row in the simulator
-and for the linearization batch.  A ground state's contact forces and
-derivative come from one `_f_ground_batch` evaluation: a caller that reads
-the contact (the simulator's lift-off and stick/slip decision, the
-controller's wheel-normal rows) passes that derivative to `rk4_step` as its
-first stage.
+typed API wraps the core.  Both derivatives are written once, component by
+component: aerial (`_wrench_terms`, `_aerial_rates`) and ground
+(`_ground_angles`, `ground_contact`, `_ground_rates`, and the constraint
+projection `_project_ground`).  `_f_aerial_batch` and `_f_ground_batch`
+evaluate them on the contiguous components of packed states: arrays for a
+batch, numpy scalars for one row (13,), with the same bits.  The simulator
+steps an aerial state as Python floats with `math` (`_rk4_aerial`); the
+ground body keeps numpy's `arcsin`, `arctan2` and `hypot`, whose bits
+`math` does not reproduce.  A ground state's contact and derivative come
+from one `_f_ground_batch` evaluation: a caller that reads the contact
+passes that derivative to `rk4_step` as its first stage.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ from .core import (
     Vec3,
     VehicleParams,
     pack_components,
-    quat_derivative,
     quat_matrix_entries,
     quat_normalize,
     quat_rate,
@@ -180,34 +178,27 @@ def _rk4_aerial(x: list, wrench, dt: float, P: VehicleParams, J: list, J_inv: li
     return xn
 
 
-def _ground_geometry(x: np.ndarray):
-    """theta, psi, thetadot, psidot and heading trig from a packed state."""
-    q = x[..., 6:10]
-    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    sin_th = np.clip(2.0 * (qw * qy - qz * qx), -1.0, 1.0)
-    theta = np.arcsin(sin_th)
+def _ground_angles(qw, qx, qy, qz):
+    """Pitch theta and heading psi of a roll-free attitude."""
+    theta = np.arcsin(np.clip(2.0 * (qw * qy - qz * qx), -1.0, 1.0))
     psi = np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
-    w = x[..., 10:13]
-    cpsi, spsi = np.cos(psi), np.sin(psi)
-    theta_dot = -w[..., 0] * spsi + w[..., 1] * cpsi
-    psi_dot = w[..., 2]
-    return theta, psi, theta_dot, psi_dot, cpsi, spsi
+    return theta, psi
 
 
-def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams, w_lat=None):
-    """Two-wheel ground reaction at a given total normal force F_n,
-    broadcasting over leading axes.
-
-    f_l_req is the lateral force the no-slip constraint needs, tau_x the body
-    roll torque, (cth, sth) the pitch cosine and sine, u_long the speed along
-    the heading (rolling friction opposes it outside the SPEED_EPS dead band).
-    Given the lateral speed w_lat the wheels slide: the lateral friction
-    saturates at mu_s F_n against the sliding direction.  Returns
-    (f_r, f_l, F_nl, F_nr, lift_off, G2, G3): rolling and lateral friction,
-    the raw left/right wheel normals (lift_off flags a negative one) and the
-    pitch/yaw ground torques.  A lifted wheel carries no rolling friction, so
-    G3 takes the per-wheel friction from the normals clamped at zero.
+def ground_contact(TBy, TBz, a_l, tau_x, cth, sth, u_long, P: VehicleParams, w_lat=None):
+    """Two-wheel ground reaction to the body thrust (0, TBy, TBz) and roll
+    torque tau_x at lateral acceleration a_l, pitch cosine/sine (cth, sth)
+    and speed u_long along the heading (rolling friction opposes it outside
+    the SPEED_EPS dead band), broadcasting over leading axes.  Given the
+    lateral speed w_lat the wheels slide: the lateral friction saturates at
+    mu_s F_n against the sliding direction.  Returns (F_n, f_l_req, f_r,
+    f_l, F_nl, F_nr, lift_off, G2, G3): the total normal force, the no-slip
+    lateral force, rolling and lateral friction, the raw wheel normals
+    (lift_off flags a negative one) and the pitch/yaw ground torques.  A
+    lifted wheel carries no rolling friction: G3 clamps the normals at zero.
     """
+    F_n = P.m * P.g - TBz * cth
+    f_l_req = P.m * a_l - TBy
     # 0 inside the dead band (+0.0 turns the -0.0 of a negative speed into 0.0)
     sgn_u = np.sign(u_long) * (np.abs(u_long) >= SPEED_EPS) + 0.0
     f_r = -P.mu * F_n * sgn_u
@@ -218,17 +209,22 @@ def ground_contact(F_n, f_l_req, tau_x, cth, sth, u_long, P: VehicleParams, w_la
         slip_dir = np.where(np.abs(w_lat) > LATERAL_STICK_EPS, np.sign(w_lat), -np.sign(f_l_req))
         f_l = -cap * slip_dir
 
-    half = 0.5 * F_n
-    split = (f_l * P.r + tau_x * cth) / P.W
-    F_nl = half - split
-    F_nr = half + split
+    F_nl, F_nr = wheel_split(F_n, f_l, tau_x, cth, P)
     lift = (F_nl < 0.0) | (F_nr < 0.0)
     f_rl = -P.mu * np.maximum(F_nl, 0.0) * sgn_u
     f_rr = -P.mu * np.maximum(F_nr, 0.0) * sgn_u
 
     G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
     G3 = (f_rr - f_rl) * P.W
-    return f_r, f_l, F_nl, F_nr, lift, G2, G3
+    return F_n, f_l_req, f_r, f_l, F_nl, F_nr, lift, G2, G3
+
+
+def wheel_split(F_n, f_l, tau_x, cth, P: VehicleParams):
+    """Left/right wheel normals: the even split of F_n corrected by the roll
+    moments of the lateral force f_l and the body roll torque tau_x."""
+    half = 0.5 * F_n
+    split = (f_l * P.r + tau_x * cth) / P.W
+    return half - split, half + split
 
 
 def heading_inertia(sth, cth, J: np.ndarray):
@@ -243,30 +239,22 @@ def slip_check(f_l, F_n, params: VehicleParams) -> bool:
     return abs(f_l) <= params.mu_s * F_n
 
 
-def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bool = False):
-    """Constrained ground dynamics.
-
-    Returns (xdot, diag) where diag carries the contact forces used for
-    logging, constraints and the stick/slip decision; xdot is the k1 that
-    `rk4_step` takes from a caller that needs both.
-    """
-    v = x[..., 3:6]
-    theta, psi, theta_dot, psi_dot, cpsi, spsi = _ground_geometry(x)
+def _ground_rates(x, wrench, P: VehicleParams, slipping: bool):
+    """The 13 components of the constrained ground f(x, u) from those of x
+    and the `_wrench_terms` of u, and the contact `diag`: the forces used
+    for logging, constraints and the stick/slip decision."""
+    _, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, psi_dot = x
+    TBy, TBz, tau_x, tau_y, tau_z = wrench
+    theta, psi = _ground_angles(qw, qx, qy, qz)
+    cpsi, spsi = np.cos(psi), np.sin(psi)
     cth, sth = np.cos(theta), np.sin(theta)
+    theta_dot = -ox * spsi + oy * cpsi
 
-    TBy, TBz, tau_x, tau_y, tau_z = _wrench_terms(u.T, P, np)
-
-    vx, vy = v[..., 0], v[..., 1]
     u_long = vx * cpsi + vy * spsi
     w_lat = -vx * spsi + vy * cpsi
-    v_planar = np.hypot(vx, vy)
-    a_l = v_planar * psi_dot
-
-    F_n = P.m * P.g - TBz * cth
-    f_l_req = P.m * a_l - TBy
-    f_r, f_l, F_nl, F_nr, lift, G2, G3 = ground_contact(
-        F_n, f_l_req, tau_x, cth, sth, u_long, P,
-        w_lat=w_lat if slipping else None,
+    a_l = np.hypot(vx, vy) * psi_dot
+    F_n, f_l_req, f_r, f_l, F_nl, F_nr, lift, G2, G3 = ground_contact(
+        TBy, TBz, a_l, tau_x, cth, sth, u_long, P, w_lat=w_lat if slipping else None,
     )
 
     # pitch/yaw rows of the torque balance in the heading frame
@@ -276,61 +264,50 @@ def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bo
 
     acc_long = (TBz * sth + f_r) / P.m
     acc_lat = (TBy + f_l) / P.m
-
-    xdot = np.empty_like(x)
-    xdot[..., 0:3] = v
-    xdot[..., 3] = acc_long * cpsi - acc_lat * spsi
-    xdot[..., 4] = acc_long * spsi + acc_lat * cpsi
-    xdot[..., 5] = 0.0
     tp = theta_dot * psi_dot
-    xdot[..., 10] = -theta_dd * spsi - tp * cpsi
-    xdot[..., 11] = theta_dd * cpsi - tp * spsi
-    xdot[..., 12] = psi_dd
-    xdot[..., 6:10] = quat_derivative(x[..., 6:10], x[..., 10:13])
-
-    diag = {
-        "F_n": F_n,
-        "F_nl": F_nl,
-        "F_nr": F_nr,
-        "f_l": f_l,
-        "f_l_req": f_l_req,
-        "w_lat": w_lat,
-        "lift_off": lift,
-    }
-    return xdot, diag
+    rates = (
+        vx, vy, vz,
+        acc_long * cpsi - acc_lat * spsi, acc_long * spsi + acc_lat * cpsi, 0.0,
+        *quat_rate(qw, qx, qy, qz, ox, oy, psi_dot),
+        -theta_dd * spsi - tp * cpsi, theta_dd * cpsi - tp * spsi, psi_dd,
+    )
+    diag = {"F_n": F_n, "F_nl": F_nl, "F_nr": F_nr, "f_l": f_l, "f_l_req": f_l_req,
+            "w_lat": w_lat, "lift_off": lift}
+    return rates, diag
 
 
-def f_batch(
-    x: np.ndarray, u: np.ndarray, mode: Mode, P: VehicleParams, slipping: bool = False
-) -> np.ndarray:
-    """Packed-state dynamics, broadcasting over leading axes."""
-    if mode is Mode.AERIAL:
-        return _f_aerial_batch(x, u, P)
-    xdot, _ = _f_ground_batch(x, u, P, slipping=slipping)
-    return xdot
+def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bool = False):
+    """(xdot, diag) of `_ground_rates` for packed x and u as in
+    `_f_aerial_batch`, each diag entry shaped as the leading axes; xdot is
+    the k1 that `rk4_step` takes from a caller that needs both."""
+    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
+    rates, diag = _ground_rates(np.ascontiguousarray(x.T), wrench, P, slipping)
+    return pack_components(rates, x.shape[:-1]), {k: v.T for k, v in diag.items()}
 
 
 def _project_ground(x: np.ndarray, keep_lateral: bool) -> np.ndarray:
     """Re-impose the ground constraints on packed states (in place):
     zero roll, angular rate orthogonal to the heading axis, zero vertical
     speed and (while sticking) zero lateral speed."""
-    theta, psi, _, _, cpsi, spsi = _ground_geometry(x)
-    half_t, half_p = 0.5 * theta, 0.5 * psi
-    ct, st = np.cos(half_t), np.sin(half_t)
-    cp, sp = np.cos(half_p), np.sin(half_p)
-    qn = np.stack([cp * ct, -sp * st, cp * st, sp * ct], axis=-1)
+    xt = x.T
+    _, _, _, vx, vy, _, qw, qx, qy, qz, ox, oy, _ = xt
+    theta, psi = _ground_angles(qw, qx, qy, qz)
+    cpsi, spsi = np.cos(psi), np.sin(psi)
+    ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    cp, sp = np.cos(0.5 * psi), np.sin(0.5 * psi)
+    qn = (cp * ct, -sp * st, cp * st, sp * ct)
     # atan2 wraps psi: stay on the same quaternion cover sheet as before
-    dot = np.sum(qn * x[..., 6:10], axis=-1)
-    qn = np.where(dot[..., None] < 0.0, -qn, qn)
-    x[..., 6:10] = qn
-    proj = x[..., 10] * cpsi + x[..., 11] * spsi
-    x[..., 10] -= proj * cpsi
-    x[..., 11] -= proj * spsi
-    x[..., 5] = 0.0
+    flip = ((qn[0] * qw + qn[1] * qx) + qn[2] * qy) + qn[3] * qz < 0.0
+    for i, c in enumerate(qn):
+        xt[6 + i] = np.where(flip, -c, c)
+    proj = ox * cpsi + oy * spsi
+    xt[10] = ox - proj * cpsi
+    xt[11] = oy - proj * spsi
+    xt[5] = 0.0
     if not keep_lateral:
-        u_long = x[..., 3] * cpsi + x[..., 4] * spsi
-        x[..., 3] = u_long * cpsi
-        x[..., 4] = u_long * spsi
+        u_long = vx * cpsi + vy * spsi
+        xt[3] = u_long * cpsi
+        xt[4] = u_long * spsi
     return x
 
 
@@ -351,11 +328,16 @@ def rk4_step(
     call, and the step then evaluates only stages 2 to 4.  Without it the
     step evaluates k1 itself.
     """
+    def f(y):
+        if mode is Mode.AERIAL:
+            return _f_aerial_batch(y, u, P)
+        return _f_ground_batch(y, u, P, slipping)[0]
+
     if k1 is None:
-        k1 = f_batch(x, u, mode, P, slipping)
-    k2 = f_batch(x + 0.5 * dt * k1, u, mode, P, slipping)
-    k3 = f_batch(x + 0.5 * dt * k2, u, mode, P, slipping)
-    k4 = f_batch(x + dt * k3, u, mode, P, slipping)
+        k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
     xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     q = xn[..., 6:10]
     xn[..., 6:10] = q / np.linalg.norm(q, axis=-1, keepdims=True)

@@ -42,7 +42,7 @@ from .core import (
     quat_from_euler,
     quat_normalize,
 )
-from .dynamics import ground_contact, heading_inertia
+from .dynamics import ground_contact, heading_inertia, wheel_split
 
 # Feasibility guards
 ARCSIN_MARGIN = 1e-9
@@ -188,10 +188,7 @@ def wheel_normals(
 ) -> Tuple[float, float]:
     """Left/right wheel normal forces: the even split corrected by the roll
     moments of the lateral friction and the actuator roll torque."""
-    _, _, F_nl, F_nr, _, _, _ = ground_contact(
-        F_n, f_l, tau_Bx, math.cos(theta), math.sin(theta), 0.0, params
-    )
-    return F_nl, F_nr
+    return wheel_split(F_n, f_l, tau_Bx, math.cos(theta), params)
 
 
 def lateral_thrust_approx(a_l: float, params: VehicleParams) -> float:
@@ -318,13 +315,6 @@ def ground_flat_to_reference(
     theta_ddot = Zdd / root + Z * Zd * Zd / root**3
 
     sth, cth = math.sin(theta), math.cos(theta)
-    F_n = m * g - T * cth
-    if F_n < -1e-9:
-        raise InfeasibleReferenceError(
-            f"negative total normal force {F_n:.4f} N at t={sample.t:.3f}s"
-        )
-    F_n = max(F_n, 0.0)
-
     L = _heading_torque(params.J, sth, cth, theta_dot, psi_dot, theta_ddot, psi_ddot)
 
     # 2x2 linear solve for the lateral thrust y = T_By and the tilt
@@ -341,7 +331,11 @@ def ground_flat_to_reference(
     d = (A11 * rhs2 - rhs1 * A21) / det
 
     # ground reaction of the stuck wheels under the lateral thrust y
-    _, _, F_nl, F_nr, _, G2, _ = ground_contact(F_n, m * a_l - y, y * h1, cth, sth, 0.0, params)
+    F_n, _, _, _, F_nl, F_nr, _, G2, _ = ground_contact(y, T, a_l, y * h1, cth, sth, 0.0, params)
+    if F_n < -1e-9:
+        raise InfeasibleReferenceError(
+            f"negative total normal force {F_n:.4f} N at t={sample.t:.3f}s"
+        )
     if min(F_nl, F_nr) < -1e-9:
         raise InfeasibleReferenceError(
             f"wheel lift-off in reference at t={sample.t:.3f}s "

@@ -1,13 +1,19 @@
-"""The rotation matrix of a unit quaternion, the oracle the tests check
-rotations against.  src never forms the matrix: it evaluates the entries
-component by component (`core.quat_matrix_entries`)."""
+"""The rotation matrix and the quaternion rate of a unit quaternion, the
+oracles the tests check rotations against.  src never forms either for a
+packed batch: it evaluates them component by component
+(`core.quat_matrix_entries`, `core.quat_rate`)."""
 
 import numpy as np
 
-from wheeled_bicopter.core import pack_components, quat_matrix_entries
+from wheeled_bicopter.core import pack_components, quat_matrix_entries, quat_rate
 
 
 def quat_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion, broadcasting over leading axes."""
     q = np.asarray(q, dtype=float)
     return pack_components(quat_matrix_entries(*q.T), q.shape[:-1]).reshape(q.shape[:-1] + (3, 3))
+
+
+def quat_derivative(q, omega_world) -> np.ndarray:
+    """`quat_rate` of q (..., 4) and the world-frame omega (..., 3)."""
+    return pack_components(quat_rate(*q.T, *omega_world.T), q.shape[:-1])

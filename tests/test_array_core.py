@@ -1,27 +1,28 @@
 """Properties of the batched array core: a batch evaluates each row exactly
 as a row-by-row call does, the aerial body evaluates a state of Python
-floats exactly as a batch row, and ground RK4 steps keep the contact
-constraints."""
+floats exactly as a batch row, the component-form ground body evaluates
+a batch and a single row exactly as the stacked-slice form, and ground RK4
+steps keep the contact constraints."""
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter.core import (
+    SPEED_EPS,
     Mode,
     VehicleParams,
-    quat_derivative,
     quat_from_euler,
     quat_multiply,
     quat_normalize,
     quat_to_euler,
 )
 
-from rotation import quat_to_matrix
+from rotation import quat_derivative, quat_to_matrix
 
 PARAMS = VehicleParams()
 
@@ -63,18 +64,18 @@ def test_quat_derivative_batch_equals_rows(qw):
 
 
 @given(
-    arrays(np.float64, st.tuples(st.integers(1, 6), st.just(7)), elements=finite),
+    arrays(np.float64, st.tuples(st.integers(1, 6), st.just(8)), elements=finite),
     st.booleans(),
 )
 def test_ground_contact_batch_equals_rows(cols, sliding):
-    F_n, f_l_req, tau_x, theta, u_long, w_lat = (cols[:, j] for j in range(6))
-    F_n = 4.0 * F_n  # both signs, lift-off on either wheel
-    u_long = np.where(cols[:, 6] > 0, u_long, 0.002 * u_long)  # also inside SPEED_EPS
+    TBy, TBz, a_l, tau_x, theta, u_long, w_lat = (cols[:, j] for j in range(7))
+    TBz = 4.0 * TBz  # F_n of both signs, lift-off on either wheel
+    u_long = np.where(cols[:, 7] > 0, u_long, 0.002 * u_long)  # also inside SPEED_EPS
     cth, sth = np.cos(theta), np.sin(theta)
 
     def contact(k):
         return dyn.ground_contact(
-            F_n[k], f_l_req[k], tau_x[k], cth[k], sth[k], u_long[k], PARAMS,
+            TBy[k], TBz[k], a_l[k], tau_x[k], cth[k], sth[k], u_long[k], PARAMS,
             w_lat=w_lat[k] if sliding else None,
         )
 
@@ -230,3 +231,192 @@ def test_simulator_steps_an_aerial_state_as_the_batch_does_through_touchdown(
         assert (fast.t, fast.mode) == (ref.t, ref.mode)
         modes.append(fast.mode)
     assert modes[0] is Mode.AERIAL and modes[-1] is Mode.GROUND
+
+
+# ---------------------------------------------------------------------------
+# one ground body for a batch and a single row
+# ---------------------------------------------------------------------------
+
+
+def stacked_ground_geometry(x):
+    """theta, psi, thetadot, psidot and heading trig from a packed state,
+    by slices of the stacked array."""
+    q = x[..., 6:10]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    sin_th = np.clip(2.0 * (qw * qy - qz * qx), -1.0, 1.0)
+    theta = np.arcsin(sin_th)
+    psi = np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
+    w = x[..., 10:13]
+    cpsi, spsi = np.cos(psi), np.sin(psi)
+    theta_dot = -w[..., 0] * spsi + w[..., 1] * cpsi
+    psi_dot = w[..., 2]
+    return theta, psi, theta_dot, psi_dot, cpsi, spsi
+
+
+def stacked_f_ground(x, u, slipping):
+    """The ground f(x, u) and contact diag in stacked-slice form, the
+    reference of the component body: strided slices in, slices of one
+    output array written."""
+    v = x[..., 3:6]
+    theta, psi, theta_dot, psi_dot, cpsi, spsi = stacked_ground_geometry(x)
+    cth, sth = np.cos(theta), np.sin(theta)
+    TBy, TBz, tau_x, tau_y, tau_z = dyn._wrench_terms(u.T, PARAMS, np)
+    vx, vy = v[..., 0], v[..., 1]
+    u_long = vx * cpsi + vy * spsi
+    w_lat = -vx * spsi + vy * cpsi
+    a_l = np.hypot(vx, vy) * psi_dot
+    F_n, f_l_req, f_r, f_l, F_nl, F_nr, lift, G2, G3 = dyn.ground_contact(
+        TBy, TBz, a_l, tau_x, cth, sth, u_long, PARAMS, w_lat=w_lat if slipping else None)
+    N13, N33 = dyn.heading_inertia(sth, cth, PARAMS.J)
+    theta_dd = (tau_y + G2 - N13 * psi_dot * psi_dot) / PARAMS.J[1]
+    psi_dd = (-sth * tau_x + cth * tau_z + G3 + 2.0 * N13 * theta_dot * psi_dot) / N33
+    acc_long = (TBz * sth + f_r) / PARAMS.m
+    acc_lat = (TBy + f_l) / PARAMS.m
+    xdot = np.empty_like(x)
+    xdot[..., 0:3] = v
+    xdot[..., 3] = acc_long * cpsi - acc_lat * spsi
+    xdot[..., 4] = acc_long * spsi + acc_lat * cpsi
+    xdot[..., 5] = 0.0
+    tp = theta_dot * psi_dot
+    xdot[..., 10] = -theta_dd * spsi - tp * cpsi
+    xdot[..., 11] = theta_dd * cpsi - tp * spsi
+    xdot[..., 12] = psi_dd
+    xdot[..., 6:10] = quat_derivative(x[..., 6:10], x[..., 10:13])
+    diag = {"F_n": F_n, "F_nl": F_nl, "F_nr": F_nr, "f_l": f_l, "f_l_req": f_l_req,
+            "w_lat": w_lat, "lift_off": lift}
+    return xdot, diag
+
+
+def stacked_project_ground(x, keep_lateral):
+    """`dyn._project_ground` in stacked-slice form (in place)."""
+    theta, psi, _, _, cpsi, spsi = stacked_ground_geometry(x)
+    half_t, half_p = 0.5 * theta, 0.5 * psi
+    ct, st_ = np.cos(half_t), np.sin(half_t)
+    cp, sp = np.cos(half_p), np.sin(half_p)
+    qn = np.stack([cp * ct, -sp * st_, cp * st_, sp * ct], axis=-1)
+    dot = np.sum(qn * x[..., 6:10], axis=-1)
+    qn = np.where(dot[..., None] < 0.0, -qn, qn)
+    x[..., 6:10] = qn
+    proj = x[..., 10] * cpsi + x[..., 11] * spsi
+    x[..., 10] -= proj * cpsi
+    x[..., 11] -= proj * spsi
+    x[..., 5] = 0.0
+    if not keep_lateral:
+        u_long = x[..., 3] * cpsi + x[..., 4] * spsi
+        x[..., 3] = u_long * cpsi
+        x[..., 4] = u_long * spsi
+    return x
+
+
+def stacked_rk4_ground(x, u, dt, slipping):
+    """`dyn.rk4_step` in ground mode on the stacked-slice body."""
+    def f(y):
+        return stacked_f_ground(y, u, slipping)[0]
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q = xn[..., 6:10]
+    xn[..., 6:10] = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    return stacked_project_ground(xn, keep_lateral=slipping)
+
+
+def ground_rows(max_rows: int = 4):
+    """Packed ground-contact states and inputs, (n, 13) and (n, 4): pitch,
+    any heading, a little roll, either quaternion sign, speeds also inside
+    SPEED_EPS, and inputs whose thrust can exceed the weight or tip the
+    load onto one wheel."""
+    speed = st.one_of(wide(3.0), wide(0.02))
+    attitude = st.tuples(wide(0.05), wide(0.6), wide(math.pi), st.sampled_from([1.0, -1.0]))
+    state = st.tuples(st.tuples(speed, speed, wide(0.1)), attitude, st.tuples(*[wide(2.0)] * 3))
+    u = st.tuples(st.floats(0.0, PARAMS.T_max), st.floats(0.0, PARAMS.T_max),
+                  wide(PARAMS.delta_max), wide(PARAMS.delta_max))
+
+    def pack(drawn):
+        X = np.array([[0.0, 0.0, PARAMS.r, *v, *(sign * quat_from_euler(*angles)), *w]
+                      for (v, (*angles, sign), w), _ in drawn])
+        return X, np.array([u for _, u in drawn])
+
+    return st.lists(st.tuples(state, u), min_size=1, max_size=max_rows).map(pack)
+
+
+def edge_rows():
+    """One ground row of each case the properties must cover: a tipped-over
+    load (negative left wheel normal), thrust above the weight (negative
+    F_n), a speed inside SPEED_EPS, and a quaternion on the other cover
+    sheet at psi near pi (the projection's hemisphere flip)."""
+    rows = [((1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (3.0, 3.0, 0.6, 0.6)),
+            ((0.5, 0.2, 0.0), (0.0, 0.1, 0.3, 1.0), (0.1, 0.0, 0.0), (6.0, 6.0, 0.0, 0.0)),
+            ((0.004, -0.003, 0.0), (0.01, 0.2, -1.0, 1.0), (0.0, 0.3, 0.0), (2.0, 2.5, 0.1, -0.1)),
+            ((-1.0, 0.4, 0.02), (0.03, -0.2, 3.1, -1.0), (0.2, -0.1, 0.4), (2.0, 2.0, -0.3, 0.2))]
+    X = np.array([[0.0, 0.0, PARAMS.r, *v, *(sign * quat_from_euler(*angles)), *w]
+                  for v, (*angles, sign), w, _ in rows])
+    return X, np.array([u for *_, u in rows])
+
+
+EDGE = edge_rows()
+
+
+def test_edge_rows_cover_lift_off_contact_loss_dead_band_and_flip():
+    X, U = EDGE
+    _, diag = dyn._f_ground_batch(X, U, PARAMS)
+    assert diag["lift_off"][0] and diag["F_nl"][0] < 0.0
+    assert diag["F_n"][1] < 0.0
+    assert np.hypot(X[2, 3], X[2, 4]) < SPEED_EPS
+    flipped = dyn._project_ground(X.copy(), keep_lateral=True)
+    theta, psi = dyn._ground_angles(*X[3, 6:10])
+    assert np.cos(0.5 * psi) * np.cos(0.5 * theta) > 0.0 > flipped[3, 6]
+
+
+def assert_same_bits(a, b):
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def assert_same_derivative(got, ref):
+    (xdot, diag), (ref_xdot, ref_diag) = got, ref
+    assert_same_bits(xdot, ref_xdot)
+    assert diag.keys() == ref_diag.keys()
+    for key in ref_diag:
+        assert np.shape(diag[key]) == np.shape(ref_diag[key])
+        assert_same_bits(diag[key], ref_diag[key])
+
+
+@example(EDGE, False)
+@example(EDGE, True)
+@given(ground_rows(), st.booleans())
+def test_ground_body_equals_the_stacked_form(XU, slipping):
+    X, U = XU
+    batch = dyn._f_ground_batch(X, U, PARAMS, slipping)
+    assert_same_derivative(batch, stacked_f_ground(X, U, slipping))
+    xdot, diag = dyn._f_ground_batch(X[None], U[None], PARAMS, slipping)
+    assert_same_derivative((xdot[0], {k: v[0] for k, v in diag.items()}), batch)
+    for x, u in zip(X, U):
+        assert_same_derivative(dyn._f_ground_batch(x, u, PARAMS, slipping),
+                               stacked_f_ground(x, u, slipping))
+
+
+@example(EDGE, False, 1e-3)
+@example(EDGE, True, 5e-3)
+@given(ground_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]))
+def test_ground_rk4_equals_the_stacked_form(XU, slipping, dt):
+    X, U = XU
+    batch = dyn.rk4_step(X, U, Mode.GROUND, dt, PARAMS, slipping)
+    assert_same_bits(batch, stacked_rk4_ground(X, U, dt, slipping))
+    for x, u, row in zip(X, U, batch):
+        one = dyn.rk4_step(x, u, Mode.GROUND, dt, PARAMS, slipping)
+        assert_same_bits(one, stacked_rk4_ground(x, u, dt, slipping))
+        assert_same_bits(one, row)
+
+
+@example(EDGE, False)
+@example(EDGE, True)
+@given(ground_rows(), st.booleans())
+def test_ground_projection_equals_the_stacked_form(XU, keep_lateral):
+    X, _ = XU
+    batch = dyn._project_ground(X.copy(), keep_lateral)
+    assert_same_bits(batch, stacked_project_ground(X.copy(), keep_lateral))
+    for x, row in zip(X, batch):
+        one = dyn._project_ground(x.copy(), keep_lateral)
+        assert_same_bits(one, stacked_project_ground(x.copy(), keep_lateral))
+        assert_same_bits(one, row)

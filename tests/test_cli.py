@@ -251,6 +251,17 @@ def test_main_overflowing_number_exits_with_config_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["track", "simulate"])
+def test_main_run_shorter_than_one_control_period_exits_with_config_error(
+        command, tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(tiny_ground_doc(duration=0.001)))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out), "--quiet"]) == cli.EXIT_CONFIG
+    assert "a 0.001 s run is shorter than one control period" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--scenario", "aerial_8shape"],
     ["analyze", "--seed", "5"],

@@ -10,14 +10,13 @@ from wheeled_bicopter.core import (
     Orientation,
     RobotState,
     VehicleParams,
-    quat_derivative,
     quat_from_euler,
     quat_normalize,
     vec3,
 )
 from wheeled_bicopter.flatness import heading_turns
 
-from rotation import quat_to_matrix
+from rotation import quat_derivative, quat_to_matrix
 
 
 def test_euler_identity():

@@ -143,10 +143,9 @@ def ground_reaction(params, u, a_l, v=(0.0, 0.0, 0.0), theta=0.0):
     turn at lateral acceleration a_l, as the ground dynamics evaluate it."""
     w = dyn.actuator_wrench(u, params)
     cth, sth = math.cos(theta), math.sin(theta)
-    F_n = params.m * params.g - w.T_B[2] * cth
-    f_l_req = params.m * a_l - w.T_B[1]
-    forces = dyn.ground_contact(F_n, f_l_req, w.tau_B[0], cth, sth, v[0], params)
-    return w, F_n, forces
+    F_n, _, *forces = dyn.ground_contact(
+        w.T_B[1], w.T_B[2], a_l, w.tau_B[0], cth, sth, v[0], params)
+    return w, F_n, tuple(forces)
 
 
 def test_ground_reaction_static(params):
