@@ -341,8 +341,9 @@ def scale_to_limits(seg: Segment, v_max: float, a_max: float) -> ScaleReport:
     pv, pa = segment_peaks(seg)
     factor = max(1.0, pv / v_max, math.sqrt(pa / a_max))
     scaled = TimeDilated(seg, factor) if factor != 1.0 else seg
-    rv, ra = segment_peaks(scaled)
-    return ScaleReport(segment=scaled, peak_speed=rv, peak_accel=ra, dilation=factor)
+    # dilation divides speed by the factor and acceleration by its square
+    return ScaleReport(segment=scaled, peak_speed=pv / factor, peak_accel=pa / factor**2,
+                       dilation=factor)
 
 
 def takeoff_landing_blend(
