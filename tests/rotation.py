@@ -1,7 +1,7 @@
-"""The rotation matrix and the quaternion rate of a unit quaternion, the
-oracles the tests check rotations against.  src never forms either for a
-packed batch: it evaluates them component by component
-(`core.quat_matrix_entries`, `core.quat_rate`)."""
+"""The rotation matrix and the quaternion rate of packed unit quaternions,
+the oracles the tests check rotations against.  src evaluates both
+component by component (`core.quat_matrix_entries`, `core.quat_rate`) and
+packs neither."""
 
 import numpy as np
 

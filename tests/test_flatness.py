@@ -258,11 +258,24 @@ def test_ground_transform_wrench_reconstruction(params):
 
 
 def test_ground_transform_reports_lift_off(params):
-    # violent turn at low thrust: reference wheel normal goes negative
-    with pytest.raises(InfeasibleReferenceError):
-        fl.ground_flat_to_reference(
-            circle_sample(0.5, params, radius=1.0, speed=3.0, T_Bz=7.9), params
-        )
+    # tight turn at low thrust (a_l = 8 m/s^2 at 0.5 m/s): a reference wheel
+    # normal goes negative
+    s = fl.FlatSampleGround(
+        p=np.array([0.0, 0.0, params.r]), v=np.array([0.5, 0.0, 0.0]),
+        a=np.array([0.0, 8.0, 0.0]), j=np.zeros(3), s=np.zeros(3), T_Bz=2.0,
+    )
+    with pytest.raises(InfeasibleReferenceError, match="wheel lift-off in reference"):
+        fl.ground_flat_to_reference(s, params)
+
+
+def test_ground_transform_reports_negative_total_normal_force(params):
+    # thrust inside the accepted band above m g, level and at rest: F_n < 0
+    s = fl.FlatSampleGround(
+        p=np.array([0.0, 0.0, params.r]), v=np.zeros(3), a=np.zeros(3), j=np.zeros(3),
+        s=np.zeros(3), T_Bz=params.weight + 5e-7, psi_hint=0.0,
+    )
+    with pytest.raises(InfeasibleReferenceError, match="negative total normal force"):
+        fl.ground_flat_to_reference(s, params)
 
 
 def test_ground_transform_thrust_out_of_range(params):
