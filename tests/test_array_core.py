@@ -322,40 +322,36 @@ def stacked_rk4_ground(x, u, dt, slipping):
     return stacked_project_ground(xn, keep_lateral=slipping)
 
 
-def ground_rows(max_rows: int = 4):
-    """Packed ground-contact states and inputs, (n, 13) and (n, 4): pitch,
-    any heading, a little roll, either quaternion sign, speeds also inside
-    SPEED_EPS, and inputs whose thrust can exceed the weight or tip the
-    load onto one wheel."""
-    speed = st.one_of(wide(3.0), wide(0.02))
-    attitude = st.tuples(wide(0.05), wide(0.6), wide(math.pi), st.sampled_from([1.0, -1.0]))
-    state = st.tuples(st.tuples(speed, speed, wide(0.1)), attitude, st.tuples(*[wide(2.0)] * 3))
-    u = st.tuples(st.floats(0.0, PARAMS.T_max), st.floats(0.0, PARAMS.T_max),
-                  wide(PARAMS.delta_max), wide(PARAMS.delta_max))
-
-    def pack(drawn):
-        X = np.array([[0.0, 0.0, PARAMS.r, *v, *(sign * quat_from_euler(*angles)), *w]
-                      for (v, (*angles, sign), w), _ in drawn])
-        return X, np.array([u for _, u in drawn])
-
-    return st.lists(st.tuples(state, u), min_size=1, max_size=max_rows).map(pack)
-
-
-def edge_rows():
-    """One ground row of each case the properties must cover: a tipped-over
-    load (negative left wheel normal), thrust above the weight (negative
-    F_n), a speed inside SPEED_EPS, and a quaternion on the other cover
-    sheet at psi near pi (the projection's hemisphere flip)."""
-    rows = [((1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (3.0, 3.0, 0.6, 0.6)),
-            ((0.5, 0.2, 0.0), (0.0, 0.1, 0.3, 1.0), (0.1, 0.0, 0.0), (6.0, 6.0, 0.0, 0.0)),
-            ((0.004, -0.003, 0.0), (0.01, 0.2, -1.0, 1.0), (0.0, 0.3, 0.0), (2.0, 2.5, 0.1, -0.1)),
-            ((-1.0, 0.4, 0.02), (0.03, -0.2, 3.1, -1.0), (0.2, -0.1, 0.4), (2.0, 2.0, -0.3, 0.2))]
+def pack_ground(rows):
+    """Packed ground-contact states and inputs, (n, 13) and (n, 4), of rows
+    (v, (roll, pitch, yaw, quaternion sign), omega, u) at p_z = r."""
     X = np.array([[0.0, 0.0, PARAMS.r, *v, *(sign * quat_from_euler(*angles)), *w]
                   for v, (*angles, sign), w, _ in rows])
     return X, np.array([u for *_, u in rows])
 
 
-EDGE = edge_rows()
+def ground_rows(max_rows: int = 4):
+    """`pack_ground` rows with pitch, any heading, a little roll, either
+    quaternion sign, speeds also inside SPEED_EPS, and inputs whose thrust
+    can exceed the weight or tip the load onto one wheel."""
+    speed = st.one_of(wide(3.0), wide(0.02))
+    attitude = st.tuples(wide(0.05), wide(0.6), wide(math.pi), st.sampled_from([1.0, -1.0]))
+    u = st.tuples(st.floats(0.0, PARAMS.T_max), st.floats(0.0, PARAMS.T_max),
+                  wide(PARAMS.delta_max), wide(PARAMS.delta_max))
+    row = st.tuples(st.tuples(speed, speed, wide(0.1)), attitude, st.tuples(*[wide(2.0)] * 3), u)
+    return st.lists(row, min_size=1, max_size=max_rows).map(pack_ground)
+
+
+# one ground row of each case the properties must cover: a tipped-over load
+# (negative left wheel normal), thrust above the weight (negative F_n), a
+# speed inside SPEED_EPS, and a quaternion on the other cover sheet at psi
+# near pi (the projection's hemisphere flip)
+EDGE = pack_ground([
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (3.0, 3.0, 0.6, 0.6)),
+    ((0.5, 0.2, 0.0), (0.0, 0.1, 0.3, 1.0), (0.1, 0.0, 0.0), (6.0, 6.0, 0.0, 0.0)),
+    ((0.004, -0.003, 0.0), (0.01, 0.2, -1.0, 1.0), (0.0, 0.3, 0.0), (2.0, 2.5, 0.1, -0.1)),
+    ((-1.0, 0.4, 0.02), (0.03, -0.2, 3.1, -1.0), (0.2, -0.1, 0.4), (2.0, 2.0, -0.3, 0.2)),
+])
 
 
 def test_edge_rows_cover_lift_off_contact_loss_dead_band_and_flip():
