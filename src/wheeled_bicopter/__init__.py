@@ -1,7 +1,16 @@
 """Simulation, reference generation and receding-horizon tracking control
 for a bi-modal (aerial/ground) passive-wheeled bi-copter."""
 
-from .core import (
+import os
+import sys
+
+# One BLAS thread unless the caller chose a count: thread wake-ups on the
+# loop's small matrices set its tail latency.  Read when numpy first loads.
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+
+from .core import (  # noqa: E402
     ControlInput,
     Mode,
     Orientation,

@@ -36,6 +36,7 @@ from .core import (
     DivergenceError,
     InfeasibleReferenceError,
     Mode,
+    SolverFailure,
     VehicleParams,
     require_bool,
     require_integer,
@@ -416,33 +417,18 @@ def _report(report: dict, out_dir: Optional[Path], filename: str, quiet: bool) -
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                  quiet: bool = True, stop_when=None) -> ScenarioResult:
-    """Closed-loop run of one scenario; deterministic for a given seed."""
+    """Closed-loop run of one scenario; deterministic for a given seed.  A
+    run cut short is summarized and written to out_dir like a complete one;
+    one that failed then raises its `RunLog.error`."""
     env = cfg.environment
     traj, peaks, sim, duration = _start(cfg)
-    try:
-        log = control_loop(
-            sim, traj, cfg.controller, cfg.params,
-            duration=duration, control_rate=env["control_rate_hz"],
-            noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
-            rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
-        )
-    except (DivergenceError, InfeasibleReferenceError) as exc:
-        if out_dir is not None and hasattr(exc, "runlog"):  # the run had started
-            _scenario_result(cfg, exc.runlog, peaks, duration, out_dir)
-        raise
-    result = _scenario_result(cfg, log, peaks, duration, out_dir)
-    if "abort_reason" in result.summary:
-        raise SolverFailure(log.abort_reason)
-    if not quiet:
-        print(json.dumps(result.summary, indent=2, sort_keys=True))
-    return result
-
-
-def _scenario_result(cfg: ScenarioConfig, log: RunLog, peaks: dict, duration: float,
-                     out_dir: Optional[Path]) -> ScenarioResult:
-    """Summarize a closed-loop run, complete or cut short, and write its
-    outputs to out_dir when given."""
-    ticks, steps = log.ticks, log.sim.log
+    log = control_loop(
+        sim, traj, cfg.controller, cfg.params,
+        duration=duration, control_rate=env["control_rate_hz"],
+        noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
+        rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
+    )
+    ticks, steps = log.ticks, sim.log
     act, ref = ticks.x[:, 0:3], ticks.x_ref[:, 0:3]
     statuses, counts = np.unique(ticks.qp_status, return_counts=True)
     summary = {
@@ -457,21 +443,21 @@ def _scenario_result(cfg: ScenarioConfig, log: RunLog, peaks: dict, duration: fl
         "peak_accel_ref": peaks.get("peak_accel"),
         "peak_speed_actual": float(np.max(np.linalg.norm(steps.x[:, 3:6], axis=1))),
         "mean_power_W": float(np.mean(steps.power)),
-        "slip_steps": log.sim.slip_steps,
-        "lift_off_events": log.sim.lift_off_events,
+        "slip_steps": sim.slip_steps,
+        "lift_off_events": sim.lift_off_events,
         "statuses": {str(s): int(n) for s, n in zip(statuses, counts)},
         "max_slack": float(np.max(ticks.slack_max)),
     }
-    if log.aborted and log.abort_reason != "stop condition met":
+    if log.error is not None:
         summary["abort_reason"] = log.abort_reason
     result = ScenarioResult(cfg.name, log, summary)
     if out_dir is not None:
         result.files = write_outputs(cfg, result, Path(out_dir))
+    if log.error is not None:
+        raise log.error
+    if not quiet:
+        print(json.dumps(summary, indent=2, sort_keys=True))
     return result
-
-
-class SolverFailure(RuntimeError):
-    pass
 
 
 def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,

@@ -60,6 +60,10 @@ class DivergenceError(RuntimeError):
     """Simulation state left the sane numeric range."""
 
 
+class SolverFailure(RuntimeError):
+    """The tracking controller stayed degraded for too many ticks in a row."""
+
+
 def vec3(x: float, y: float, z: float) -> Vec3:
     return np.array([float(x), float(y), float(z)])
 

@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (DivergenceError, InfeasibleReferenceError, Mode, VehicleParams,
+from .core import (DivergenceError, InfeasibleReferenceError, Mode, SolverFailure, VehicleParams,
                    quat_multiply, require_bool, require_integer, require_real, require_reals)
 from .dynamics import DIVERGENCE_LIMIT, Simulator, _f_ground_batch, rk4_step
 from .flatness import ReferencePoint
@@ -168,7 +168,7 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
 
 class QpError(RuntimeError):
     """The active-set QP failed: H is not positive definite (`iters` is 0)
-    or the method did not converge (`iters` is `max_iter`)."""
+    or the method did not converge (`iters` is `MAX_QP_ITER`)."""
 
     def __init__(self, message: str, iters: int):
         super().__init__(message)
@@ -276,8 +276,6 @@ def solve_qp(
     z0: np.ndarray,
     n_eq: int = 0,
     active0: Optional[Sequence[int]] = None,
-    tol: float = 1e-9,
-    max_iter: int = 200,
 ):
     """minimize 0.5 z'Hz + g'z  s.t.  A_in z <= b_in.
 
@@ -296,15 +294,15 @@ def solve_qp(
     n_rows = A_in.shape[0]
     factor = _WorkingSetFactor(H, A_in[work])
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_QP_ITER + 1):
         p, lam = factor.step(g + H @ z, A_in[work])
 
-        if np.max(np.abs(p)) < tol * (1.0 + np.max(np.abs(z))):
+        if np.max(np.abs(p)) < KKT_TOL * (1.0 + np.max(np.abs(z))):
             # multipliers: inequality rows need lambda >= 0
             if len(work) > n_eq:
                 ineq_lam = lam[n_eq:]
                 worst = int(np.argmin(ineq_lam))
-                if ineq_lam[worst] < -tol:
+                if ineq_lam[worst] < -KKT_TOL:
                     work.pop(n_eq + worst)
                     factor.drop(n_eq + worst)
                     continue
@@ -317,7 +315,7 @@ def solve_qp(
         idx = np.nonzero(mask)[0]
         if idx.size:
             ap = A_in[idx] @ p
-            viol = ap > tol
+            viol = ap > KKT_TOL
             if np.any(viol):
                 cand = idx[viol]
                 ratios = (b_in[cand] - A_in[cand] @ z) / ap[viol]
@@ -330,7 +328,7 @@ def solve_qp(
         if block >= 0 and alpha < 1.0:
             work.append(block)
             factor.add(A_in[block])
-    raise QpError(f"active-set QP did not converge in {max_iter} iterations", max_iter)
+    raise QpError(f"active-set QP did not converge in {MAX_QP_ITER} iterations", MAX_QP_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +439,7 @@ def solve(
     # and the defects folded into c_k; S_k is zero from column k*m on
     dx0 = x_current - x_bar[0]
     if float(x_current[6:10] @ x_bar[0][6:10]) < 0.0:
-        dx0 = x_current.copy()
-        dx0[6:10] = -dx0[6:10]
-        dx0 -= x_bar[0]
+        dx0[6:10] = -x_current[6:10] - x_bar[0][6:10]
     nz = K * m
     S = np.zeros((K + 1, n, nz))
     c = np.zeros((K + 1, n))
@@ -487,10 +483,7 @@ def solve(
     gfull = np.concatenate([gvec, SLACK_PENALTY * np.ones(n_soft)])
 
     try:
-        z, work, lam, iters = solve_qp(
-            Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0,
-            tol=KKT_TOL, max_iter=MAX_QP_ITER,
-        )
+        z, work, lam, iters = solve_qp(Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0)
     except QpError as exc:
         return OcpSolution.degraded(u_bar, x_bar, qp_iters=exc.iters)
     resid = Hfull @ z + gfull
@@ -554,10 +547,17 @@ RUNLOG_DTYPE = np.dtype([
 
 @dataclass
 class RunLog:
+    """The ticks and plant of a closed loop.  `abort_reason` says why a run
+    ended early; `error` is its failure, None if it completed or stopped."""
+
     ticks: np.recarray  # RUNLOG_DTYPE records
     sim: Simulator
-    aborted: bool = False
     abort_reason: str = ""
+    error: Optional[Exception] = None
+
+    @property
+    def aborted(self) -> bool:
+        return bool(self.abort_reason)
 
     def input_series(self) -> np.ndarray:
         return self.ticks.u.copy()
@@ -585,9 +585,12 @@ def control_loop(
 ) -> RunLog:
     """Run the tracking loop: sample references, solve, hold u(0) for one
     control period.  The simulator integrates at its own (faster) rate.
-    `stop_when(tick)` may end the run early (e.g. a failure threshold).  A
-    plant divergence, or an infeasible reference after the first tick,
-    raises with the log of the ticks so far attached as `runlog`.
+    `stop_when(tick)` may end the run early (e.g. a failure threshold).
+    A failed run returns too, with its ticks so far and the failure as the
+    log's `error`: more than `MAX_DEGRADED` degraded ticks in a row
+    (SolverFailure), a plant divergence (DivergenceError; the diverging
+    tick stays logged) or an infeasible reference.  Of these, only an
+    infeasible reference at the first tick raises: it leaves no tick.
 
     Reference times come from the tick counter.  When the horizon step is a
     whole number r of control periods, node k of tick i is control-grid
@@ -617,10 +620,10 @@ def control_loop(
         try:
             refs = table.window(nodes)
         except InfeasibleReferenceError as exc:
-            if i > 0:  # once the run has started, its ticks are evidence
-                reason = "; ".join([f"infeasible reference: {exc}", *getattr(exc, "__notes__", ())])
-                exc.runlog = RunLog(ticks[:i], sim, aborted=True, abort_reason=reason)
-            raise
+            if i == 0:
+                raise
+            reason = "; ".join([f"infeasible reference: {exc}", *getattr(exc, "__notes__", ())])
+            return RunLog(ticks[:i], sim, reason, exc)
         x_meas = noise.apply(sim.x, rng)
         t0 = time.perf_counter()
         sol = solve(x_meas, refs, cfg, params, prev=prev)
@@ -628,10 +631,8 @@ def control_loop(
         if sol.status == "degraded":
             degraded_run += 1
             if degraded_run > MAX_DEGRADED:
-                return RunLog(
-                    ticks[:i], sim, aborted=True,
-                    abort_reason=f"solver degraded for {degraded_run} consecutive ticks",
-                )
+                reason = f"solver degraded for {degraded_run} consecutive ticks"
+                return RunLog(ticks[:i], sim, reason, SolverFailure(reason))
             prev = None  # cold restart from the references next tick
         else:
             degraded_run = 0
@@ -642,9 +643,7 @@ def control_loop(
         try:
             sim.apply(sol.u_seq[0], dt_ctrl)
         except DivergenceError as exc:
-            # the tick whose input the plant could not integrate stays logged
-            exc.runlog = RunLog(ticks[:i + 1], sim, aborted=True, abort_reason=str(exc))
-            raise
+            return RunLog(ticks[:i + 1], sim, str(exc), exc)
         if stop_when is not None and stop_when(ticks[i]):
-            return RunLog(ticks[:i + 1], sim, aborted=True, abort_reason="stop condition met")
+            return RunLog(ticks[:i + 1], sim, "stop condition met")
     return RunLog(ticks, sim)

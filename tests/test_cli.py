@@ -514,14 +514,19 @@ def test_open_loop_steps_at_the_scenario_control_rate(monkeypatch):
     assert holds == [1.0 / 100.0] * round(0.3 * 100)
 
 
-def test_main_exit_code_infeasible_reference(tmp_path):
-    # violent ground eight at low vertical thrust: pitch equation leaves the
-    # arcsine domain, reported as a distinct exit code
+def test_main_exit_code_infeasible_reference(tmp_path, capsys):
+    # violent ground eight at low vertical thrust: node 10 of the first
+    # tick's horizon needs a negative collective thrust, so the run has no
+    # tick to keep and writes nothing
     doc = tiny_ground_doc()
     doc["trajectory"].update({"v_max": 6.0, "a_max": 12.0, "T_Bz_frac": 0.2})
     path = tmp_path / "infeasible.json"
     path.write_text(json.dumps(doc))
-    assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_INFEASIBLE
+    out = tmp_path / "out"
+    argv = ["track", "--config", str(path), "--out", str(out), "--quiet"]
+    assert cli.main(argv) == cli.EXIT_INFEASIBLE
+    assert "sample 10 (t=0.500s)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_solver_failure_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch):

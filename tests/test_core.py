@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wheeled_bicopter
 from wheeled_bicopter.core import (
     ConfigError,
     ControlInput,
@@ -176,3 +182,57 @@ def test_unwrap_angles():
     for a in raw[1:]:
         out.append(a + 2 * math.pi * heading_turns(a, out[-1]))
     assert np.all(np.abs(np.diff(out)) < math.pi)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# imports the package (numpy first when asked) and reports the variables
+# named on its command line and the thread count of the loaded OpenBLAS
+# (None if numpy ships none), read as `perfbench/run.py` reads it
+BLAS_PROBE = """
+import ctypes, json, os, sys
+from pathlib import Path
+if sys.argv[1] == "numpy-first":
+    import numpy
+import wheeled_bicopter
+import numpy
+
+def threads():
+    libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol).restype = ctypes.c_int
+                return int(getattr(lib, symbol)())
+    return None
+
+print(json.dumps({"env": {v: os.environ.get(v) for v in sys.argv[2:]}, "threads": threads()}))
+"""
+
+
+def _blas_after_import(order="package-first", **env_set):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_set, PYTHONPATH=str(Path(wheeled_bicopter.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, order, *BLAS_VARS], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return json.loads(out.stdout)
+
+
+def test_package_import_pins_blas_to_one_thread():
+    report = _blas_after_import()
+    assert report["env"] == dict.fromkeys(BLAS_VARS, "1")
+    assert report["threads"] in (1, None)
+
+
+def test_package_import_keeps_a_blas_thread_count_the_user_set():
+    report = _blas_after_import(OPENBLAS_NUM_THREADS="2")
+    assert report["env"] == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                             "MKL_NUM_THREADS": "1"}
+
+
+def test_package_import_after_numpy_leaves_the_blas_variables_alone():
+    # numpy has already read them, so setting them would only mislead
+    report = _blas_after_import("numpy-first")
+    assert report["env"] == dict.fromkeys(BLAS_VARS)

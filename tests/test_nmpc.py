@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter.core import (
-    ConfigError, Mode, Orientation, RobotState, VehicleParams, quat_from_euler, vec3)
+    ConfigError, DivergenceError, InfeasibleReferenceError, Mode, Orientation, RobotState,
+    SolverFailure, VehicleParams, quat_from_euler, vec3)
+from wheeled_bicopter import cli
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
@@ -275,24 +277,24 @@ def test_qp_property_random_strictly_convex(seed, n, n_eq, n_gen):
         -z0 + rng.uniform(0.01, 2.0, n),
         A_gen @ z0 + rng.uniform(0.01, 2.0, n_gen),
     ])
-    tol = 1e-9
-    z, work, lam, iters = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq, tol=tol)
+    z, work, lam, iters = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq)
 
     np.testing.assert_allclose(A[:n_eq] @ z, b[:n_eq], atol=1e-8)
     assert np.all(A[n_eq:] @ z <= b[n_eq:] + 1e-8)
     assert list(work[:n_eq]) == list(range(n_eq))
-    assert np.all(lam[n_eq:] >= -tol)
+    assert np.all(lam[n_eq:] >= -nmpc.KKT_TOL)
     resid = H @ z + g + (A[work].T @ lam if work else 0.0)
     assert np.max(np.abs(resid)) <= 1e-6
-    z2, work2, lam2, iters2 = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq, tol=tol)
+    z2, work2, lam2, iters2 = nmpc.solve_qp(H, g, A, b, z0, n_eq=n_eq)
     assert z2.tobytes() == z.tobytes() and lam2.tobytes() == lam.tobytes()
     assert work2 == work and iters2 == iters
 
 
-def dense_kkt_solve_qp(H, g, A_in, b_in, z0, n_eq=0, active0=None, tol=1e-9, max_iter=200):
+def dense_kkt_solve_qp(H, g, A_in, b_in, z0, n_eq=0, active0=None):
     """The active-set method with a dense (n + nw)^2 KKT solve and one
     refinement step per iteration, the reference for the range-space
-    `nmpc.solve_qp`."""
+    `nmpc.solve_qp`, with its tolerance and iteration cap."""
+    tol, max_iter = nmpc.KKT_TOL, nmpc.MAX_QP_ITER
     n = H.shape[0]
     z = z0.copy()
     work = list(range(n_eq))
@@ -407,7 +409,7 @@ def test_range_space_steps_follow_the_dense_kkt_path(seed, n_pairs, n_lock, n_so
                                                     ill_conditioned)
     if ill_conditioned:
         assert np.linalg.cond(H[: H.shape[0] - n_soft, : H.shape[0] - n_soft]) > 1e6
-    kw = dict(n_eq=n_eq, active0=active0, tol=1e-9)
+    kw = dict(n_eq=n_eq, active0=active0)
     z, work, lam, iters = nmpc.solve_qp(H, g, A, b, z0, **kw)
     z_ref, work_ref, lam_ref, iters_ref = dense_kkt_solve_qp(H, g, A, b, z0, **kw)
     assert work == work_ref and iters == iters_ref
@@ -615,6 +617,51 @@ def test_solve_deterministic(params, cfg):
     assert a.cost == b.cost and a.qp_iters == b.qp_iters
 
 
+@pytest.mark.parametrize("scenario", ["aerial_8shape", "ground_8shape_slippery", "hybrid_3d"])
+def test_solve_ignores_the_hemisphere_of_the_measured_quaternion(scenario):
+    # q and -q are one attitude: a measurement in the hemisphere opposite
+    # the guess is flipped before dx0 is formed, so only x_pred[0], the
+    # measurement itself, may differ
+    doc = cli.load_bundled_scenario(scenario)
+    sc = cli.ScenarioConfig.from_dict(doc, scenario)
+    traj, _ = cli.build_trajectory(sc)
+    params, cfg = sc.params, sc.controller
+    rng = np.random.default_rng(3)
+    for t in (0.5, 2.0, 4.5):
+        refs = traj.sample_references(t, cfg.K, cfg.dt, params, clamp=True)
+        x = refs[0].x_array() + rng.normal(0.0, 0.01, 13)
+        x[6:10] /= np.linalg.norm(x[6:10])
+        flipped = x.copy()
+        flipped[6:10] = -x[6:10]
+        a = nmpc.solve(x, refs, cfg, params)
+        b = nmpc.solve(flipped, refs, cfg, params)
+        assert (b.status, b.qp_iters, b.cost) == (a.status, a.qp_iters, a.cost)
+        assert b.u_seq.tobytes() == a.u_seq.tobytes()
+        assert b.x_pred[1:].tobytes() == a.x_pred[1:].tobytes()
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("index, value", [(0, math.nan), (4, math.inf), (7, -math.inf),
+                                          (11, math.nan)])
+def test_solve_degrades_on_a_non_finite_measurement(params, cfg, warm, index, value):
+    # a faulty sensor reading holds the guess instead of raising
+    refs = circle_trajectory(params).sample_references(1.0, cfg.K, cfg.dt, params)
+    x = refs[0].x_array().copy()
+    prev = nmpc.solve(x, refs, cfg, params) if warm else None
+    x[index] = value
+    sol = nmpc.solve(x, refs, cfg, params, prev=prev)
+    assert sol.status == "degraded"
+    lo, hi = nmpc.input_bounds(params)
+    if warm:
+        u_bar = np.vstack([prev.u_seq[1:], prev.u_seq[-1:]])
+        x_bar = np.vstack([prev.x_pred[1:], prev.x_pred[-1:]])
+    else:
+        u_bar = np.stack([r.u for r in refs[:cfg.K]])
+        x_bar = np.stack([r.x for r in refs])
+    np.testing.assert_array_equal(sol.u_seq, np.clip(u_bar, lo, hi))
+    np.testing.assert_array_equal(sol.x_pred, x_bar)
+
+
 def test_solve_mixed_mode_horizon(params, cfg):
     # reference window straddling a ground->aerial transition
     zc = params.r
@@ -784,3 +831,76 @@ def test_control_loop_off_grid_horizon_samples_every_node(params, monkeypatch):
     # the line's feed-forward is exact: any misplaced node pulls the loop off it
     act, ref = log.ticks.x[:, 0:3], log.ticks.x_ref[:, 0:3]
     assert np.max(np.linalg.norm(act - ref, axis=1)) < 1e-9
+
+
+def _degraded_solves(monkeypatch):
+    def degraded(x, refs, cfg, params, prev=None):
+        return nmpc.OcpSolution.degraded(np.stack([r.u for r in refs[:-1]]),
+                                         np.stack([r.x for r in refs]))
+    monkeypatch.setattr(nmpc, "solve", degraded)
+
+
+def _diverging_third_tick(monkeypatch):
+    solve = nmpc.solve
+    calls = []
+
+    def faulty(x, refs, cfg, params, prev=None):
+        sol = solve(x, refs, cfg, params, prev=prev)
+        calls.append(sol)
+        if len(calls) == 3:
+            sol.u_seq = np.array([[1e9, 1e9, 0.0, 0.0]] * cfg.K)
+        return sol
+    monkeypatch.setattr(nmpc, "solve", faulty)
+
+
+def _infeasible_past(t_fail):
+    def install(monkeypatch):
+        transform = tj.aerial_flat_to_reference
+
+        def faulty(sample, params, clamp=False):
+            if sample.t > t_fail:
+                raise InfeasibleReferenceError("injected fault")
+            return transform(sample, params, clamp=clamp)
+        monkeypatch.setattr(tj, "aerial_flat_to_reference", faulty)
+    return install
+
+
+def _hover_loop(params, cfg, **kw):
+    sim = dyn.Simulator(params=params, x=hover_state(params), dt=1e-3, mode=Mode.AERIAL)
+    return nmpc.control_loop(sim, hover_trajectory(params), cfg, params, duration=0.2, **kw)
+
+
+@pytest.mark.parametrize("fault, error, n_ticks, reason", [
+    (_degraded_solves, SolverFailure, nmpc.MAX_DEGRADED,
+     f"solver degraded for {nmpc.MAX_DEGRADED + 1} consecutive ticks"),
+    # the diverging tick stays logged
+    (_diverging_third_tick, DivergenceError, 3, "simulation diverged at t=0.0100s (mode AERIAL)"),
+    # the horizon of the sixth tick (nodes 0.025 s to 1.025 s) is the first
+    # to reach past 1.02 s
+    (_infeasible_past(1.02), InfeasibleReferenceError, 5,
+     "infeasible reference: injected fault; sample 20 (t=1.025s)"),
+])
+def test_control_loop_returns_a_failed_run_with_its_error(params, cfg, monkeypatch, fault,
+                                                          error, n_ticks, reason):
+    fault(monkeypatch)
+    log = _hover_loop(params, cfg)
+    assert isinstance(log.error, error)
+    assert log.aborted and log.abort_reason == reason
+    assert len(log.ticks) == n_ticks
+
+
+def test_control_loop_raises_an_infeasible_reference_at_the_first_tick(params, cfg,
+                                                                       monkeypatch):
+    # no tick to keep: the first horizon already reaches past 0.5 s
+    _infeasible_past(0.5)(monkeypatch)
+    with pytest.raises(InfeasibleReferenceError, match="injected fault"):
+        _hover_loop(params, cfg)
+
+
+def test_control_loop_ends_a_stopped_or_complete_run_without_error(params, cfg):
+    stopped = _hover_loop(params, cfg, stop_when=lambda tick: tick.t >= 0.05)
+    assert stopped.error is None and stopped.aborted
+    assert stopped.abort_reason == "stop condition met" and len(stopped.ticks) == 11
+    complete = _hover_loop(params, cfg)
+    assert complete.error is None and not complete.aborted
+    assert complete.abort_reason == "" and len(complete.ticks) == 40
