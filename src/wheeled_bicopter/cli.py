@@ -483,10 +483,9 @@ def run_energy_compare(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     return _report(report, out_dir, f"{cfg.name}_report.json", quiet)
 
 
-def _lateral_error(tick) -> float:
-    """Planar position error of a tick across its reference heading (the
-    world x axis when the reference stands still)."""
-    ref, x = tick.x_ref, tick.x  # one field read each: a record's is slow
+def _lateral_error(ref, x) -> float:
+    """Planar position error of a tick's state x across the heading of its
+    reference state ref (the world x axis when the reference stands still)."""
     vx, vy = ref[3], ref[4]
     psi = math.atan2(vy, vx) if abs(vx) + abs(vy) > 1e-6 else 0.0
     dx = x[0] - ref[0]
@@ -506,7 +505,7 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     speeds = cfg.trajectory["speed_cases"]
 
     def crossed(tick) -> bool:
-        return abs(_lateral_error(tick)) > LATERAL_FAIL_THRESHOLD
+        return abs(_lateral_error(tick.x_ref, tick.x)) > LATERAL_FAIL_THRESHOLD
 
     cases = []
     for v_max, a_max in speeds:
@@ -520,9 +519,11 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
             case = {"v_max": v_max, "a_max": a_max, "variant": variant}
             try:
                 res = run_scenario(sub, out_dir=None, quiet=True, stop_when=crossed)
-                max_lat = float(max(abs(_lateral_error(row)) for row in res.runlog.ticks))
-                completed = not res.summary["stopped_early"] and max_lat <= LATERAL_FAIL_THRESHOLD
-                case.update(completed=completed, max_lateral_error_m=max_lat,
+                ticks = res.runlog.ticks
+                max_lat = float(max(abs(_lateral_error(ref, x))
+                                    for ref, x in zip(ticks.x_ref, ticks.x)))
+                # stop_when ends a run at its first tick past the threshold
+                case.update(completed=not res.summary["stopped_early"], max_lateral_error_m=max_lat,
                             rmse_m=res.summary["rmse_m"], slip_steps=res.summary["slip_steps"])
             except (SolverFailure, DivergenceError) as exc:
                 case.update(completed=False, failure=str(exc))
@@ -782,8 +783,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleReferenceError as exc:
-        print(f"infeasible reference: {exc}", *getattr(exc, "__notes__", ()),
-              sep="; ", file=sys.stderr)
+        print(exc.reason(), file=sys.stderr)
         return EXIT_INFEASIBLE
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -51,6 +51,11 @@ class GimbalLockError(ValueError):
 class InfeasibleReferenceError(ValueError):
     """A flat sample cannot be realized by the vehicle model."""
 
+    def reason(self) -> str:
+        """`infeasible reference: <message>` and the notes that name the
+        sample, joined by "; ": a run's abort reason and the CLI's error."""
+        return "; ".join([f"infeasible reference: {self}", *getattr(self, "__notes__", ())])
+
 
 class ContactLossError(RuntimeError):
     """Ground-mode force balance produced a non-positive total normal force."""

@@ -37,12 +37,14 @@ component: aerial (`_wrench_terms`, `_aerial_rates`) and ground
 (`_ground_angles`, `ground_contact`, `_ground_rates`, and the constraint
 projection `_project_ground`).  `_f_aerial_batch` and `_f_ground_batch`
 evaluate them on the contiguous components of packed states: arrays for a
-batch, numpy scalars for one row (13,), with the same bits.  The simulator
-steps an aerial state as Python floats with `math` (`_rk4_aerial`); the
-ground body keeps numpy's `arcsin`, `arctan2` and `hypot`, whose bits
-`math` does not reproduce.  A ground state's contact and derivative come
-from one `_f_ground_batch` evaluation: a caller that reads the contact
-passes that derivative to `rk4_step` as its first stage.
+batch, numpy scalars for one row (13,), with the same bits.  `rk4_step`
+runs its four stages on those component rows, transposing the state once
+and packing the result once.  The simulator steps an aerial state as
+Python floats with `math` (`_rk4_aerial`); the ground body keeps numpy's
+`arcsin`, `arctan2` and `hypot`, whose bits `math` does not reproduce, so
+a ground state steps on numpy scalars.  A ground state's contact and
+derivative come from one `_f_ground_batch` evaluation: a caller that reads
+the contact passes that derivative to `rk4_step` as its first stage.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def _rk4_aerial(x: list, wrench, dt: float, P: VehicleParams, J: list, J_inv: li
 
 
 def _ground_angles(qw, qx, qy, qz):
-    """Pitch theta and heading psi of a roll-free attitude."""
-    theta = np.arcsin(np.clip(2.0 * (qw * qy - qz * qx), -1.0, 1.0))
+    """Pitch theta and heading psi of a roll-free attitude.  The pitch sine
+    is clamped by min/max: np.clip's bits without its Python wrapper."""
+    theta = np.arcsin(np.minimum(np.maximum(2.0 * (qw * qy - qz * qx), -1.0), 1.0))
     psi = np.arctan2(2.0 * (qw * qz + qx * qy), 1.0 - 2.0 * (qy * qy + qz * qz))
     return theta, psi
 
@@ -323,24 +326,36 @@ def rk4_step(
     """One fixed-step RK4 integration of the packed state, with quaternion
     renormalization and re-projection of the ground constraints.
 
-    k1 is the derivative at (x, u) when the caller already has it: a caller
-    that reads the ground contact gets it from the same `_f_ground_batch`
-    call, and the step then evaluates only stages 2 to 4.  Without it the
-    step evaluates k1 itself.
+    The stages run on component rows (13, ...) with the input's wrench
+    computed once; one state (13,) steps on numpy scalars.
+
+    k1 is the packed derivative at (x, u) when the caller already has it:
+    a caller that reads the ground contact gets it from the same
+    `_f_ground_batch` call, and the step then evaluates only stages 2 to
+    4.  Without it the step evaluates k1 itself.
     """
+    xt = np.ascontiguousarray(x.T)
+    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
+
     def f(y):
         if mode is Mode.AERIAL:
-            return _f_aerial_batch(y, u, P)
-        return _f_ground_batch(y, u, P, slipping)[0]
+            rates = _aerial_rates(y, wrench, P, P.J, P.J_inv)
+        else:
+            rates = _ground_rates(y, wrench, P, slipping)[0]
+        k = np.empty(xt.shape)
+        for i, c in enumerate(rates):
+            k[i] = c
+        return k
 
-    if k1 is None:
-        k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    q = xn[..., 6:10]
-    xn[..., 6:10] = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    k1 = f(xt) if k1 is None else np.ascontiguousarray(k1.T)
+    k2 = f(xt + 0.5 * dt * k1)
+    k3 = f(xt + 0.5 * dt * k2)
+    k4 = f(xt + dt * k3)
+    yt = xt + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # the squares summed in sequence, as np.linalg.norm does on a length-4 axis
+    qw, qx, qy, qz = yt[6:10]
+    yt[6:10] /= np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
+    xn = np.ascontiguousarray(yt.T)
     if mode is Mode.GROUND:
         _project_ground(xn, keep_lateral=slipping)
     return xn
@@ -458,7 +473,7 @@ class Simulator:
     def apply(self, u: np.ndarray, duration: float) -> None:
         """Hold the packed input u (4,) for `duration` seconds, integrating at
         the sim rate: an aerial state steps as Python floats (`_rk4_aerial`),
-        a ground state as a one-row array (`rk4_step`)."""
+        a ground state as numpy scalars (`rk4_step` on one row (13,))."""
         ua = np.asarray(u, dtype=float)
         P = self.params
         power = rotor_power(ua, P)

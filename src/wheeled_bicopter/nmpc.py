@@ -622,8 +622,7 @@ def control_loop(
         except InfeasibleReferenceError as exc:
             if i == 0:
                 raise
-            reason = "; ".join([f"infeasible reference: {exc}", *getattr(exc, "__notes__", ())])
-            return RunLog(ticks[:i], sim, reason, exc)
+            return RunLog(ticks[:i], sim, exc.reason(), exc)
         x_meas = noise.apply(sim.x, rng)
         t0 = time.perf_counter()
         sol = solve(x_meas, refs, cfg, params, prev=prev)

@@ -1,8 +1,9 @@
 """Properties of the batched array core: a batch evaluates each row exactly
 as a row-by-row call does, the aerial body evaluates a state of Python
 floats exactly as a batch row, the component-form ground body evaluates
-a batch and a single row exactly as the stacked-slice form, and ground RK4
-steps keep the contact constraints."""
+a batch and a single row exactly as the stacked-slice form, the RK4 step
+on component rows gives the bits of the packed step, and ground RK4 steps
+keep the contact constraints."""
 
 import math
 
@@ -378,8 +379,43 @@ def assert_same_derivative(got, ref):
         assert_same_bits(diag[key], ref_diag[key])
 
 
+# pitch sines 2 (qw qy - qz qx) at the clamp: just past +-1, +-0.0, NaN and
+# +-inf, each made exactly by the quaternion (1, 0, s/2, 0)
+CLAMP_SINES = np.array([1.0 + 2**-52, -(1.0 + 2**-52), 0.0, -0.0, np.nan, np.inf, -np.inf])
+
+
+def test_pitch_clamp_gives_the_bits_of_np_clip():
+    qw, qx, qz = np.ones(len(CLAMP_SINES)), np.zeros(len(CLAMP_SINES)), np.zeros(len(CLAMP_SINES))
+    qy = 0.5 * CLAMP_SINES
+    sines = 2.0 * (qw * qy - qz * qx)
+    assert_same_bits(sines, CLAMP_SINES)
+    want = np.arcsin(np.clip(sines, -1.0, 1.0))
+    with np.errstate(invalid="ignore"):  # the heading of an infinite qy is NaN
+        assert_same_bits(dyn._ground_angles(qw, qx, qy, qz)[0], want)
+        for k, ref in enumerate(want):
+            theta, _ = dyn._ground_angles(qw[k], qx[k], qy[k], qz[k])
+            assert type(theta) is np.float64
+            assert_same_bits(theta, ref)
+
+
+def clamp_rows():
+    """Ground rows whose unit quaternion puts the pitch sine past +-1 by
+    rounding (pitch +-90 degrees), at +0.0 and at -0.0."""
+    X, U = pack_ground([((0.5, 0.1, 0.0), (0.0, 0.0, 0.0, 1.0), (0.1, -0.2, 0.3),
+                         (2.0, 2.2, 0.2, -0.1))] * 4)
+    h = math.sqrt(0.5)
+    X[:, 6:10] = [(h, 0.0, h, 0.0), (h, 0.0, -h, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, 0.0, -0.0, 0.0)]
+    qw, qx, qy, qz = X[:, 6:10].T
+    assert_same_bits(2.0 * (qw * qy - qz * qx), CLAMP_SINES[:4])
+    return X, U
+
+
+CLAMP = clamp_rows()
+
+
 @example(EDGE, False)
 @example(EDGE, True)
+@example(CLAMP, False)
 @given(ground_rows(), st.booleans())
 def test_ground_body_equals_the_stacked_form(XU, slipping):
     X, U = XU
@@ -394,6 +430,7 @@ def test_ground_body_equals_the_stacked_form(XU, slipping):
 
 @example(EDGE, False, 1e-3)
 @example(EDGE, True, 5e-3)
+@example(CLAMP, True, 5e-3)
 @given(ground_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]))
 def test_ground_rk4_equals_the_stacked_form(XU, slipping, dt):
     X, U = XU
@@ -416,3 +453,65 @@ def test_ground_projection_equals_the_stacked_form(XU, keep_lateral):
         one = dyn._project_ground(x.copy(), keep_lateral)
         assert_same_bits(one, stacked_project_ground(x.copy(), keep_lateral))
         assert_same_bits(one, row)
+
+
+# ---------------------------------------------------------------------------
+# one RK4 step on component rows, against the packed step
+# ---------------------------------------------------------------------------
+
+
+def packed_rk4_step(x, u, mode, dt, P, slipping=False, k1=None):
+    """`dyn.rk4_step` on packed states, the reference of the component-row
+    step: each stage evaluates the packed derivative (`_f_aerial_batch`,
+    `_f_ground_batch`, the input's wrench each time) and np.linalg.norm
+    renormalizes the quaternion."""
+    def f(y):
+        if mode is Mode.AERIAL:
+            return dyn._f_aerial_batch(y, u, P)
+        return dyn._f_ground_batch(y, u, P, slipping)[0]
+
+    if k1 is None:
+        k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    xn = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q = xn[..., 6:10]
+    xn[..., 6:10] = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    if mode is Mode.GROUND:
+        dyn._project_ground(xn, keep_lateral=slipping)
+    return xn
+
+
+def modes_and_rows():
+    """(mode, (X, U)): `aerial_rows` stepped in the air or `ground_rows` on
+    the ground."""
+    return st.one_of(aerial_rows().map(lambda XU: (Mode.AERIAL, XU)),
+                     ground_rows().map(lambda XU: (Mode.GROUND, XU)))
+
+
+@example((Mode.GROUND, EDGE), False, 1e-3, True)
+@example((Mode.GROUND, EDGE), True, 5e-3, False)
+@example((Mode.GROUND, CLAMP), False, 5e-3, True)
+@example((Mode.GROUND, CLAMP), True, 1e-3, False)
+@example((Mode.AERIAL, CLAMP), False, 5e-3, False)
+@given(modes_and_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]), st.booleans())
+def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, slipping, dt, given_k1):
+    mode, (X, U) = mode_rows
+
+    def step(x, u, rk4):
+        k1 = None
+        if given_k1 and mode is Mode.AERIAL:
+            k1 = dyn._f_aerial_batch(x, u, PARAMS)
+        elif given_k1:
+            k1 = dyn._f_ground_batch(x, u, PARAMS, slipping)[0]
+        before = x.tobytes()
+        xn = rk4(x, u, mode, dt, PARAMS, slipping, k1)
+        assert x.tobytes() == before and xn.shape == x.shape
+        return xn
+
+    batch = step(X, U, dyn.rk4_step)
+    assert_same_bits(batch, step(X, U, packed_rk4_step))
+    assert_same_bits(step(X[None], U[None], dyn.rk4_step), batch)
+    for x, u in zip(X, U):
+        assert_same_bits(step(x, u, dyn.rk4_step), step(x, u, packed_rk4_step))

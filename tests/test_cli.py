@@ -585,7 +585,7 @@ def test_main_divergence_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch
 
 
 def test_main_mid_run_infeasible_reference_leaves_partial_logs_and_a_summary(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     # the hover becomes infeasible past t = 1.02 s, which the horizon of
     # the sixth tick (nodes 0.025 s to 1.025 s) is the first to reach
     transform = tj.aerial_flat_to_reference
@@ -600,6 +600,8 @@ def test_main_mid_run_infeasible_reference_leaves_partial_logs_and_a_summary(
     assert len(ticks) == 5 and steps == 5 * 5 // 2 + 1
     assert summary["ticks"] == 5 and summary["stopped_early"] is True
     assert summary["abort_reason"] == "infeasible reference: injected fault; sample 20 (t=1.025s)"
+    # the error line is the abort reason, note included
+    assert capsys.readouterr().err == summary["abort_reason"] + "\n"
 
 
 def test_main_exit_code_negative_mass(tmp_path):

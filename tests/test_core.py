@@ -13,6 +13,7 @@ from wheeled_bicopter.core import (
     ConfigError,
     ControlInput,
     GimbalLockError,
+    InfeasibleReferenceError,
     Orientation,
     RobotState,
     VehicleParams,
@@ -112,6 +113,14 @@ def test_orientation_norm_drift_under_integration():
         q = q + dt * quat_derivative(q, w)
         q = quat_normalize(q)
     assert abs(np.linalg.norm(q) - 1.0) < 1e-6
+
+
+def test_infeasible_reason_joins_the_message_and_the_notes():
+    exc = InfeasibleReferenceError("thrust negative")
+    assert exc.reason() == "infeasible reference: thrust negative"
+    exc.add_note("sample 4 (t=0.125s)")
+    exc.add_note("tick 2")
+    assert exc.reason() == "infeasible reference: thrust negative; sample 4 (t=0.125s); tick 2"
 
 
 def test_params_defaults_valid():

@@ -13,6 +13,8 @@ from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
 
+from test_array_core import packed_rk4_step
+
 
 @pytest.fixture
 def params():
@@ -137,7 +139,8 @@ def test_discretize_step_composition(params):
 
 def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
     """Reference for nmpc._linearize_horizon: the same batched evaluations,
-    scattered into the outputs stage by stage."""
+    stepped by the packed RK4 step and scattered into the outputs stage by
+    stage."""
     K, n, m = len(u_bar), 13, 4
     nb = 1 + n + m
     x_next, A, B, normals = np.empty((K, n)), np.empty((K, n, n)), np.empty((K, n, m)), {}
@@ -159,7 +162,7 @@ def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
                 F = np.stack([Fl[j], Fr[j]])
                 normals[k] = (F[:, 0], (F[:, 1 : 1 + n] - F[:, :1]) / nmpc.FD_STEP,
                               (F[:, 1 + n :] - F[:, :1]) / nmpc.FD_STEP)
-        out = dyn.rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
+        out = packed_rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
         for j, k in enumerate(idx):
             x_next[k] = out[j, 0]
             A[k] = (out[j, 1 : 1 + n] - out[j, 0]).T / nmpc.FD_STEP

@@ -4,7 +4,8 @@ Runs each bundled scenario through its command-line path at full length:
 `benchmark` for the slippery-ground comparison, `track` for every other
 scenario, and additionally `simulate` for the scenarios with a closed-loop
 trajectory.  Prints one `file sha256` line per output file, sorted, where
-the hash is `cli.deterministic_digest` (wall-clock columns masked).
+the hash is `cli.deterministic_digest` (wall-clock columns masked).  The
+commands run in a process pool, one worker per usable core.
 
     python tools/digests.py
 
@@ -13,6 +14,7 @@ produces the same bits.  BLAS is pinned to one thread before numpy loads,
 so the digests do not depend on the caller's environment.
 """
 
+import multiprocessing
 import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -20,6 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import sys
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -39,20 +42,33 @@ def commands(name: str):
         yield "simulate"
 
 
-def main() -> int:
+def run(job):
+    """Exit code and `file sha256` lines of one command on one bundled
+    scenario, whose outputs go under the directory `tmp`."""
+    tmp, command, name = job
+    out = Path(tmp) / command / name
+    code = cli.main([command, "--scenario", name, "--out", str(out), "--quiet"])
     lines = []
+    if code == cli.EXIT_OK:
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                lines.append(f"{path.relative_to(tmp).as_posix()} {cli.deterministic_digest(path)}")
+    return code, lines
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for name in cli.bundled_scenario_names():
-            for command in commands(name):
-                out = Path(tmp) / command / name
-                code = cli.main([command, "--scenario", name, "--out", str(out), "--quiet"])
-                if code != cli.EXIT_OK:
-                    print(f"{command} {name}: exit {code}", file=sys.stderr)
-                    return code
-                for path in sorted(out.rglob("*")):
-                    if path.is_file():
-                        rel = path.relative_to(tmp).as_posix()
-                        lines.append(f"{rel} {cli.deterministic_digest(path)}")
+        jobs = [(tmp, command, name)
+                for name in cli.bundled_scenario_names() for command in commands(name)]
+        with ProcessPoolExecutor(len(os.sched_getaffinity(0)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(run, jobs))
+    lines = []
+    for (_, command, name), (code, out) in zip(jobs, results):
+        if code != cli.EXIT_OK:
+            print(f"{command} {name}: exit {code}", file=sys.stderr)
+            return code
+        lines += out
     print("\n".join(sorted(lines)))
     return 0
 
