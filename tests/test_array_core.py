@@ -385,7 +385,7 @@ CLAMP_SINES = np.array([1.0 + 2**-52, -(1.0 + 2**-52), 0.0, -0.0, np.nan, np.inf
 
 
 def test_pitch_clamp_gives_the_bits_of_np_clip():
-    qw, qx, qz = np.ones(len(CLAMP_SINES)), np.zeros(len(CLAMP_SINES)), np.zeros(len(CLAMP_SINES))
+    qw, qx, qz = np.ones_like(CLAMP_SINES), np.zeros_like(CLAMP_SINES), np.zeros_like(CLAMP_SINES)
     qy = 0.5 * CLAMP_SINES
     sines = 2.0 * (qw * qy - qz * qx)
     assert_same_bits(sines, CLAMP_SINES)
