@@ -35,16 +35,15 @@ Internally states are packed as x = [p(3), v(3), q(4), omega(3)]; the
 typed API wraps the core.  Both derivatives are written once, component by
 component: aerial (`_wrench_terms`, `_aerial_rates`) and ground
 (`_ground_angles`, `ground_contact`, `_ground_rates`, and the constraint
-projection `_project_ground`).  `_f_aerial_batch` and `_f_ground_batch`
-evaluate them on the contiguous components of packed states: arrays for a
-batch, numpy scalars for one row (13,), with the same bits.  `rk4_step`
-runs its four stages on those component rows, transposing the state once
-and packing the result once.  The simulator steps an aerial state as
-Python floats with `math` (`_rk4_aerial`); the ground body keeps numpy's
-`arcsin`, `arctan2` and `hypot`, whose bits `math` does not reproduce, so
-a ground state steps on numpy scalars.  A ground state's contact and
-derivative come from one `_f_ground_batch` evaluation: a caller that reads
-the contact passes that derivative to `rk4_step` as its first stage.
+projection `_project_ground`), on Python floats, numpy scalars or arrays
+with the same bits.  `rk4_step` steps a batch of packed states on
+component rows (13, ...), as `_f_aerial_batch` and `_f_ground_batch`
+evaluate one; the simulator steps its one state of 13 Python floats with
+`_rk4_row` in both modes, with the input's `math` wrench.  The ground
+body keeps numpy's `arcsin`, `arctan2` and `hypot`, whose bits `math`
+does not reproduce, so a ground row's rates are numpy scalars.  A caller
+that reads the ground contact passes the derivative of the same
+evaluation to the integrator as k1.
 """
 
 from __future__ import annotations
@@ -162,16 +161,16 @@ def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarra
     return pack_components(rates, x.shape[:-1])
 
 
-def _rk4_aerial(x: list, wrench, dt: float, P: VehicleParams, J: list, J_inv: list) -> list:
-    """`rk4_step` of one aerial state given as 13 Python floats, with the
-    inertia as float lists: the same operations in the same order, so the
-    same bits, without numpy's per-call cost.  The quaternion norm adds
-    the squares in sequence, as `np.linalg.norm` does."""
+def _rk4_row(rates, x: list, dt: float, k1=None) -> list:
+    """`rk4_step` of one state of 13 Python floats, where `rates(y)` gives
+    the 13 rates at y and k1 = rates(x) if known: the same operations in
+    the same order, so the same bits, without numpy's per-call cost.  The
+    quaternion norm adds the squares in sequence, as `rk4_step` does."""
     h = 0.5 * dt
-    k1 = _aerial_rates(x, wrench, P, J, J_inv)
-    k2 = _aerial_rates([a + h * k for a, k in zip(x, k1)], wrench, P, J, J_inv)
-    k3 = _aerial_rates([a + h * k for a, k in zip(x, k2)], wrench, P, J, J_inv)
-    k4 = _aerial_rates([a + dt * k for a, k in zip(x, k3)], wrench, P, J, J_inv)
+    k1 = rates(x) if k1 is None else k1
+    k2 = rates([a + h * k for a, k in zip(x, k1)])
+    k3 = rates([a + h * k for a, k in zip(x, k2)])
+    k4 = rates([a + dt * k for a, k in zip(x, k3)])
     c = dt / 6.0
     xn = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
     q = xn[6:10]
@@ -323,11 +322,11 @@ def rk4_step(
     slipping: bool = False,
     k1: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One fixed-step RK4 integration of the packed state, with quaternion
-    renormalization and re-projection of the ground constraints.
+    """One fixed-step RK4 integration of a batch of packed states, with
+    quaternion renormalization and re-projection of the ground constraints.
 
     The stages run on component rows (13, ...) with the input's wrench
-    computed once; one state (13,) steps on numpy scalars.
+    computed once.  The simulator steps its one state with `_rk4_row`.
 
     k1 is the packed derivative at (x, u) when the caller already has it:
     a caller that reads the ground contact gets it from the same
@@ -380,8 +379,7 @@ def derivative(
     state: RobotState, u: ControlInput, mode: Mode, params: VehicleParams
 ) -> StateDerivative:
     """Continuous-time state derivative f(x, u) for the given mode."""
-    x = state.as_array()
-    ua = u.as_array()
+    x, ua = state.as_array(), u.as_array()
     if mode is Mode.GROUND:
         xdot, diag = _f_ground_batch(x, ua, params)
         if diag["F_n"] <= 0.0:
@@ -453,13 +451,13 @@ class Simulator:
     def log(self) -> np.recarray:
         return self._log[:self._n]
 
-    def _try_touchdown(self, x: np.ndarray, u: np.ndarray) -> None:
+    def _try_touchdown(self, x: np.ndarray, wrench) -> None:
         r = self.params.r
         if x[2] > r + self.TOUCHDOWN_TOL or x[5] > 0.0:
             return
         # grazing contact with thrust above the weight cannot load the
         # wheels; stay aerial until F_n would be non-negative
-        _, diag = _f_ground_batch(x, u, self.params, slipping=False)
+        _, diag = _ground_rates(x.tolist(), wrench, self.params, slipping=False)
         if float(diag["F_n"]) < 0.0:
             return
         self.mode = Mode.GROUND
@@ -472,13 +470,19 @@ class Simulator:
 
     def apply(self, u: np.ndarray, duration: float) -> None:
         """Hold the packed input u (4,) for `duration` seconds, integrating at
-        the sim rate: an aerial state steps as Python floats (`_rk4_aerial`),
-        a ground state as numpy scalars (`rk4_step` on one row (13,))."""
+        the sim rate: `_rk4_row` steps the state as Python floats, with the
+        input's `math` wrench computed once for the call."""
         ua = np.asarray(u, dtype=float)
         P = self.params
         power = rotor_power(ua, P)
         wrench = _wrench_terms(ua.tolist(), P, math)
         J, J_inv = P.J.tolist(), P.J_inv.tolist()
+
+        def aerial(y):
+            return _aerial_rates(y, wrench, P, J, J_inv)
+
+        def ground(y):
+            return _ground_rates(y, wrench, P, self.slipping)[0]
         steps = max(1, round(duration / self.dt))
         if self._n + steps > len(self._log):
             grown = np.recarray(max(self._n + steps, 2 * len(self._log)), dtype=SIMLOG_DTYPE)
@@ -487,13 +491,13 @@ class Simulator:
         for _ in range(steps):
             x = self.x.copy()
             if self.mode is Mode.AERIAL:
-                self._try_touchdown(x, ua)
+                self._try_touchdown(x, wrench)
             F_nl = F_nr = f_l = 0.0
             lift = False
             if self.mode is Mode.GROUND:
                 # the contact that decides lift-off and stick/slip is also
                 # RK4's k1, unless the decision changes the state or regime
-                k1, diag = _f_ground_batch(x, ua, P, slipping=self.slipping)
+                k1, diag = _ground_rates(x.tolist(), wrench, P, self.slipping)
                 F_n = float(diag["F_n"])
                 if F_n < 0.0:
                     self.mode = Mode.AERIAL
@@ -502,12 +506,12 @@ class Simulator:
                     stick = slip_check(float(diag["f_l_req"]), F_n, P)
                     if self.slip_enabled and not self.slipping and not stick:
                         self.slipping = True
-                        k1, diag = _f_ground_batch(x, ua, P, slipping=True)
+                        k1, diag = _ground_rates(x.tolist(), wrench, P, True)
                     elif (self.slip_enabled and self.slipping and stick
                           and abs(float(diag["w_lat"])) < LATERAL_STICK_EPS):
                         self.slipping = False
                         _project_ground(x, keep_lateral=False)
-                        k1, diag = _f_ground_batch(x, ua, P, slipping=False)
+                        k1, diag = _ground_rates(x.tolist(), wrench, P, False)
                     F_nl = max(float(diag["F_nl"]), 0.0)
                     F_nr = max(float(diag["F_nr"]), 0.0)
                     f_l = float(diag["f_l"])
@@ -517,9 +521,10 @@ class Simulator:
             self._log[self._n] = (self.t, x, ua, F_nl, F_nr, f_l, self.slipping, lift, power)
             self._n += 1
             if self.mode is Mode.AERIAL:
-                xn = np.array(_rk4_aerial(x.tolist(), wrench, self.dt, P, J, J_inv))
+                xn = np.array(_rk4_row(aerial, x.tolist(), self.dt))
             else:
-                xn = rk4_step(x, ua, self.mode, self.dt, P, self.slipping, k1=k1)
+                xn = np.array(_rk4_row(ground, x.tolist(), self.dt, k1))
+                _project_ground(xn, keep_lateral=self.slipping)
             # NaN and infinities fail the comparison too
             if not (np.abs(xn) <= DIVERGENCE_LIMIT).all():
                 raise DivergenceError(

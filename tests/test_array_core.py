@@ -2,8 +2,9 @@
 as a row-by-row call does, the aerial body evaluates a state of Python
 floats exactly as a batch row, the component-form ground body evaluates
 a batch and a single row exactly as the stacked-slice form, the RK4 step
-on component rows gives the bits of the packed step, and ground RK4 steps
-keep the contact constraints."""
+on component rows gives the bits of the packed step, the single-state
+RK4 step on Python floats gives the bits of a batch row in both modes,
+and ground RK4 steps keep the contact constraints."""
 
 import math
 
@@ -179,23 +180,13 @@ def test_aerial_body_on_floats_equals_the_batch_row(XU):
         assert np.array(floats).tobytes() == row.tobytes()
 
 
-@given(aerial_rows(), st.sampled_from([1e-3, 5e-3]))
-def test_aerial_rk4_on_floats_equals_the_batch_row(XU, dt):
-    X, U = XU
-    batch = dyn.rk4_step(X, U, Mode.AERIAL, dt, PARAMS)
-    for x, u, row in zip(X, U, batch):
-        wrench = dyn._wrench_terms(u.tolist(), PARAMS, math)
-        floats = dyn._rk4_aerial(x.tolist(), wrench, dt, PARAMS, J, J_INV)
-        assert np.array(floats).tobytes() == row.tobytes()
-
-
 def replay_step(sim, u):
     """One plant step of `sim` as `Simulator.apply` takes it, but an aerial
     state steps as a one-row batch of `rk4_step`; the touchdown step and
     ground steps go through `apply` itself."""
     x = sim.x.copy()
     if sim.mode is Mode.AERIAL:
-        sim._try_touchdown(x, u)
+        sim._try_touchdown(x, dyn._wrench_terms(u.tolist(), PARAMS, math))
     if sim.mode is Mode.GROUND:
         sim.x = x
         sim.apply(u, sim.dt)
@@ -515,3 +506,38 @@ def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, slipping, 
     assert_same_bits(step(X[None], U[None], dyn.rk4_step), batch)
     for x, u in zip(X, U):
         assert_same_bits(step(x, u, dyn.rk4_step), step(x, u, packed_rk4_step))
+
+
+# ---------------------------------------------------------------------------
+# one single-state integrator for both plant modes
+# ---------------------------------------------------------------------------
+
+
+@example((Mode.GROUND, EDGE), False, 1e-3, True)
+@example((Mode.GROUND, EDGE), True, 5e-3, False)
+@example((Mode.GROUND, CLAMP), False, 5e-3, True)
+@example((Mode.GROUND, CLAMP), True, 1e-3, True)
+@example((Mode.GROUND, CLAMP), True, 5e-3, False)
+@example((Mode.AERIAL, CLAMP), False, 5e-3, True)
+@given(modes_and_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]), st.booleans())
+def test_rk4_row_on_floats_equals_the_batch_row(mode_rows, slipping, dt, given_k1):
+    """`_rk4_row` on a state of Python floats with the `math` wrench, as the
+    simulator steps it (with the ground projection after a ground step),
+    gives the bytes of the batch and the one-row `rk4_step`, whether k1
+    comes from the caller or from the step."""
+    mode, (X, U) = mode_rows
+    batch = dyn.rk4_step(X, U, mode, dt, PARAMS, slipping)
+    for x, u, row in zip(X, U, batch):
+        wrench = dyn._wrench_terms(u.tolist(), PARAMS, math)
+
+        def rates(y):
+            if mode is Mode.AERIAL:
+                return dyn._aerial_rates(y, wrench, PARAMS, J, J_INV)
+            return dyn._ground_rates(y, wrench, PARAMS, slipping)[0]
+
+        k1 = rates(x.tolist()) if given_k1 else None
+        floats = np.array(dyn._rk4_row(rates, x.tolist(), dt, k1))
+        if mode is Mode.GROUND:
+            dyn._project_ground(floats, keep_lateral=slipping)
+        assert_same_bits(floats, row)
+        assert_same_bits(floats, dyn.rk4_step(x, u, mode, dt, PARAMS, slipping))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheeled_bicopter.core import (
     ContactLossError,
@@ -434,17 +436,20 @@ def test_simulator_slip_saturates_lateral_friction(params):
 
 
 def apply_with_separate_k1(sim, u, duration):
-    """Simulator.apply as a stepper that evaluates the contact diagnostics
-    and RK4's first stage in separate calls; returns its log records as
-    tuples in `SIMLOG_DTYPE` field order."""
+    """Simulator.apply as a stepper on the batch API: the contact
+    diagnostics come from `_f_ground_batch`, and `rk4_step` evaluates RK4's
+    first stage itself.  Touchdown takes the call's `math` wrench, as in
+    `apply`.  Returns its log records as tuples in `SIMLOG_DTYPE` field
+    order."""
     ua = np.array(u, dtype=float)
     P = sim.params
     power = dyn.rotor_power(ua, P)
+    wrench = dyn._wrench_terms(ua.tolist(), P, math)
     rows = []
     for _ in range(max(1, round(duration / sim.dt))):
         x = sim.x.copy()
         if sim.mode is Mode.AERIAL:
-            sim._try_touchdown(x, ua)
+            sim._try_touchdown(x, wrench)
         F_nl = F_nr = f_l = 0.0
         lift = False
         if sim.mode is Mode.GROUND:
@@ -477,15 +482,31 @@ def apply_with_separate_k1(sim, u, duration):
     return rows
 
 
+def descending_state(p):
+    """A state 2 mm above touchdown height, sinking at 5 cm/s while it
+    rolls at 0.8 m/s along a heading of 0.1 rad."""
+    return RobotState(
+        vec3(0, 0, p.r + 0.002), 0.8 * vec3(math.cos(0.1), math.sin(0.1), -0.0625),
+        Orientation(quat_from_euler(0, 0.02, 0.1)), vec3(0, 0, 0),
+    ).as_array()
+
+
+def assert_same_run(fast, ref, rows):
+    """`fast` (stepped by `apply`) logged `rows` and ended where `ref`
+    (stepped by `apply_with_separate_k1`) did, bit for bit."""
+    assert len(fast.log) == len(rows)
+    assert fast.log.tobytes() == np.rec.array(rows, dtype=dyn.SIMLOG_DTYPE).tobytes()
+    assert fast.x.tobytes() == ref.x.tobytes()
+    assert (fast.t, fast.mode, fast.slipping, fast.slip_steps, fast.lift_off_events) == (
+        ref.t, ref.mode, ref.slipping, ref.slip_steps, ref.lift_off_events)
+
+
 def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
     # slow descent to touchdown; a tilted push that lifts the left wheel,
     # then a harder one that slides both; low thrust until they stick
     # again; full thrust to lift off
     p = VehicleParams()
-    x0 = RobotState(
-        vec3(0, 0, p.r + 0.002), 0.8 * vec3(math.cos(0.1), math.sin(0.1), -0.0625),
-        Orientation(quat_from_euler(0, 0.02, 0.1)), vec3(0, 0, 0),
-    ).as_array()
+    x0 = descending_state(p)
     descend, roll = 0.45 * p.weight, 0.3 * p.weight
     phases = [([descend, descend, 0.0, 0.0], 40), ([2.5, 2.5, 0.35, 0.35], 20),
               ([3.0, 3.0, 0.6, 0.6], 30), ([roll, roll, 0.0, 0.0], 200),
@@ -503,10 +524,47 @@ def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
     assert (Mode.AERIAL, Mode.GROUND) in set(zip(modes, modes[1:]))
     assert (Mode.GROUND, Mode.AERIAL) in set(zip(modes, modes[1:]))
     assert {(False, True), (True, False)} <= set(zip(slips, slips[1:]))
-    fast, ref = sims
-    assert fast.lift_off_events > 0  # a wheel lifted: k1 uses clamped normals
-    assert len(fast.log) == len(rows) == sum(n for _, n in phases)
-    assert fast.log.tobytes() == np.rec.array(rows, dtype=dyn.SIMLOG_DTYPE).tobytes()
-    assert fast.x.tobytes() == ref.x.tobytes()
-    assert (fast.t, fast.mode, fast.slipping, fast.slip_steps, fast.lift_off_events) == (
-        ref.t, ref.mode, ref.slipping, ref.slip_steps, ref.lift_off_events)
+    assert sims[0].lift_off_events > 0  # a wheel lifted: k1 uses clamped normals
+    assert sum(n for _, n in phases) == len(rows)
+    assert_same_run(*sims, rows)
+
+
+PARAMS = VehicleParams()
+THRUST = st.floats(0.0, PARAMS.T_max)
+TILT = st.floats(-PARAMS.delta_max, PARAMS.delta_max)
+# one push: rotor thrusts and tilts held for 1 to 20 holds of 5 ms
+PUSH = st.tuples(st.tuples(THRUST, THRUST, TILT, TILT), st.integers(1, 20))
+# a coast on equal untilted thrusts, long enough for sliding wheels to stick
+COAST = st.tuples(st.floats(0.0, 0.6 * PARAMS.weight).map(lambda T: (T, T, 0.0, 0.0)),
+                  st.integers(10, 30))
+
+
+def test_simulator_equals_the_batch_stepper_on_drawn_pushes():
+    """After a 40 ms descent to touchdown, one to three drawn pushes and a
+    drawn coast, held in 5 ms calls as the control loop holds its input:
+    `apply` logs and ends as `apply_with_separate_k1` does, and the
+    examples taken together reach slip onset, re-stick and lift-off."""
+    descend = [0.45 * PARAMS.weight] * 2 + [0.0, 0.0]
+    steps = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(PUSH, min_size=1, max_size=3), COAST)
+    def check(pushes, coast):
+        sims = [dyn.Simulator(params=PARAMS, x=descending_state(PARAMS), dt=1e-3,
+                              slip_enabled=True, mode=Mode.AERIAL) for _ in range(2)]
+        rows = []
+        for u, holds in [(descend, 8), *pushes, coast]:
+            for _ in range(holds):
+                sims[0].apply(u, 5e-3)
+                rows += apply_with_separate_k1(sims[1], u, 5e-3)
+        assert_same_run(*sims, rows)
+        # (sliding, on the ground) of each record: an aerial record logs
+        # zero wheel normals, a ground record their positive sum
+        log = sims[0].log
+        state = list(zip(log.slip.tolist(), (log.F_n_left + log.F_n_right > 0.0).tolist()))
+        steps.update(zip(state, state[1:]))
+
+    check()
+    assert ((False, True), (True, True)) in steps  # slip onset
+    assert ((True, True), (False, True)) in steps  # re-stick
+    assert any(ground and not after for (_, ground), (_, after) in steps)  # lift-off
