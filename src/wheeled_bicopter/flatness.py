@@ -4,7 +4,7 @@ Ground mode flat output: position plus a prescribed collective vertical body
 thrust T_Bz (held below the vehicle weight so the wheels stay loaded).  From
 the flat output and its derivatives the transform recovers
 
-    yaw      psi   = alpha * atan2(ydot, xdot)
+    yaw      psi   = atan2(ydot, xdot)
     pitch    theta = asin((m a.x_G + mu m g) / (sqrt(1+mu^2) T_Bz)) - atan(mu)
     rates    omega = (-thetadot sin psi, thetadot cos psi, psidot)
     inputs   from the force/torque balance, linear in the per-rotor
@@ -63,7 +63,6 @@ class FlatSampleGround:
     T_Bz: float
     dT_Bz: float = 0.0
     ddT_Bz: float = 0.0
-    alpha: int = 1
     t: float = 0.0
     psi_hint: Optional[float] = None
 
@@ -143,9 +142,9 @@ def heading_turns(psi: float, psi_hint: float) -> int:
     return round((psi_hint - psi) / (2 * math.pi))
 
 
-def travel_heading(v: Vec3, a: Vec3, j: Vec3, alpha: int,
+def travel_heading(v: Vec3, a: Vec3, j: Vec3,
                    psi_hint: Optional[float]) -> Optional[Tuple[float, float, float, bool]]:
-    """Heading along the planar travel direction, psi = alpha * atan2(vy, vx),
+    """Heading along the planar travel direction, psi = atan2(vy, vx),
     with its rate and acceleration: (psi, psi_dot, psi_ddot, held).
 
     Below the speed dead-band the hint is held with zero rates (held is
@@ -156,10 +155,10 @@ def travel_heading(v: Vec3, a: Vec3, j: Vec3, alpha: int,
         if psi_hint is None:
             return None
         return float(psi_hint), 0.0, 0.0, True
-    psi = alpha * math.atan2(float(v[1]), float(v[0]))
+    psi = math.atan2(float(v[1]), float(v[0]))
     if psi_hint is not None:
         psi += 2 * math.pi * heading_turns(psi, psi_hint)
-    return (psi, *tangent_yaw_derivatives(v, a, j, alpha), False)
+    return (psi, *tangent_yaw_derivatives(v, a, j), False)
 
 
 def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float) -> Vec3:
@@ -200,16 +199,12 @@ def lateral_thrust_approx(a_l: float, params: VehicleParams) -> float:
 
 def _heading_frame(psi: float):
     c, s = math.cos(psi), math.sin(psi)
-    xg = np.array([c, s, 0.0])
-    yg = np.array([-s, c, 0.0])
-    return xg, yg
+    return np.array([c, s, 0.0]), np.array([-s, c, 0.0])
 
 
-def tangent_yaw_derivatives(v: Vec3, a: Vec3, j: Vec3, alpha: int = 1) -> Tuple[float, float]:
-    """Rate and acceleration of the heading psi = alpha * atan2(vy, vx)."""
-    chi_dot, chi_ddot = _atan2_rates(float(v[0]), float(v[1]), float(a[0]), float(a[1]),
-                                     float(j[0]), float(j[1]))
-    return alpha * chi_dot, alpha * chi_ddot
+def tangent_yaw_derivatives(v: Vec3, a: Vec3, j: Vec3) -> Tuple[float, float]:
+    """Rate and acceleration of the heading psi = atan2(vy, vx)."""
+    return _atan2_rates(*map(float, (v[0], v[1], a[0], a[1], j[0], j[1])))
 
 
 def _atan2_rates(x: float, y: float, xd: float, yd: float, xdd: float,
@@ -271,7 +266,6 @@ def ground_flat_to_reference(
     m, g = params.m, params.g
     T = float(sample.T_Bz)
     dT, ddT = float(sample.dT_Bz), float(sample.ddT_Bz)
-    alpha = int(sample.alpha)
     if not 0.0 < T < m * g + THRUST_EPS:
         raise InfeasibleReferenceError(
             f"ground vertical thrust must lie in (0, m g]: {T:.3f} N at t={sample.t:.3f}s"
@@ -281,12 +275,12 @@ def ground_flat_to_reference(
             f"ground sample must be planar (vz={sample.v[2]}, az={sample.a[2]})"
         )
 
-    heading = travel_heading(sample.v, sample.a, sample.j, alpha, sample.psi_hint)
+    heading = travel_heading(sample.v, sample.a, sample.j, sample.psi_hint)
     if heading is None:
         raise InfeasibleReferenceError("heading undefined at rest and no held value available")
     psi, psi_dot, psi_ddot, held = heading
     flags = ["psi_held"] if held else []
-    mu_eff = 0.0 if held else alpha * params.mu
+    mu_eff = 0.0 if held else params.mu
 
     xg, yg = _heading_frame(psi)
     a_l = math.hypot(float(sample.v[0]), float(sample.v[1])) * psi_dot

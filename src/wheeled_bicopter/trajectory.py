@@ -444,7 +444,7 @@ class HybridTrajectory:
         heading = "explicit"
         if yaw is None:
             # at rest without a chain hint: the segment's heading, or 0
-            yaw = travel_heading(f[1], f[2], f[3], 1, psi_hint) or (
+            yaw = travel_heading(f[1], f[2], f[3], psi_hint) or (
                 seg.heading_hint(tau) or 0.0, 0.0, 0.0, True)
             heading = "held" if yaw[3] else "tangent"
         psi, psi_dot, psi_ddot = yaw[:3]

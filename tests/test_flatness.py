@@ -18,7 +18,7 @@ def params():
     return VehicleParams()
 
 
-def circle_sample(t, params, radius=2.0, speed=1.5, T_Bz=5.0, alpha=1):
+def circle_sample(t, params, radius=2.0, speed=1.5, T_Bz=5.0):
     om = speed / radius
     c, s = math.cos(om * t), math.sin(om * t)
     return fl.FlatSampleGround(
@@ -28,7 +28,6 @@ def circle_sample(t, params, radius=2.0, speed=1.5, T_Bz=5.0, alpha=1):
         j=np.array([radius * om**3 * s, -radius * om**3 * c, 0.0]),
         s=np.array([radius * om**4 * c, radius * om**4 * s, 0.0]),
         T_Bz=T_Bz,
-        alpha=alpha,
         t=t,
     )
 
@@ -56,9 +55,9 @@ def reference_xdot_fd(make_ref, t, h=1e-4):
 # ---------------------------------------------------------------------------
 
 
-def heading(v, alpha=1, psi_hint=None, a=(0, 0, 0), j=(0, 0, 0)):
+def heading(v, psi_hint=None, a=(0, 0, 0), j=(0, 0, 0)):
     return fl.travel_heading(np.asarray(v, dtype=float), np.asarray(a, dtype=float),
-                             np.asarray(j, dtype=float), alpha, psi_hint)
+                             np.asarray(j, dtype=float), psi_hint)
 
 
 def test_travel_heading_forward_x():
@@ -71,17 +70,11 @@ def test_travel_heading_forward_y():
     assert psi == pytest.approx(math.pi / 2)
 
 
-def test_travel_heading_reverse_flag_negates():
-    psi, _, _, _ = heading((1, 1, 0), alpha=-1)
-    assert psi == pytest.approx(-math.pi / 4)
-
-
 def test_travel_heading_rates_are_the_tangent_rates():
     v, a, j = vec3(1.0, 0.5, 0), vec3(-0.3, 0.8, 0), vec3(0.2, -0.1, 0)
-    for alpha in (1, -1):
-        _, psi_dot, psi_ddot, _ = fl.travel_heading(v, a, j, alpha, None)
-        assert (psi_dot, psi_ddot) == fl.tangent_yaw_derivatives(v, a, j, alpha)
-        assert psi_dot != 0.0 and psi_ddot != 0.0
+    _, psi_dot, psi_ddot, _ = fl.travel_heading(v, a, j, None)
+    assert (psi_dot, psi_ddot) == fl.tangent_yaw_derivatives(v, a, j)
+    assert psi_dot != 0.0 and psi_ddot != 0.0
 
 
 def test_travel_heading_holds_below_deadband_with_zero_rates():
@@ -329,7 +322,7 @@ def test_psi_continuity_along_circle(params):
         s.psi_hint = hint
         ref = fl.ground_flat_to_reference(s, params)
         _, _, psi = ref.x_r.q.to_euler()
-        psi_cont = fl.travel_heading(s.v, s.a, s.j, 1, hint)[0]
+        psi_cont = fl.travel_heading(s.v, s.a, s.j, hint)[0]
         hint = psi_cont
         psis.append(psi_cont)
     assert np.all(np.abs(np.diff(psis)) < math.pi)
