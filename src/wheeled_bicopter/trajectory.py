@@ -35,8 +35,10 @@ class Segment:
     mode: Mode
     T_Bz: float = 0.0  # ground vertical body thrust, for segments without their own
 
-    def flat(self, tau: float) -> np.ndarray:
-        """Stack (5, 3) of position derivatives [p, v, a, j, s] at local time."""
+    def flat(self, tau):
+        """New stack of position derivatives [p, v, a, j, s] at local time:
+        (5, 3) for one time, (N, 5, 3) for a 1-D array of N times, where
+        row i has the bits of the call at the one time tau[i]."""
         raise NotImplementedError
 
     def thrust_profile(self, tau: float) -> Tuple[float, float, float]:
@@ -79,18 +81,16 @@ class Lemniscate(Segment):
         self.center = np.asarray(self.center, dtype=float)
         self.duration = self.laps * 2.0 * math.pi / self.omega
 
-    def flat(self, tau: float) -> np.ndarray:
-        w = self.omega
-        s1, c1 = math.sin(w * tau), math.cos(w * tau)
-        s2, c2 = math.sin(2 * w * tau), math.cos(2 * w * tau)
-        A, B = self.A, self.B
-        out = np.zeros((5, 3))
-        out[0] = self.center + np.array([A * s1, B * s2, 0.0])
-        out[1] = [A * w * c1, 2 * B * w * c2, 0.0]
-        out[2] = [-A * w**2 * s1, -4 * B * w**2 * s2, 0.0]
-        out[3] = [-A * w**3 * c1, -8 * B * w**3 * c2, 0.0]
-        out[4] = [A * w**4 * s1, 16 * B * w**4 * s2, 0.0]
-        return out
+    def flat(self, tau):
+        w, A, B = self.omega, self.A, self.B
+        s1, c1 = np.sin(w * tau), np.cos(w * tau)
+        s2, c2 = np.sin(2 * w * tau), np.cos(2 * w * tau)
+        return _planar(
+            self.center,
+            [A * s1, A * w * c1, -A * w**2 * s1, -A * w**3 * c1, A * w**4 * s1],
+            [B * s2, 2 * B * w * c2, -4 * B * w**2 * s2, -8 * B * w**3 * c2,
+             16 * B * w**4 * s2],
+        )
 
 
 @dataclass
@@ -108,16 +108,23 @@ class Circle(Segment):
         self.center = np.asarray(self.center, dtype=float)
         self.duration = self.laps * 2.0 * math.pi / self.omega
 
-    def flat(self, tau: float) -> np.ndarray:
+    def flat(self, tau):
         w, R = self.omega, self.radius
-        c, s = math.cos(w * tau), math.sin(w * tau)
-        out = np.zeros((5, 3))
-        out[0] = self.center + np.array([R * c, R * s, 0.0])
-        out[1] = [-R * w * s, R * w * c, 0.0]
-        out[2] = [-R * w**2 * c, -R * w**2 * s, 0.0]
-        out[3] = [R * w**3 * s, -R * w**3 * c, 0.0]
-        out[4] = [R * w**4 * c, R * w**4 * s, 0.0]
-        return out
+        c, s = np.cos(w * tau), np.sin(w * tau)
+        return _planar(
+            self.center,
+            [R * c, -R * w * s, -R * w**2 * c, R * w**3 * s, R * w**4 * c],
+            [R * s, R * w * c, -R * w**2 * s, -R * w**3 * c, R * w**4 * s],
+        )
+
+
+def _planar(p0: np.ndarray, x: list, y: list) -> np.ndarray:
+    """Rows of a curve in the plane z = p0[2]: x and y list derivatives 0..4
+    of each coordinate (numpy scalars or arrays), offset by p0."""
+    out = np.zeros(x[0].shape + (5, 3))
+    out[..., :2] = np.array([x, y]).T
+    out[..., 0, :] += p0
+    return out
 
 
 @dataclass
@@ -137,10 +144,11 @@ class Line(Segment):
         self.velocity = np.asarray(self.velocity, dtype=float)
         self.psi0 = math.atan2(self.velocity[1], self.velocity[0])
 
-    def flat(self, tau: float) -> np.ndarray:
-        out = np.zeros((5, 3))
-        out[0] = self.p0 + self.velocity * tau
-        out[1] = self.velocity
+    def flat(self, tau):
+        tau = np.asarray(tau)
+        out = np.zeros(tau.shape + (5, 3))
+        out[..., 0, :] = self.p0 + self.velocity * tau[..., None]
+        out[..., 1, :] = self.velocity
         return out
 
 
@@ -160,9 +168,9 @@ class Rest(Segment):
             raise ValueError("duration must be positive")
         self.p0 = np.asarray(self.p0, dtype=float)
 
-    def flat(self, tau: float) -> np.ndarray:
-        out = np.zeros((5, 3))
-        out[0] = self.p0
+    def flat(self, tau):
+        out = np.zeros(np.asarray(tau).shape + (5, 3))
+        out[..., 0, :] = self.p0
         return out
 
     def thrust_profile(self, tau: float) -> Tuple[float, float, float]:
@@ -200,13 +208,12 @@ class StraightRamp(Segment):
         self.psi0 = math.atan2(self.direction[1], self.direction[0])
         # arc length chosen so accel vanishes at both ends
         L = 0.5 * (self.v_start + self.v_end) * self.duration
-        self._c = _quintic_coeffs(0.0, self.v_start, 0.0, L, self.v_end, 0.0, self.duration)
+        self._table = _derivative_table(
+            _quintic_coeffs(0.0, self.v_start, 0.0, L, self.v_end, 0.0, self.duration))
 
-    def flat(self, tau: float) -> np.ndarray:
-        out = np.zeros((5, 3))
-        out[0] = self.p0 + self.direction * _quintic_eval(self._c, tau, 0)
-        for order in range(1, 5):
-            out[order] = self.direction * _quintic_eval(self._c, tau, order)
+    def flat(self, tau):
+        out = _quintic_eval(self._table, tau) * self.direction
+        out[..., 0, :] += self.p0
         return out
 
 
@@ -223,14 +230,33 @@ def _quintic_coeffs(y0, yd0, ydd0, y1, yd1, ydd1, T):
     return np.array([a0, a1, a2, a3, a4, a5])
 
 
-def _quintic_eval(c, tau, order):
-    # derivatives of sum c_k tau^k up to the requested order
+def _derivative_table(c: np.ndarray) -> np.ndarray:
+    """D[order, k] = c[k] k (k-1) ... (k-order+1), shape (5, 6, m) for the
+    coefficients c of shape (6,) or (6, m): term k of derivative `order` of
+    sum_k c[k] tau^k is D[order, k] * tau**(k - order), zero for k < order."""
+    c = c.reshape(6, -1)
+    D = np.zeros((5,) + c.shape)
+    for order in range(5):
+        for k in range(order, 6):
+            f = 1.0
+            for j in range(order):
+                f *= k - j
+            D[order, k] = c[k] * f
+    return D
+
+
+def _quintic_eval(D: np.ndarray, tau) -> np.ndarray:
+    """Derivatives 0..4 at tau of the polynomial with table D, shape
+    shape(tau) + (5, m); each sums its terms from 0.0 in the order of k."""
+    # R[..., 5 - j] = tau**j by Python's float power (numpy's array power
+    # rounds some powers differently), then four zeros for j < 0
+    tau = np.asarray(tau)
+    R = np.array([[t**j for j in range(5, -1, -1)] + [0.0] * 4
+                  for t in tau.ravel().tolist()]).reshape(tau.shape + (10, 1))
     out = 0.0
-    for k in range(order, 6):
-        f = 1.0
-        for j in range(order):
-            f *= k - j
-        out += c[k] * f * tau ** (k - order)
+    for k in range(6):
+        # term k of every order: R[..., 5 - k + order] = tau**(k - order)
+        out = out + D[:, k] * R[..., 5 - k : 10 - k, :]
     return out
 
 
@@ -254,32 +280,27 @@ class QuinticBlend(Segment):
             raise ValueError("duration must be positive")
         self.start = np.asarray(self.start, dtype=float)
         self.end = np.asarray(self.end, dtype=float)
-        self._coeffs = [
+        self._table = _derivative_table(np.array([
             _quintic_coeffs(
                 self.start[0, i], self.start[1, i], self.start[2, i],
                 self.end[0, i], self.end[1, i], self.end[2, i], self.duration,
             )
             for i in range(3)
-        ]
+        ]).T)
         if self.yaw_bc is not None:
             p0, pd0, pdd0, p1, pd1, pdd1 = self.yaw_bc
-            self._yaw_coeffs = _quintic_coeffs(p0, pd0, pdd0, p1, pd1, pdd1, self.duration)
+            self._yaw_table = _derivative_table(
+                _quintic_coeffs(p0, pd0, pdd0, p1, pd1, pdd1, self.duration))
         else:
-            self._yaw_coeffs = None
+            self._yaw_table = None
 
-    def flat(self, tau: float) -> np.ndarray:
-        out = np.zeros((5, 3))
-        for i in range(3):
-            c = self._coeffs[i]
-            for order in range(5):
-                out[order, i] = _quintic_eval(c, tau, order)
-        return out
+    def flat(self, tau):
+        return _quintic_eval(self._table, tau)
 
     def yaw(self, tau: float):
-        c = self._yaw_coeffs
-        if c is None:
+        if self._yaw_table is None:
             return None  # tangent yaw
-        return _quintic_eval(c, tau, 0), _quintic_eval(c, tau, 1), _quintic_eval(c, tau, 2)
+        return tuple(_quintic_eval(self._yaw_table, tau)[:3, 0])
 
 
 @dataclass
@@ -295,10 +316,9 @@ class TimeDilated(Segment):
         self.duration = self.inner.duration * self.factor
         self.mode = self.inner.mode
 
-    def flat(self, tau: float) -> np.ndarray:
-        out = self.inner.flat(tau / self.factor).copy()
-        for order in range(1, 5):
-            out[order] /= self.factor**order
+    def flat(self, tau):
+        out = self.inner.flat(tau / self.factor)
+        out[..., 1:, :] /= np.array([[self.factor**order] for order in range(1, 5)])
         return out
 
     def thrust_profile(self, tau: float):
@@ -323,14 +343,26 @@ class ScaleReport:
     dilation: float
 
 
+# relative band under the screened maximum whose rows get the exact norm;
+# the screen and the exact norm differ by a few ulps
+PEAK_BAND = 1e-12
+
+
+def _peak_norm(rows: np.ndarray) -> float:
+    """Largest norm of the rows (N, 3), with the bits of `np.linalg.norm`
+    (the square root of a BLAS dot, which no numpy reduction reproduces).
+    A vectorized sum of squares screens the rows; only those within
+    PEAK_BAND of its maximum get the exact norm."""
+    sq = (rows * rows).sum(axis=1)
+    near = rows[sq >= sq.max(initial=0.0) * (1.0 - PEAK_BAND)]
+    return max((math.sqrt(v @ v) for v in near), default=0.0)
+
+
 def segment_peaks(seg: Segment, n: int = 2001) -> Tuple[float, float]:
-    taus = np.linspace(0.0, seg.duration, n)
-    pv = pa = 0.0
-    for tau in taus:
-        f = seg.flat(float(tau))
-        pv = max(pv, float(np.linalg.norm(f[1])))
-        pa = max(pa, float(np.linalg.norm(f[2])))
-    return pv, pa
+    """Peak speed and acceleration over n evenly spaced local times, sampled
+    in one batched `flat` call."""
+    f = seg.flat(np.linspace(0.0, seg.duration, n))
+    return _peak_norm(f[:, 1]), _peak_norm(f[:, 2])
 
 
 def scale_to_limits(seg: Segment, v_max: float, a_max: float) -> ScaleReport:

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wheeled_bicopter.core import Mode, VehicleParams
 from wheeled_bicopter import trajectory as tj
@@ -214,3 +216,184 @@ def test_takeoff_blend_extends_duration_on_accel_violation(params):
     assert blend.duration > 0.5
     assert any("extended" in str(x.message) for x in w)
     assert tj.segment_peaks(blend, n=501)[1] <= 2.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched flat outputs and segment_peaks
+# ---------------------------------------------------------------------------
+
+
+def reference_flat(seg, tau: float) -> np.ndarray:
+    """The scalar `flat` bodies from before `flat` took arrays (`math`
+    sin/cos, one quintic derivative at a time), kept as the oracle of the
+    per-tick bits."""
+    out = np.zeros((5, 3))
+    if isinstance(seg, tj.TimeDilated):
+        out = reference_flat(seg.inner, tau / seg.factor)
+        for order in range(1, 5):
+            out[order] /= seg.factor**order
+    elif isinstance(seg, tj.Lemniscate):
+        w, A, B = seg.omega, seg.A, seg.B
+        s1, c1 = math.sin(w * tau), math.cos(w * tau)
+        s2, c2 = math.sin(2 * w * tau), math.cos(2 * w * tau)
+        out[0] = seg.center + np.array([A * s1, B * s2, 0.0])
+        out[1] = [A * w * c1, 2 * B * w * c2, 0.0]
+        out[2] = [-A * w**2 * s1, -4 * B * w**2 * s2, 0.0]
+        out[3] = [-A * w**3 * c1, -8 * B * w**3 * c2, 0.0]
+        out[4] = [A * w**4 * s1, 16 * B * w**4 * s2, 0.0]
+    elif isinstance(seg, tj.Circle):
+        w, R = seg.omega, seg.radius
+        c, s = math.cos(w * tau), math.sin(w * tau)
+        out[0] = seg.center + np.array([R * c, R * s, 0.0])
+        out[1] = [-R * w * s, R * w * c, 0.0]
+        out[2] = [-R * w**2 * c, -R * w**2 * s, 0.0]
+        out[3] = [R * w**3 * s, -R * w**3 * c, 0.0]
+        out[4] = [R * w**4 * c, R * w**4 * s, 0.0]
+    elif isinstance(seg, tj.Line):
+        out[0] = seg.p0 + seg.velocity * tau
+        out[1] = seg.velocity
+    elif isinstance(seg, tj.Rest):
+        out[0] = seg.p0
+    elif isinstance(seg, tj.StraightRamp):
+        L = 0.5 * (seg.v_start + seg.v_end) * seg.duration
+        c = tj._quintic_coeffs(0.0, seg.v_start, 0.0, L, seg.v_end, 0.0, seg.duration)
+        out[0] = seg.p0 + seg.direction * reference_quintic(c, tau, 0)
+        for order in range(1, 5):
+            out[order] = seg.direction * reference_quintic(c, tau, order)
+    else:
+        for i in range(3):
+            c = tj._quintic_coeffs(*seg.start[:, i], *seg.end[:, i], seg.duration)
+            for order in range(5):
+                out[order, i] = reference_quintic(c, tau, order)
+    return out
+
+
+def reference_quintic(c, tau: float, order: int):
+    out = 0.0
+    for k in range(order, 6):
+        f = 1.0
+        for j in range(order):
+            f *= k - j
+        out += c[k] * f * tau ** (k - order)
+    return out
+
+
+def per_sample_peaks(seg, n: int = 2001):
+    """The loop `segment_peaks` replaced: one scalar `flat` and two
+    `np.linalg.norm` calls per sample."""
+    pv = pa = 0.0
+    for tau in np.linspace(0.0, seg.duration, n):
+        f = seg.flat(float(tau))
+        pv = max(pv, float(np.linalg.norm(f[1])))
+        pa = max(pa, float(np.linalg.norm(f[2])))
+    return pv, pa
+
+
+def span(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+vec3 = st.tuples(span(-5.0, 5.0), span(-5.0, 5.0), span(-5.0, 5.0)).map(np.array)
+duration = span(0.05, 8.0)
+SEGMENTS = {
+    "lemniscate": st.builds(
+        tj.Lemniscate, A=span(0.1, 5.0), B=span(0.1, 5.0), omega=span(0.05, 4.0),
+        center=vec3, laps=span(0.1, 3.0), mode=st.sampled_from(Mode)),
+    "circle": st.builds(
+        tj.Circle, radius=span(0.1, 5.0), omega=span(0.05, 4.0), center=vec3,
+        laps=span(0.1, 3.0)),
+    "line": st.builds(tj.Line, p0=vec3, velocity=vec3, duration=duration),
+    "rest": st.builds(tj.Rest, p0=vec3, psi0=span(-4.0, 4.0), duration=duration),
+    "ramp": st.builds(
+        tj.StraightRamp, p0=vec3,
+        direction=st.tuples(span(-1.0, 1.0), span(-1.0, 1.0), st.just(0.0))
+        .filter(lambda d: math.hypot(d[0], d[1]) > 0.1),
+        v_start=span(0.0, 4.0), v_end=span(0.0, 4.0), duration=duration),
+    "blend": st.builds(
+        tj.QuinticBlend,
+        start=st.tuples(vec3, vec3, vec3).map(np.array),
+        end=st.tuples(vec3, vec3, vec3).map(np.array), duration=duration,
+        yaw_bc=st.none() | st.tuples(*[span(-4.0, 4.0)] * 6)),
+}
+dilation = st.none() | span(0.2, 5.0)
+
+
+def dilated(seg, factor):
+    return seg if factor is None else tj.TimeDilated(seg, factor)
+
+
+@pytest.mark.parametrize("kind", sorted(SEGMENTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), factor=dilation,
+       fractions=st.lists(span(0.0, 1.0), max_size=12))
+def test_batched_flat_rows_have_the_bits_of_scalar_calls(kind, data, factor, fractions):
+    base = data.draw(SEGMENTS[kind])
+    seg = dilated(base, factor)
+    taus = np.array([0.0, seg.duration] + [u * seg.duration for u in fractions])
+    batch = seg.flat(taus)
+    assert batch.shape == (len(taus), 5, 3)
+    for row, tau in zip(batch, taus.tolist()):
+        one = seg.flat(tau)
+        assert one.shape == (5, 3)
+        assert one.tobytes() == row.tobytes()
+        assert one.tobytes() == reference_flat(seg, tau).tobytes()
+    if kind == "blend" and base.yaw_bc is not None:
+        c = tj._quintic_coeffs(*base.yaw_bc, base.duration)
+        for tau in (0.0, base.duration, *(u * base.duration for u in fractions)):
+            want = [reference_quintic(c, tau, k) for k in range(3)]
+            assert np.array(base.yaw(tau)).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["blend", "circle", "lemniscate", "ramp"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), factor=dilation)
+def test_segment_peaks_equals_the_per_sample_loop(kind, data, factor):
+    seg = dilated(data.draw(SEGMENTS[kind]), factor)
+    for n in (2001, 501):  # the counts scale_to_limits and the blends use
+        assert tj.segment_peaks(seg, n) == per_sample_peaks(seg, n)
+
+
+class Samples(tj.Segment):
+    """Given velocity and acceleration rows at tau = 0, 1, ..., n - 1: the
+    samples `segment_peaks(seg, n)` takes."""
+
+    mode = Mode.GROUND
+
+    def __init__(self, v, a):
+        self.v, self.a = np.array(v, dtype=float), np.array(a, dtype=float)
+        self.duration = len(self.v) - 1.0
+
+    def flat(self, tau):
+        i = np.rint(tau).astype(int)
+        out = np.zeros(np.shape(tau) + (5, 3))
+        out[..., 1, :], out[..., 2, :] = self.v[i], self.a[i]
+        return out
+
+
+def test_segment_peaks_of_a_rest_is_zero():
+    seg = tj.Rest(p0=[1.0, 2.0, 0.1], psi0=0.3, duration=2.0)
+    assert tj.segment_peaks(seg) == (0.0, 0.0) == per_sample_peaks(seg)
+
+
+def test_segment_peaks_takes_the_exact_norm_of_tied_and_banded_rows():
+    # with an FMA ddot (OpenBLAS's Haswell kernel) the sum-of-squares
+    # screen and np.linalg.norm round these rows differently:
+    # `alone` has a screened norm one ulp above its exact norm, and of the
+    # permutations `screened` and `exact`, the screen ranks `screened`
+    # higher while the exact norm of `exact` is larger, so `exact` is
+    # chosen only from inside the band below the screened maximum
+    alone = [0.320984112446955, 2.973001700606356, 1.7559715152825186]
+    screened = [-1.697110455488831, -1.795386275032684, -2.801551875735428]
+    exact = [screened[2], screened[0], screened[1]]
+    tied = [[1.0, 2.0, 2.0], [2.0, 2.0, 1.0], [0.5, 0.0, 0.0]]
+    just_inside = [3.0 * (1.0 - 0.4e-12), 0.0, 0.0]
+    cases = [
+        ([alone, [0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], alone]),
+        ([screened, exact, [1.0, 1.0, 1.0]], [exact, [0.0, 0.0, 0.0], screened]),
+        (tied, tied[::-1]),
+        ([[3.0, 0.0, 0.0], just_inside], [just_inside, [3.0, 0.0, 0.0]]),
+    ]
+    for v, a in cases:
+        seg = Samples(v, a)
+        assert tj.segment_peaks(seg, len(v)) == per_sample_peaks(seg, len(v))
+    assert tj.segment_peaks(Samples(tied, tied), 3) == (3.0, 3.0)
