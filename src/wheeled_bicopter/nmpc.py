@@ -291,42 +291,45 @@ def solve_qp(
     work: List[int] = list(range(n_eq))
     if active0:
         work.extend(i for i in active0 if i >= n_eq)
-    n_rows = A_in.shape[0]
-    factor = _WorkingSetFactor(H, A_in[work])
+    Aw = A_in[work]  # the working rows, in the order of `work`
+    inactive = np.ones(A_in.shape[0], dtype=bool)
+    inactive[work] = False
+    factor = _WorkingSetFactor(H, Aw)
 
     for it in range(1, MAX_QP_ITER + 1):
-        p, lam = factor.step(g + H @ z, A_in[work])
+        p, lam = factor.step(g + H @ z, Aw)
 
-        if np.max(np.abs(p)) < KKT_TOL * (1.0 + np.max(np.abs(z))):
+        if np.abs(p).max() < KKT_TOL * (1.0 + np.abs(z).max()):
             # multipliers: inequality rows need lambda >= 0
             if len(work) > n_eq:
                 ineq_lam = lam[n_eq:]
-                worst = int(np.argmin(ineq_lam))
+                worst = int(ineq_lam.argmin())
                 if ineq_lam[worst] < -KKT_TOL:
-                    work.pop(n_eq + worst)
+                    inactive[work.pop(n_eq + worst)] = True
+                    Aw = np.delete(Aw, n_eq + worst, axis=0)
                     factor.drop(n_eq + worst)
                     continue
             return z, work, lam, it
         # step length to the nearest blocking inactive constraint
         alpha = 1.0
         block = -1
-        mask = np.ones(n_rows, dtype=bool)
-        mask[work] = False
-        idx = np.nonzero(mask)[0]
+        idx = np.nonzero(inactive)[0]
         if idx.size:
             ap = A_in[idx] @ p
             viol = ap > KKT_TOL
-            if np.any(viol):
+            if viol.any():
                 cand = idx[viol]
                 ratios = (b_in[cand] - A_in[cand] @ z) / ap[viol]
                 ratios = np.maximum(ratios, 0.0)
-                jmin = int(np.argmin(ratios))
+                jmin = int(ratios.argmin())
                 if ratios[jmin] < alpha:
                     alpha = float(ratios[jmin])
                     block = int(cand[jmin])
         z = z + alpha * p
         if block >= 0 and alpha < 1.0:
             work.append(block)
+            inactive[block] = False
+            Aw = np.vstack([Aw, A_in[block]])
             factor.add(A_in[block])
     raise QpError(f"active-set QP did not converge in {MAX_QP_ITER} iterations", MAX_QP_ITER)
 
