@@ -36,9 +36,9 @@ class Segment:
     T_Bz: float = 0.0  # ground vertical body thrust, for segments without their own
 
     def flat(self, tau):
-        """New stack of position derivatives [p, v, a, j, s] at local time:
-        (5, 3) for one time, (N, 5, 3) for a 1-D array of N times, where
-        row i has the bits of the call at the one time tau[i]."""
+        """Position derivatives [p, v, a, j, s] at local time, as a new
+        array: (5, 3) for one time, (N, 5, 3) for a 1-D array of N times,
+        where row i has the bits of the call at the one time tau[i]."""
         raise NotImplementedError
 
     def thrust_profile(self, tau: float) -> Tuple[float, float, float]:
@@ -460,7 +460,6 @@ class HybridTrajectory:
         past_end = t >= self.duration
         f = seg.flat(tau)
         if past_end:
-            f = f.copy()
             f[1:] = 0.0
         if seg.mode is Mode.GROUND:
             T, dT, ddT = seg.thrust_profile(tau)
