@@ -149,15 +149,6 @@ def quat_matrix_entries(w, x, y, z):
     )
 
 
-def pack_components(components, lead: tuple) -> np.ndarray:
-    """Pack components along a new last axis, the inverse of unpacking
-    `a.T` (each component then spans the leading axes reversed)."""
-    out = np.empty(lead + (len(components),))
-    for i, c in enumerate(components):
-        out.T[i] = c
-    return out
-
-
 def quat_from_euler(phi: float, theta: float, psi: float) -> np.ndarray:
     """Unit quaternion for the intrinsic Z-Y-X rotation Rz(psi)Ry(theta)Rx(phi)."""
     cphi, sphi = math.cos(phi / 2), math.sin(phi / 2)

@@ -36,14 +36,15 @@ typed API wraps the core.  Both derivatives are written once, component by
 component: aerial (`_wrench_terms`, `_aerial_rates`) and ground
 (`_ground_angles`, `ground_contact`, `_ground_rates`, and the constraint
 projection `_project_ground`), on Python floats, numpy scalars or arrays
-with the same bits.  `rk4_step` steps a batch of packed states on
-component rows (13, ...), as `_f_aerial_batch` and `_f_ground_batch`
-evaluate one; the simulator steps its one state of 13 Python floats with
-`_rk4_row` in both modes, with the input's `math` wrench.  The ground
-body keeps numpy's `arcsin`, `arctan2` and `hypot`, whose bits `math`
-does not reproduce, so a ground row's rates are numpy scalars.  A caller
-that reads the ground contact passes the derivative of the same
-evaluation to the integrator as k1.
+with the same bits.  Two RK4 integrators step them, chosen by shape:
+`rk4_step` steps a batch of packed states on component rows (13, ...),
+always sticking, and the simulator steps its one state of 13 Python
+floats with `_rk4_row` in both modes, with the input's `math` wrench, and
+is the only stepper that slides.  The ground body keeps numpy's `arcsin`,
+`arctan2` and `hypot`, whose bits `math` does not reproduce, so a ground
+row's rates are numpy scalars.  A caller that reads the ground contact
+passes the rates of the same `_ground_rates` evaluation to the integrator
+as k1.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from .core import (
     RobotState,
     Vec3,
     VehicleParams,
-    pack_components,
     quat_matrix_entries,
     quat_normalize,
     quat_rate,
@@ -150,15 +150,6 @@ def _aerial_rates(x, wrench, P: VehicleParams, J, J_inv):
         (R10 * e0 + R12 * e2) + R11 * e1,
         (R20 * e0 + R22 * e2) + R21 * e1,
     )
-
-
-def _f_aerial_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams) -> np.ndarray:
-    """`_aerial_rates` of packed states x (..., 13) and inputs u with the
-    same leading axes or one input (4,), each component a contiguous
-    array."""
-    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
-    rates = _aerial_rates(np.ascontiguousarray(x.T), wrench, P, P.J, P.J_inv)
-    return pack_components(rates, x.shape[:-1])
 
 
 def _rk4_row(rates, x: list, dt: float, k1=None) -> list:
@@ -278,21 +269,12 @@ def _ground_rates(x, wrench, P: VehicleParams, slipping: bool):
     return rates, diag
 
 
-def _f_ground_batch(x: np.ndarray, u: np.ndarray, P: VehicleParams, slipping: bool = False):
-    """(xdot, diag) of `_ground_rates` for packed x and u as in
-    `_f_aerial_batch`, each diag entry shaped as the leading axes; xdot is
-    the k1 that `rk4_step` takes from a caller that needs both."""
-    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
-    rates, diag = _ground_rates(np.ascontiguousarray(x.T), wrench, P, slipping)
-    return pack_components(rates, x.shape[:-1]), {k: v.T for k, v in diag.items()}
-
-
 def _project_ground(x: np.ndarray, keep_lateral: bool) -> np.ndarray:
-    """Re-impose the ground constraints on packed states (in place):
-    zero roll, angular rate orthogonal to the heading axis, zero vertical
-    speed and (while sticking) zero lateral speed."""
-    xt = x.T
-    _, _, _, vx, vy, _, qw, qx, qy, qz, ox, oy, _ = xt
+    """Re-impose the ground constraints (in place) on component rows
+    (13, ...) or one 13-vector: zero roll, angular rate orthogonal to the
+    heading axis, zero vertical speed and (while sticking) zero lateral
+    speed."""
+    _, _, _, vx, vy, _, qw, qx, qy, qz, ox, oy, _ = x
     theta, psi = _ground_angles(qw, qx, qy, qz)
     cpsi, spsi = np.cos(psi), np.sin(psi)
     ct, st = np.cos(0.5 * theta), np.sin(0.5 * theta)
@@ -301,15 +283,15 @@ def _project_ground(x: np.ndarray, keep_lateral: bool) -> np.ndarray:
     # atan2 wraps psi: stay on the same quaternion cover sheet as before
     flip = ((qn[0] * qw + qn[1] * qx) + qn[2] * qy) + qn[3] * qz < 0.0
     for i, c in enumerate(qn):
-        xt[6 + i] = np.where(flip, -c, c)
+        x[6 + i] = np.where(flip, -c, c)
     proj = ox * cpsi + oy * spsi
-    xt[10] = ox - proj * cpsi
-    xt[11] = oy - proj * spsi
-    xt[5] = 0.0
+    x[10] = ox - proj * cpsi
+    x[11] = oy - proj * spsi
+    x[5] = 0.0
     if not keep_lateral:
         u_long = vx * cpsi + vy * spsi
-        xt[3] = u_long * cpsi
-        xt[4] = u_long * spsi
+        x[3] = u_long * cpsi
+        x[4] = u_long * spsi
     return x
 
 
@@ -319,34 +301,36 @@ def rk4_step(
     mode: Mode,
     dt: float,
     P: VehicleParams,
-    slipping: bool = False,
-    k1: Optional[np.ndarray] = None,
+    k1: Optional[tuple] = None,
 ) -> np.ndarray:
-    """One fixed-step RK4 integration of a batch of packed states, with
-    quaternion renormalization and re-projection of the ground constraints.
+    """One fixed-step RK4 integration of a batch of packed states (..., 13),
+    with quaternion renormalization and, in ground mode, re-projection of
+    the sticking contact constraints.  A batch step always sticks; only the
+    simulator slides, stepping its one state with `_rk4_row`.
 
     The stages run on component rows (13, ...) with the input's wrench
-    computed once.  The simulator steps its one state with `_rk4_row`.
+    computed once, and the result is transposed back once.
 
-    k1 is the packed derivative at (x, u) when the caller already has it:
-    a caller that reads the ground contact gets it from the same
-    `_f_ground_batch` call, and the step then evaluates only stages 2 to
-    4.  Without it the step evaluates k1 itself.
+    k1 is the 13 rates at (x, u) on those component rows when the caller
+    already has them: a caller that reads the ground contact gets them from
+    the same `_ground_rates` call, and the step then evaluates only stages
+    2 to 4.  Without it the step evaluates k1 itself.
     """
     xt = np.ascontiguousarray(x.T)
     wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
 
-    def f(y):
-        if mode is Mode.AERIAL:
-            rates = _aerial_rates(y, wrench, P, P.J, P.J_inv)
-        else:
-            rates = _ground_rates(y, wrench, P, slipping)[0]
+    def stack(rates):
         k = np.empty(xt.shape)
         for i, c in enumerate(rates):
             k[i] = c
         return k
 
-    k1 = f(xt) if k1 is None else np.ascontiguousarray(k1.T)
+    def f(y):
+        if mode is Mode.AERIAL:
+            return stack(_aerial_rates(y, wrench, P, P.J, P.J_inv))
+        return stack(_ground_rates(y, wrench, P, False)[0])
+
+    k1 = f(xt) if k1 is None else stack(k1)
     k2 = f(xt + 0.5 * dt * k1)
     k3 = f(xt + 0.5 * dt * k2)
     k4 = f(xt + dt * k3)
@@ -354,10 +338,9 @@ def rk4_step(
     # the squares summed in sequence, as np.linalg.norm does on a length-4 axis
     qw, qx, qy, qz = yt[6:10]
     yt[6:10] /= np.sqrt(((qw * qw + qx * qx) + qy * qy) + qz * qz)
-    xn = np.ascontiguousarray(yt.T)
     if mode is Mode.GROUND:
-        _project_ground(xn, keep_lateral=slipping)
-    return xn
+        _project_ground(yt, keep_lateral=False)
+    return np.ascontiguousarray(yt.T)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +362,17 @@ def derivative(
     state: RobotState, u: ControlInput, mode: Mode, params: VehicleParams
 ) -> StateDerivative:
     """Continuous-time state derivative f(x, u) for the given mode."""
-    x, ua = state.as_array(), u.as_array()
+    x = state.as_array()
+    wrench = _wrench_terms(u.as_array(), params, np)
     if mode is Mode.GROUND:
-        xdot, diag = _f_ground_batch(x, ua, params)
+        rates, diag = _ground_rates(x, wrench, params, False)
         if diag["F_n"] <= 0.0:
             raise ContactLossError(
                 f"total normal force {float(diag['F_n']):.6f} N <= 0 in ground mode"
             )
     else:
-        xdot = _f_aerial_batch(x, ua, params)
+        rates = _aerial_rates(x, wrench, params, params.J, params.J_inv)
+    xdot = np.array(rates)
     return StateDerivative(
         pdot=xdot[0:3], vdot=xdot[3:6], qdot=xdot[6:10], omegadot=xdot[10:13]
     )

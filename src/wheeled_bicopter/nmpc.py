@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (DivergenceError, InfeasibleReferenceError, Mode, SolverFailure, VehicleParams,
                    quat_multiply, require_bool, require_integer, require_real, require_reals)
-from .dynamics import DIVERGENCE_LIMIT, Simulator, _f_ground_batch, rk4_step
+from .dynamics import DIVERGENCE_LIMIT, Simulator, _ground_rates, _wrench_terms, rk4_step
 from .flatness import ReferencePoint
 from .trajectory import HybridTrajectory, ReferenceTable
 
@@ -148,10 +148,10 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
         um = ub[idx].reshape(-1, m)
         k1 = None
         if mode is Mode.GROUND:
-            k1, diag = _f_ground_batch(xm, um, params)
-            Fl = diag["F_nl"].reshape(len(idx), nb)
-            Fr = diag["F_nr"].reshape(len(idx), nb)
-            F = np.stack([Fl, Fr], axis=1)  # (step, wheel, batch row)
+            wrench = _wrench_terms(np.ascontiguousarray(um.T), params, np)
+            k1, diag = _ground_rates(np.ascontiguousarray(xm.T), wrench, params, False)
+            # (step, wheel, batch row)
+            F = np.stack([diag[w].reshape(len(idx), nb) for w in ("F_nl", "F_nr")], axis=1)
             dF = (F[:, :, 1:] - F[:, :, :1]) / FD_STEP
             normals.update(zip(idx, zip(F[:, :, 0], dF[:, :, :n], dF[:, :, n:])))
         out = rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)

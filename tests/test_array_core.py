@@ -2,13 +2,17 @@
 as a row-by-row call does, the aerial body evaluates a state of Python
 floats exactly as a batch row, the component-form ground body evaluates
 a batch and a single row exactly as the stacked-slice form, the RK4 step
-on component rows gives the bits of the packed step, the single-state
-RK4 step on Python floats gives the bits of a batch row in both modes,
-and ground RK4 steps keep the contact constraints."""
+on component rows gives the bits of the packed step (the bodies evaluated
+on packed states, the reference of every component-row caller), the
+single-state RK4 step on Python floats gives the bits of the packed step
+in both modes, sticking or sliding, the typed derivative gives the bits
+of the packed bodies, and ground RK4 steps keep the contact
+constraints."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -16,7 +20,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter.core import (
     SPEED_EPS,
+    ContactLossError,
+    ControlInput,
     Mode,
+    RobotState,
     VehicleParams,
     quat_from_euler,
     quat_multiply,
@@ -24,7 +31,7 @@ from wheeled_bicopter.core import (
     quat_to_euler,
 )
 
-from rotation import quat_derivative, quat_to_matrix
+from rotation import pack, quat_derivative, quat_to_matrix
 
 PARAMS = VehicleParams()
 
@@ -119,6 +126,23 @@ def test_ground_rk4_keeps_contact_constraints(speed, theta, psi, theta_dot, psi_
 J, J_INV = PARAMS.J.tolist(), PARAMS.J_inv.tolist()
 
 
+def packed_f_aerial(x, u, P=PARAMS):
+    """The aerial body on packed states x (..., 13) and inputs u with the
+    same leading axes or one input (4,), each component a contiguous
+    array: the packed reference of the component-row callers."""
+    wrench = dyn._wrench_terms(np.ascontiguousarray(u.T), P, np)
+    rates = dyn._aerial_rates(np.ascontiguousarray(x.T), wrench, P, P.J, P.J_inv)
+    return pack(rates, x.shape[:-1])
+
+
+def packed_f_ground(x, u, P=PARAMS, slipping=False):
+    """(xdot, diag) of the ground body for packed x and u as in
+    `packed_f_aerial`, each diag entry shaped as the leading axes."""
+    wrench = dyn._wrench_terms(np.ascontiguousarray(u.T), P, np)
+    rates, diag = dyn._ground_rates(np.ascontiguousarray(x.T), wrench, P, slipping)
+    return pack(rates, x.shape[:-1]), {k: v.T for k, v in diag.items()}
+
+
 def wide(bound):
     return st.floats(-bound, bound, allow_nan=False, allow_infinity=False)
 
@@ -165,14 +189,14 @@ def einsum_f_aerial(x, u):
 @given(aerial_rows())
 def test_aerial_body_on_arrays_equals_the_einsum_form(XU):
     X, U = XU
-    assert dyn._f_aerial_batch(X, U, PARAMS).tobytes() == einsum_f_aerial(X, U).tobytes()
-    assert dyn._f_aerial_batch(X[0], U[0], PARAMS).tobytes() == einsum_f_aerial(X[0], U[0]).tobytes()
+    assert packed_f_aerial(X, U).tobytes() == einsum_f_aerial(X, U).tobytes()
+    assert packed_f_aerial(X[0], U[0]).tobytes() == einsum_f_aerial(X[0], U[0]).tobytes()
 
 
 @given(aerial_rows())
 def test_aerial_body_on_floats_equals_the_batch_row(XU):
     X, U = XU
-    batch = dyn._f_aerial_batch(X, U, PARAMS)
+    batch = packed_f_aerial(X, U)
     for x, u, row in zip(X, U, batch):
         wrench = dyn._wrench_terms(u.tolist(), PARAMS, math)
         floats = dyn._aerial_rates(x.tolist(), wrench, PARAMS, J, J_INV)
@@ -348,11 +372,11 @@ EDGE = pack_ground([
 
 def test_edge_rows_cover_lift_off_contact_loss_dead_band_and_flip():
     X, U = EDGE
-    _, diag = dyn._f_ground_batch(X, U, PARAMS)
+    _, diag = packed_f_ground(X, U)
     assert diag["lift_off"][0] and diag["F_nl"][0] < 0.0
     assert diag["F_n"][1] < 0.0
     assert np.hypot(X[2, 3], X[2, 4]) < SPEED_EPS
-    flipped = dyn._project_ground(X.copy(), keep_lateral=True)
+    flipped = dyn._project_ground(X.T.copy(), keep_lateral=True).T
     theta, psi = dyn._ground_angles(*X[3, 6:10])
     assert np.cos(0.5 * psi) * np.cos(0.5 * theta) > 0.0 > flipped[3, 6]
 
@@ -410,12 +434,12 @@ CLAMP = clamp_rows()
 @given(ground_rows(), st.booleans())
 def test_ground_body_equals_the_stacked_form(XU, slipping):
     X, U = XU
-    batch = dyn._f_ground_batch(X, U, PARAMS, slipping)
+    batch = packed_f_ground(X, U, PARAMS, slipping)
     assert_same_derivative(batch, stacked_f_ground(X, U, slipping))
-    xdot, diag = dyn._f_ground_batch(X[None], U[None], PARAMS, slipping)
+    xdot, diag = packed_f_ground(X[None], U[None], PARAMS, slipping)
     assert_same_derivative((xdot[0], {k: v[0] for k, v in diag.items()}), batch)
     for x, u in zip(X, U):
-        assert_same_derivative(dyn._f_ground_batch(x, u, PARAMS, slipping),
+        assert_same_derivative(packed_f_ground(x, u, PARAMS, slipping),
                                stacked_f_ground(x, u, slipping))
 
 
@@ -424,13 +448,17 @@ def test_ground_body_equals_the_stacked_form(XU, slipping):
 @example(CLAMP, True, 5e-3)
 @given(ground_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]))
 def test_ground_rk4_equals_the_stacked_form(XU, slipping, dt):
+    """The sticking batch and one-row `rk4_step`, and the single-state step
+    sticking or sliding, give the bits of the stacked-slice step."""
     X, U = XU
-    batch = dyn.rk4_step(X, U, Mode.GROUND, dt, PARAMS, slipping)
-    assert_same_bits(batch, stacked_rk4_ground(X, U, dt, slipping))
-    for x, u, row in zip(X, U, batch):
-        one = dyn.rk4_step(x, u, Mode.GROUND, dt, PARAMS, slipping)
-        assert_same_bits(one, stacked_rk4_ground(x, u, dt, slipping))
-        assert_same_bits(one, row)
+    want = stacked_rk4_ground(X, U, dt, slipping)
+    if not slipping:
+        assert_same_bits(dyn.rk4_step(X, U, Mode.GROUND, dt, PARAMS), want)
+    for x, u, row in zip(X, U, want):
+        assert_same_bits(stacked_rk4_ground(x, u, dt, slipping), row)
+        assert_same_bits(row_step(x, u, Mode.GROUND, dt, slipping), row)
+        if not slipping:
+            assert_same_bits(dyn.rk4_step(x, u, Mode.GROUND, dt, PARAMS), row)
 
 
 @example(EDGE, False)
@@ -438,12 +466,14 @@ def test_ground_rk4_equals_the_stacked_form(XU, slipping, dt):
 @given(ground_rows(), st.booleans())
 def test_ground_projection_equals_the_stacked_form(XU, keep_lateral):
     X, _ = XU
-    batch = dyn._project_ground(X.copy(), keep_lateral)
-    assert_same_bits(batch, stacked_project_ground(X.copy(), keep_lateral))
-    for x, row in zip(X, batch):
-        one = dyn._project_ground(x.copy(), keep_lateral)
-        assert_same_bits(one, stacked_project_ground(x.copy(), keep_lateral))
-        assert_same_bits(one, row)
+    want = stacked_project_ground(X.copy(), keep_lateral)
+    # contiguous component rows, as `rk4_step` projects, and the strided
+    # component rows of a packed array
+    for rows in (X.T.copy(), X.copy().T):
+        assert_same_bits(dyn._project_ground(rows, keep_lateral).T, want)
+    for x, row in zip(X, want):
+        assert_same_bits(dyn._project_ground(x.copy(), keep_lateral), row)
+        assert_same_bits(stacked_project_ground(x.copy(), keep_lateral), row)
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +482,15 @@ def test_ground_projection_equals_the_stacked_form(XU, keep_lateral):
 
 
 def packed_rk4_step(x, u, mode, dt, P, slipping=False, k1=None):
-    """`dyn.rk4_step` on packed states, the reference of the component-row
-    step: each stage evaluates the packed derivative (`_f_aerial_batch`,
-    `_f_ground_batch`, the input's wrench each time) and np.linalg.norm
+    """`dyn.rk4_step` on packed states, sticking or sliding: the reference
+    of the component-row step and of the single-state step.  Each stage
+    evaluates the bodies on packed states (`packed_f_aerial`,
+    `packed_f_ground`, the input's wrench each time) and np.linalg.norm
     renormalizes the quaternion."""
     def f(y):
         if mode is Mode.AERIAL:
-            return dyn._f_aerial_batch(y, u, P)
-        return dyn._f_ground_batch(y, u, P, slipping)[0]
+            return packed_f_aerial(y, u, P)
+        return packed_f_ground(y, u, P, slipping)[0]
 
     if k1 is None:
         k1 = f(x)
@@ -470,8 +501,18 @@ def packed_rk4_step(x, u, mode, dt, P, slipping=False, k1=None):
     q = xn[..., 6:10]
     xn[..., 6:10] = q / np.linalg.norm(q, axis=-1, keepdims=True)
     if mode is Mode.GROUND:
-        dyn._project_ground(xn, keep_lateral=slipping)
+        dyn._project_ground(xn.T, keep_lateral=slipping)
     return xn
+
+
+def component_rates(x, u, mode):
+    """The 13 rates at packed (x, u) on the contiguous component rows of x,
+    the k1 that `nmpc._linearize_horizon` passes to `rk4_step`."""
+    wrench = dyn._wrench_terms(np.ascontiguousarray(u.T), PARAMS, np)
+    xt = np.ascontiguousarray(x.T)
+    if mode is Mode.AERIAL:
+        return dyn._aerial_rates(xt, wrench, PARAMS, PARAMS.J, PARAMS.J_inv)
+    return dyn._ground_rates(xt, wrench, PARAMS, False)[0]
 
 
 def modes_and_rows():
@@ -481,24 +522,26 @@ def modes_and_rows():
                      ground_rows().map(lambda XU: (Mode.GROUND, XU)))
 
 
-@example((Mode.GROUND, EDGE), False, 1e-3, True)
-@example((Mode.GROUND, EDGE), True, 5e-3, False)
-@example((Mode.GROUND, CLAMP), False, 5e-3, True)
-@example((Mode.GROUND, CLAMP), True, 1e-3, False)
-@example((Mode.AERIAL, CLAMP), False, 5e-3, False)
-@given(modes_and_rows(), st.booleans(), st.sampled_from([1e-3, 5e-3]), st.booleans())
-def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, slipping, dt, given_k1):
+@example((Mode.GROUND, EDGE), 1e-3, True)
+@example((Mode.GROUND, EDGE), 5e-3, False)
+@example((Mode.GROUND, CLAMP), 5e-3, True)
+@example((Mode.GROUND, CLAMP), 1e-3, False)
+@example((Mode.AERIAL, CLAMP), 5e-3, False)
+@given(modes_and_rows(), st.sampled_from([1e-3, 5e-3]), st.booleans())
+def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, dt, given_k1):
     mode, (X, U) = mode_rows
 
     def step(x, u, rk4):
         k1 = None
-        if given_k1 and mode is Mode.AERIAL:
-            k1 = dyn._f_aerial_batch(x, u, PARAMS)
-        elif given_k1:
-            k1 = dyn._f_ground_batch(x, u, PARAMS, slipping)[0]
+        if given_k1:
+            k1 = component_rates(x, u, mode)
+            if rk4 is packed_rk4_step:
+                k1 = pack(k1, x.shape[:-1])
         before = x.tobytes()
-        xn = rk4(x, u, mode, dt, PARAMS, slipping, k1)
+        xn = rk4(x, u, mode, dt, PARAMS, k1=k1)
         assert x.tobytes() == before and xn.shape == x.shape
+        if given_k1:  # the caller's rates as k1 give the bits of the step's own
+            assert_same_bits(xn, rk4(x, u, mode, dt, PARAMS))
         return xn
 
     batch = step(X, U, dyn.rk4_step)
@@ -509,8 +552,55 @@ def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, slipping, 
 
 
 # ---------------------------------------------------------------------------
+# the typed derivative on one state
+# ---------------------------------------------------------------------------
+
+
+@example((Mode.GROUND, EDGE))
+@example((Mode.GROUND, CLAMP))
+@given(modes_and_rows())
+def test_typed_derivative_equals_the_packed_body(mode_rows):
+    """`derivative` gives the bytes of the packed body in both modes, and
+    raises ContactLossError wherever the total normal force is not
+    positive."""
+    mode, (X, U) = mode_rows
+    for x, u in zip(X, U):
+        state = RobotState(x[0:3], x[3:6], x[6:10], x[10:13])
+        ui = ControlInput(*u.tolist())
+        xa, ua = state.as_array(), ui.as_array()
+        if mode is Mode.AERIAL:
+            want = packed_f_aerial(xa, ua)
+        else:
+            want, diag = packed_f_ground(xa, ua)
+            if diag["F_n"] <= 0.0:
+                with pytest.raises(ContactLossError, match="total normal force"):
+                    dyn.derivative(state, ui, mode, PARAMS)
+                continue
+        assert_same_bits(dyn.derivative(state, ui, mode, PARAMS).as_array(), want)
+
+
+# ---------------------------------------------------------------------------
 # one single-state integrator for both plant modes
 # ---------------------------------------------------------------------------
+
+
+def row_step(x, u, mode, dt, slipping, given_k1=False):
+    """One step of the packed state x as the simulator takes it: `_rk4_row`
+    on Python floats with the `math` wrench, sticking or sliding, with k1
+    from the caller or from the step, and the ground projection after a
+    ground step."""
+    wrench = dyn._wrench_terms(u.tolist(), PARAMS, math)
+
+    def rates(y):
+        if mode is Mode.AERIAL:
+            return dyn._aerial_rates(y, wrench, PARAMS, J, J_INV)
+        return dyn._ground_rates(y, wrench, PARAMS, slipping)[0]
+
+    k1 = rates(x.tolist()) if given_k1 else None
+    xn = np.array(dyn._rk4_row(rates, x.tolist(), dt, k1))
+    if mode is Mode.GROUND:
+        dyn._project_ground(xn, keep_lateral=slipping)
+    return xn
 
 
 @example((Mode.GROUND, EDGE), False, 1e-3, True)
@@ -523,21 +613,13 @@ def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, slipping, 
 def test_rk4_row_on_floats_equals_the_batch_row(mode_rows, slipping, dt, given_k1):
     """`_rk4_row` on a state of Python floats with the `math` wrench, as the
     simulator steps it (with the ground projection after a ground step),
-    gives the bytes of the batch and the one-row `rk4_step`, whether k1
-    comes from the caller or from the step."""
+    gives the bytes of a row of the packed step, sticking or sliding, and
+    those of the one-row `rk4_step` where it sticks, whether k1 comes from
+    the caller or from the step."""
     mode, (X, U) = mode_rows
-    batch = dyn.rk4_step(X, U, mode, dt, PARAMS, slipping)
+    batch = packed_rk4_step(X, U, mode, dt, PARAMS, slipping)
     for x, u, row in zip(X, U, batch):
-        wrench = dyn._wrench_terms(u.tolist(), PARAMS, math)
-
-        def rates(y):
-            if mode is Mode.AERIAL:
-                return dyn._aerial_rates(y, wrench, PARAMS, J, J_INV)
-            return dyn._ground_rates(y, wrench, PARAMS, slipping)[0]
-
-        k1 = rates(x.tolist()) if given_k1 else None
-        floats = np.array(dyn._rk4_row(rates, x.tolist(), dt, k1))
-        if mode is Mode.GROUND:
-            dyn._project_ground(floats, keep_lateral=slipping)
+        floats = row_step(x, u, mode, dt, slipping, given_k1)
         assert_same_bits(floats, row)
-        assert_same_bits(floats, dyn.rk4_step(x, u, mode, dt, PARAMS, slipping))
+        if mode is Mode.AERIAL or not slipping:
+            assert_same_bits(floats, dyn.rk4_step(x, u, mode, dt, PARAMS))

@@ -21,6 +21,7 @@ from wheeled_bicopter.core import (
 from wheeled_bicopter import dynamics as dyn
 
 from rotation import quat_to_matrix
+from test_array_core import packed_f_ground, packed_rk4_step
 
 
 @pytest.fixture
@@ -436,11 +437,11 @@ def test_simulator_slip_saturates_lateral_friction(params):
 
 
 def apply_with_separate_k1(sim, u, duration):
-    """Simulator.apply as a stepper on the batch API: the contact
-    diagnostics come from `_f_ground_batch`, and `rk4_step` evaluates RK4's
-    first stage itself.  Touchdown takes the call's `math` wrench, as in
-    `apply`.  Returns its log records as tuples in `SIMLOG_DTYPE` field
-    order."""
+    """Simulator.apply as a stepper on packed states: the contact
+    diagnostics come from the packed ground body, and the packed RK4 step
+    evaluates RK4's first stage itself.  Touchdown takes the call's `math`
+    wrench, as in `apply`.  Returns its log records as tuples in
+    `SIMLOG_DTYPE` field order."""
     ua = np.array(u, dtype=float)
     P = sim.params
     power = dyn.rotor_power(ua, P)
@@ -453,7 +454,7 @@ def apply_with_separate_k1(sim, u, duration):
         F_nl = F_nr = f_l = 0.0
         lift = False
         if sim.mode is Mode.GROUND:
-            _, diag = dyn._f_ground_batch(x, ua, P, slipping=sim.slipping)
+            _, diag = packed_f_ground(x, ua, P, slipping=sim.slipping)
             F_n = float(diag["F_n"])
             if F_n < 0.0:
                 sim.mode = Mode.AERIAL
@@ -462,12 +463,12 @@ def apply_with_separate_k1(sim, u, duration):
                 stick = dyn.slip_check(float(diag["f_l_req"]), F_n, P)
                 if sim.slip_enabled and not sim.slipping and not stick:
                     sim.slipping = True
-                    _, diag = dyn._f_ground_batch(x, ua, P, slipping=True)
+                    _, diag = packed_f_ground(x, ua, P, slipping=True)
                 elif (sim.slip_enabled and sim.slipping and stick
                       and abs(float(diag["w_lat"])) < dyn.LATERAL_STICK_EPS):
                     sim.slipping = False
                     dyn._project_ground(x, keep_lateral=False)
-                    _, diag = dyn._f_ground_batch(x, ua, P, slipping=False)
+                    _, diag = packed_f_ground(x, ua, P, slipping=False)
                 F_nl = max(float(diag["F_nl"]), 0.0)
                 F_nr = max(float(diag["F_nr"]), 0.0)
                 f_l = float(diag["f_l"])
@@ -475,7 +476,7 @@ def apply_with_separate_k1(sim, u, duration):
                 sim.lift_off_events += lift
                 sim.slip_steps += sim.slipping
         rows.append((sim.t, x, ua, F_nl, F_nr, f_l, sim.slipping, lift, power))
-        xn = dyn.rk4_step(x, ua, sim.mode, sim.dt, P, sim.slipping)
+        xn = packed_rk4_step(x, ua, sim.mode, sim.dt, P, sim.slipping)
         xn[6:10] = quat_normalize(xn[6:10])
         sim.x = xn
         sim.t += sim.dt

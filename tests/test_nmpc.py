@@ -13,7 +13,7 @@ from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
 
-from test_array_core import packed_rk4_step
+from test_array_core import packed_f_ground, packed_rk4_step
 
 
 @pytest.fixture
@@ -138,9 +138,9 @@ def test_discretize_step_composition(params):
 
 
 def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
-    """Reference for nmpc._linearize_horizon: the same batched evaluations,
-    stepped by the packed RK4 step and scattered into the outputs stage by
-    stage."""
+    """Reference for nmpc._linearize_horizon: the same batches, evaluated
+    by the packed bodies, stepped by the packed RK4 step and scattered into
+    the outputs stage by stage."""
     K, n, m = len(u_bar), 13, 4
     nb = 1 + n + m
     x_next, A, B, normals = np.empty((K, n)), np.empty((K, n, n)), np.empty((K, n, m)), {}
@@ -155,7 +155,7 @@ def loop_linearize_horizon(x_bar, u_bar, modes, dt, params):
         xm, um = xb.reshape(-1, n), ub.reshape(-1, m)
         k1 = None
         if mode is Mode.GROUND:
-            k1, diag = dyn._f_ground_batch(xm, um, params)
+            k1, diag = packed_f_ground(xm, um, params)
             Fl = diag["F_nl"].reshape(len(idx), nb)
             Fr = diag["F_nr"].reshape(len(idx), nb)
             for j, k in enumerate(idx):
@@ -590,7 +590,7 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
         assert np.all(sol.u_seq >= lo - 1e-9) and np.all(sol.u_seq <= hi + 1e-9)
         for k in range(cfg.K):
             if refs[k].mode is Mode.GROUND:
-                _, diag = dyn._f_ground_batch(sol.x_pred[k], sol.u_seq[k], params)
+                _, diag = packed_f_ground(sol.x_pred[k], sol.u_seq[k], params)
                 assert diag["F_nl"] >= -1e-6 and diag["F_nr"] >= -1e-6
 
     # scattered evaluation points around the lap (cold starts)
