@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wheeled_bicopter.core import (
     InfeasibleReferenceError,
@@ -426,3 +428,20 @@ def test_aerial_bound_violation_clamp_flag(params):
     ref = fl.aerial_flat_to_reference(s, params, clamp=True)
     assert "input_clamped" in ref.flags
     assert ref.u_r.T1 <= params.T_max
+
+
+# any finite component, signed zeros and magnitudes whose products overflow
+component = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([0.0, -0.0, 1e300, -1e300]))
+vector3 = st.tuples(component, component, component)
+
+
+@example((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0))
+@example((1e300, -1e300, 2.0), (1e300, 3.0, -1e300))
+@example((1.5, -2.25, 0.125), (-0.0, 4.0, 1e-310))
+@example((1e300, 1e300, 1e300), (1e300, 1e300, 1e300))
+@given(vector3, vector3)
+def test_component_cross_has_the_bits_of_np_cross(a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.cross(np.array(a), np.array(b))
+    assert np.array(fl._cross(a, b)).tobytes() == want.tobytes()
