@@ -192,14 +192,20 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 class _WorkingSetFactor:
-    """Range-space factors of an active-set working set.
+    """Range-space factors of an active-set working set, updated in place.
 
-    H = L L' is factored once.  The working rows Aw enter as the columns of
-    V = L^-1 Aw', held as V = Q R with orthonormal Q and upper-triangular
+    H = L L' is factored once.  The nw working rows Aw enter as the columns
+    of V = L^-1 Aw', held as V = Q R with orthonormal Q and upper-triangular
     R, so R is the Cholesky factor of the Schur complement S = V'V without
     S ever being formed (that would square the condition number of V).
-    A row entering costs a Gram-Schmidt step, a row leaving a QR of the
-    trailing block of R; a step then costs matrix-vector products only.
+    Q, R and R^-1 live in the leading columns and blocks of n x n buffers,
+    allocated when the first row enters and zero outside R's and R^-1's
+    leading nw x nw block.  A row entering costs a Gram-Schmidt step that
+    writes column nw; a row with a single +-1 entry (an input box or a
+    slack bound) enters as the signed column of L^-1, without a product.  A
+    row leaving costs a QR of the trailing block of R, which rotates Q's
+    columns and R's trailing block in place; a step then costs
+    matrix-vector products only.
     """
 
     def __init__(self, H: np.ndarray, Aw: np.ndarray):
@@ -208,55 +214,68 @@ class _WorkingSetFactor:
         except np.linalg.LinAlgError as exc:
             raise QpError(f"QP Hessian is not positive definite ({exc})", 0) from exc
         self.H = H
-        self.Q = np.zeros((H.shape[0], 0))
-        self.R = self.Rinv = np.zeros((0, 0))
-        if Aw.shape[0]:
-            self.Q, self.R = np.linalg.qr(self.Linv @ Aw.T)
-            self.Rinv = _lower_inverse(self.R.T).T
+        self.nw = nw = Aw.shape[0]
+        self.buffers = None
+        if nw:
+            Qb, Rb, Rib = self._allocate()
+            Qb[:, :nw], Rb[:nw, :nw] = np.linalg.qr(self.Linv @ Aw.T)
+            Rib[:nw, :nw] = _lower_inverse(Rb[:nw, :nw].T).T
+
+    def _allocate(self):
+        if self.buffers is None:
+            n = self.H.shape[0]
+            self.buffers = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+        return self.buffers
 
     def add(self, a: np.ndarray) -> None:
-        v = self.Linv @ a
-        c = self.Q.T @ v
-        q = v - self.Q @ c
-        c2 = self.Q.T @ q  # orthogonalize twice: Q stays orthonormal to rounding
-        q -= self.Q @ c2
+        Qb, Rb, Rib = self._allocate()
+        nw = self.nw
+        i = np.flatnonzero(a)
+        if i.size == 1 and abs(a[i[0]]) == 1.0:
+            v = a[i[0]] * self.Linv[:, i[0]]
+        else:
+            v = self.Linv @ a
+        Q = Qb[:, :nw]
+        c = Q.T @ v
+        q = v - Q @ c
+        c2 = Q.T @ q  # orthogonalize twice: Q stays orthonormal to rounding
+        q -= Q @ c2
         c += c2
         rho = float(np.linalg.norm(q))
-        nw = len(c)
-        self.Q = np.column_stack([self.Q, q / rho])
-        R = np.zeros((nw + 1, nw + 1))
-        R[:nw, :nw] = self.R
-        R[:nw, nw] = c
-        R[nw, nw] = rho
-        Rinv = np.zeros_like(R)
-        Rinv[:nw, :nw] = self.Rinv
-        Rinv[:nw, nw] = -(self.Rinv @ c) / rho
-        Rinv[nw, nw] = 1.0 / rho
-        self.R, self.Rinv = R, Rinv
+        Qb[:, nw] = q / rho
+        Rb[:nw, nw] = c
+        Rb[nw, nw] = rho
+        Rib[:nw, nw] = -(Rib[:nw, :nw] @ c) / rho
+        Rib[nw, nw] = 1.0 / rho
+        self.nw = nw + 1
 
     def drop(self, j: int) -> None:
         # without column j, R is upper Hessenberg from column j on; rotate
         # its trailing block back to triangular, and Q's columns with it
-        G, T = np.linalg.qr(self.R[j:, j + 1 :], mode="complete")
-        self.Q = np.column_stack([self.Q[:, :j], (self.Q[:, j:] @ G)[:, :-1]])
-        R = np.delete(self.R, j, axis=1)[:-1]
-        R[j:, j:] = T = T[:-1]
+        Qb, Rb, Rib = self.buffers
+        nw = self.nw
+        G, T = np.linalg.qr(Rb[j:nw, j + 1 : nw], mode="complete")
+        Qb[:, j : nw - 1] = (Qb[:, j:nw] @ G)[:, :-1]
+        Rb[:j, j : nw - 1] = Rb[:j, j + 1 : nw]
+        Rb[j : nw - 1, j : nw - 1] = T = T[:-1]
+        Rb[nw - 1, :nw] = Rb[:nw, nw - 1] = 0.0
         # the leading block of R^-1 is the inverse of R's leading block
-        Rinv = np.zeros_like(R)
-        Rinv[:j, :j] = self.Rinv[:j, :j]
-        Rinv[j:, j:] = Tinv = _lower_inverse(T.T).T
-        Rinv[:j, j:] = -(self.Rinv[:j, :j] @ (R[:j, j:] @ Tinv))
-        self.R, self.Rinv = R, Rinv
+        Rib[j : nw - 1, j : nw - 1] = Tinv = _lower_inverse(T.T).T
+        Rib[:j, j : nw - 1] = -(Rib[:j, :j] @ (Rb[:j, j : nw - 1] @ Tinv))
+        Rib[nw - 1, :nw] = Rib[:nw, nw - 1] = 0.0
+        self.nw = nw - 1
 
     def step(self, grad: np.ndarray, Aw: np.ndarray):
         """(p, lam) of H p + Aw' lam = -grad, Aw p = 0, refined once against
         the full KKT residual (the condensed Hessians have condition
         numbers near 1e7)."""
-        Linv, Q, Rinv = self.Linv, self.Q, self.Rinv
+        Linv, nw = self.Linv, self.nw
         w = Linv @ grad
-        if not Aw.shape[0]:
+        if not nw:
             p = -(Linv.T @ w)
             return p + Linv.T @ (Linv @ (-grad - self.H @ p)), np.zeros(0)
+        Qb, _, Rib = self.buffers
+        Q, Rinv = Qb[:, :nw], Rib[:nw, :nw]
         c = Q.T @ w
         lam = -(Rinv @ c)
         p = -(Linv.T @ (w - Q @ c))
@@ -285,52 +304,60 @@ def solve_qp(
     Returns (z, active_set, lambdas, iters).
 
     Range-space steps (see `_WorkingSetFactor`): H is factored once per
-    call, and QpError is raised if it is not positive definite.
+    call, and QpError is raised if it is not positive definite, or if a
+    row would enter a working set of as many rows as variables (it could
+    only be dependent on them).  The working rows are kept in the leading
+    rows of a buffer, in the order of `work`.  The ratio test forms A_in p
+    once over all rows and reads it on the inactive ones.
     """
     z = z0.copy()
+    dim = z.size
     work: List[int] = list(range(n_eq))
     if active0:
         work.extend(i for i in active0 if i >= n_eq)
-    Aw = A_in[work]  # the working rows, in the order of `work`
+    rows = np.empty((dim, dim))
+    rows[: len(work)] = A_in[work]
     inactive = np.ones(A_in.shape[0], dtype=bool)
     inactive[work] = False
-    factor = _WorkingSetFactor(H, Aw)
+    factor = _WorkingSetFactor(H, rows[: len(work)])
 
     for it in range(1, MAX_QP_ITER + 1):
-        p, lam = factor.step(g + H @ z, Aw)
+        nw = len(work)
+        p, lam = factor.step(g + H @ z, rows[:nw])
 
         if np.abs(p).max() < KKT_TOL * (1.0 + np.abs(z).max()):
             # multipliers: inequality rows need lambda >= 0
-            if len(work) > n_eq:
+            if nw > n_eq:
                 ineq_lam = lam[n_eq:]
                 worst = int(ineq_lam.argmin())
                 if ineq_lam[worst] < -KKT_TOL:
-                    inactive[work.pop(n_eq + worst)] = True
-                    Aw = np.delete(Aw, n_eq + worst, axis=0)
-                    factor.drop(n_eq + worst)
+                    j = n_eq + worst
+                    inactive[work.pop(j)] = True
+                    rows[j : nw - 1] = rows[j + 1 : nw]
+                    factor.drop(j)
                     continue
             return z, work, lam, it
         # step length to the nearest blocking inactive constraint
         alpha = 1.0
         block = -1
-        idx = np.nonzero(inactive)[0]
-        if idx.size:
-            ap = A_in[idx] @ p
-            viol = ap > KKT_TOL
-            if viol.any():
-                cand = idx[viol]
-                ratios = (b_in[cand] - A_in[cand] @ z) / ap[viol]
-                ratios = np.maximum(ratios, 0.0)
-                jmin = int(ratios.argmin())
-                if ratios[jmin] < alpha:
-                    alpha = float(ratios[jmin])
-                    block = int(cand[jmin])
+        ap = A_in @ p
+        viol = inactive & (ap > KKT_TOL)
+        if viol.any():
+            cand = np.flatnonzero(viol)
+            ratios = (b_in[cand] - A_in[cand] @ z) / ap[cand]
+            ratios = np.maximum(ratios, 0.0)
+            jmin = int(ratios.argmin())
+            if ratios[jmin] < alpha:
+                alpha = float(ratios[jmin])
+                block = int(cand[jmin])
         z = z + alpha * p
         if block >= 0 and alpha < 1.0:
+            if nw == dim:
+                raise QpError("a row would enter a working set of full rank", it)
             work.append(block)
             inactive[block] = False
-            Aw = np.vstack([Aw, A_in[block]])
-            factor.add(A_in[block])
+            rows[nw] = A_in[block]
+            factor.add(rows[nw])
     raise QpError(f"active-set QP did not converge in {MAX_QP_ITER} iterations", MAX_QP_ITER)
 
 
