@@ -227,14 +227,18 @@ class _WorkingSetFactor:
             self.buffers = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
         return self.buffers
 
+    def column(self, a: np.ndarray) -> np.ndarray:
+        """L^-1 a; of a row with a single +-1 entry, the signed column of
+        L^-1 (equal in value, signed zeros aside)."""
+        i = np.flatnonzero(a)
+        if i.size == 1 and abs(a[i[0]]) == 1.0:
+            return a[i[0]] * self.Linv[:, i[0]]
+        return self.Linv @ a
+
     def add(self, a: np.ndarray) -> None:
         Qb, Rb, Rib = self._allocate()
         nw = self.nw
-        i = np.flatnonzero(a)
-        if i.size == 1 and abs(a[i[0]]) == 1.0:
-            v = a[i[0]] * self.Linv[:, i[0]]
-        else:
-            v = self.Linv @ a
+        v = self.column(a)
         Q = Qb[:, :nw]
         c = Q.T @ v
         q = v - Q @ c
