@@ -261,11 +261,15 @@ class _WorkingSetFactor:
         G, T = np.linalg.qr(Rb[j:nw, j + 1 : nw], mode="complete")
         Qb[:, j : nw - 1] = (Qb[:, j:nw] @ G)[:, :-1]
         Rb[:j, j : nw - 1] = Rb[:j, j + 1 : nw]
-        Rb[j : nw - 1, j : nw - 1] = T = T[:-1]
+        Rb[j : nw - 1, j : nw - 1] = T[:-1]
         Rb[nw - 1, :nw] = Rb[:nw, nw - 1] = 0.0
-        # the leading block of R^-1 is the inverse of R's leading block
-        Rib[j : nw - 1, j : nw - 1] = Tinv = _lower_inverse(T.T).T
-        Rib[:j, j : nw - 1] = -(Rib[:j, :j] @ (Rb[:j, j : nw - 1] @ Tinv))
+        # R^-1 loses row j, and its columns rotate with Q's.  With M = G' R22,
+        # M E = [T; 0] (E: R22's columns but its first), so the last row of
+        # M R22^-1 G = I gives R22^-1 G the first row e_last' / M[-1, 0],
+        # and T^-1 is its trailing block
+        X = Rib[:nw, j:nw] @ G[:, :-1]
+        Rib[:j, j : nw - 1] = X[:j]
+        Rib[j : nw - 1, j : nw - 1] = np.triu(X[j + 1 :])
         Rib[nw - 1, :nw] = Rib[:nw, nw - 1] = 0.0
         self.nw = nw - 1
 
