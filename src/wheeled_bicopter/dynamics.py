@@ -127,7 +127,9 @@ def _aerial_rates(x, wrench, P: VehicleParams, J, J_inv):
     and the `_wrench_terms` of u: Python floats (J and J_inv as floats too)
     or arrays evaluated elementwise.  R' omega is summed as (t0 + t1) + t2
     and R wbdot as (t0 + t2) + t1, the orders of numpy's einsum, so floats,
-    array rows and the einsum form of the model give the same bits."""
+    array rows and the einsum form of the model give the same bits, but
+    for the sign of a zero: einsum sums from +0.0, so where all three
+    products are -0.0 it gives +0.0 and this body -0.0."""
     _, _, _, vx, vy, vz, qw, qx, qy, qz, ox, oy, oz = x
     TBy, TBz, tau_x, tau_y, tau_z = wrench
     R00, R01, R02, R10, R11, R12, R20, R21, R22 = quat_matrix_entries(qw, qx, qy, qz)
