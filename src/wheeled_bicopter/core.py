@@ -240,9 +240,9 @@ class RobotState:
             raise ValueError("non-finite state component")
 
     @classmethod
-    def rest(cls, p=(0.0, 0.0, 0.0)) -> "RobotState":
-        """At rest at position p, level and heading along world x."""
-        return cls(vec3(*p), np.zeros(3), Orientation(), np.zeros(3))
+    def rest(cls) -> "RobotState":
+        """At rest at the origin, level and heading along world x."""
+        return cls(vec3(0.0, 0.0, 0.0), np.zeros(3), Orientation(), np.zeros(3))
 
     def as_array(self) -> np.ndarray:
         """Pack as [p(3), v(3), q(4), omega(3)]."""

@@ -95,24 +95,22 @@ class Lemniscate(Segment):
 
 @dataclass
 class Circle(Segment):
+    """One ground lap of a circle about the origin in the plane z = 0."""
+
     radius: float
     omega: float
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    mode: Mode = Mode.GROUND
-    laps: float = 1.0
-    T_Bz: float = 0.0
+    mode = Mode.GROUND
 
     def __post_init__(self):
         if min(self.radius, self.omega) <= 0:
             raise ValueError("circle parameters must be positive")
-        self.center = np.asarray(self.center, dtype=float)
-        self.duration = self.laps * 2.0 * math.pi / self.omega
+        self.duration = 2.0 * math.pi / self.omega
 
     def flat(self, tau):
         w, R = self.omega, self.radius
         c, s = np.cos(w * tau), np.sin(w * tau)
         return _planar(
-            self.center,
+            np.zeros(3),
             [R * c, -R * w * s, -R * w**2 * c, R * w**3 * s, R * w**4 * c],
             [R * s, R * w * c, -R * w**2 * s, -R * w**3 * c, R * w**4 * s],
         )
@@ -134,8 +132,8 @@ class Line(Segment):
     p0: np.ndarray
     velocity: np.ndarray
     duration: float
-    mode: Mode = Mode.GROUND
     T_Bz: float = 0.0
+    mode = Mode.GROUND
 
     def __post_init__(self):
         if self.duration <= 0:

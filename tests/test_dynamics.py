@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,11 @@ def params():
 def hover_input(params):
     T = params.weight / 2
     return ControlInput(T, T, 0.0, 0.0)
+
+
+def hover_state():
+    """At rest 1 m above the origin, level."""
+    return replace(RobotState.rest(), p=np.array([0.0, 0.0, 1.0]))
 
 
 def step(state, u, mode, dt, params):
@@ -225,7 +231,7 @@ def test_ground_reaction_wheel_liftoff_flagged(params):
 
 
 def test_aerial_hover_equilibrium(params):
-    st = RobotState.rest((0, 0, 1.0))
+    st = hover_state()
     d = dyn.derivative(st, hover_input(params), Mode.AERIAL, params)
     np.testing.assert_allclose(d.as_array(), np.zeros(13), atol=1e-12)
 
@@ -233,7 +239,7 @@ def test_aerial_hover_equilibrium(params):
 def test_aerial_tilt_gives_lateral_accel_and_roll_rate(params):
     T = params.weight / (2 * math.cos(0.05))
     u = ControlInput(T, T, 0.05, 0.05)
-    st = RobotState.rest((0, 0, 1.0))
+    st = hover_state()
     d = dyn.derivative(st, u, Mode.AERIAL, params)
     np.testing.assert_allclose(d.vdot, [0.0, -2 * T * math.sin(0.05) / params.m, 0.0], atol=1e-12)
     w = dyn.actuator_wrench(u, params)
@@ -260,7 +266,7 @@ def test_ground_derivative_contact_loss_propagates(params):
 
 
 def test_hover_fixed_point_1000_steps(params):
-    st = RobotState.rest((0, 0, 1.0))
+    st = hover_state()
     u = hover_input(params)
     x0 = st.as_array()
     for _ in range(1000):

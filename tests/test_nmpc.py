@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
 
 from test_array_core import packed_f_ground, packed_rk4_step
+from test_trajectory import AerialLine
 
 
 @pytest.fixture
@@ -33,7 +35,9 @@ def test_config_rejects_weights_that_are_not_finite_numbers(kwargs):
 
 
 def hover_state(params, p=(0.0, 0.0, 1.0)):
-    return RobotState.rest(p).as_array()
+    x = RobotState.rest().as_array()
+    x[0:3] = p
+    return x
 
 
 def hover_input_array(params):
@@ -41,12 +45,22 @@ def hover_input_array(params):
     return np.array([T, T, 0.0, 0.0])
 
 
-def circle_trajectory(params, radius=2.0, speed=1.5, laps=2.0):
-    om = speed / radius
-    seg = tj.Circle(
-        radius=radius, omega=om, center=[0, 0, params.r],
-        mode=Mode.GROUND, laps=laps, T_Bz=0.6 * params.weight,
-    )
+@dataclass
+class WheelCircle(tj.Circle):
+    """A ground circle at wheel height z whose vertical body thrust is T_Bz
+    (`tj.Circle` runs at z = 0 with no thrust)."""
+
+    z: float = 0.0
+    T_Bz: float = 0.0
+
+    def flat(self, tau):
+        out = super().flat(tau)
+        out[..., 0, 2] = self.z
+        return out
+
+
+def circle_trajectory(params, radius=2.0, speed=1.5):
+    seg = WheelCircle(radius=radius, omega=speed / radius, z=params.r, T_Bz=0.6 * params.weight)
     return tj.HybridTrajectory([seg])
 
 
@@ -857,7 +871,7 @@ def test_control_loop_rejects_mismatched_rates(params, cfg):
 def _aerial_line_run(params, cfg, n_ticks, monkeypatch):
     """Closed loop along an aerial line; returns the run log and the times
     of every aerial flatness transform made by the loop."""
-    seg = tj.Line(p0=[0, 0, 1.0], velocity=[1.0, 0.5, 0], duration=5.0, mode=Mode.AERIAL)
+    seg = AerialLine(p0=[0, 0, 1.0], velocity=[1.0, 0.5, 0], duration=5.0)
     traj = tj.HybridTrajectory([seg])
     sim = dyn.Simulator(params=params, x=traj.reference(0.0, params).x_array(), dt=5e-3,
                         mode=Mode.AERIAL)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from wheeled_bicopter import trajectory as tj
 from wheeled_bicopter.core import Mode, VehicleParams
 
+from test_trajectory import AerialLine
+
 PARAMS = VehicleParams()
 R = PARAMS.r
 WEIGHT = PARAMS.weight
@@ -64,7 +66,7 @@ def _yaw_blend():
 def _takeoff_landing():
     ground = tj.Rest(p0=[0, 0, R], psi0=0.0, duration=1.0371,
                      T_Bz=0.6 * WEIGHT, T_Bz_end=WEIGHT)
-    air = tj.Line(p0=[1.5, 0, 1.2], velocity=[1.5, 0, 0], duration=1.7131, mode=Mode.AERIAL)
+    air = AerialLine(p0=[1.5, 0, 1.2], velocity=[1.5, 0, 0], duration=1.7131)
     touchdown = tj.Rest(p0=[6.0, 0.5, R], psi0=0.0, duration=1.1213,
                         T_Bz=WEIGHT, T_Bz_end=0.6 * WEIGHT)
     up = tj.takeoff_landing_blend(ground, air, T_blend=2.0137, a_max=2.2,
@@ -212,7 +214,7 @@ class TwoArgError(Exception):
 
 
 @dataclass
-class FailingLine(tj.Line):
+class FailingLine(AerialLine):
     fail_after: float = 0.12
 
     def flat(self, tau):
@@ -222,7 +224,7 @@ class FailingLine(tj.Line):
 
 
 def test_sample_error_keeps_type_and_args_and_names_the_sample():
-    seg = FailingLine(p0=[0, 0, 1.0], velocity=[1.0, 0, 0], duration=2.0, mode=Mode.AERIAL)
+    seg = FailingLine(p0=[0, 0, 1.0], velocity=[1.0, 0, 0], duration=2.0)
     traj = tj.HybridTrajectory([seg])
     with pytest.raises(TwoArgError) as direct:
         traj.sample_references(0.0, 5, STRIDE * DT_CTRL, PARAMS)

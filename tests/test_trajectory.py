@@ -10,6 +10,12 @@ from wheeled_bicopter.core import Mode, VehicleParams
 from wheeled_bicopter import trajectory as tj
 
 
+class AerialLine(tj.Line):
+    """A constant-velocity aerial segment (`tj.Line` is a ground one)."""
+
+    mode = Mode.AERIAL
+
+
 @pytest.fixture
 def params():
     return VehicleParams()
@@ -197,7 +203,7 @@ def test_ground_eight_shape_feasibility_sweep(params):
 def test_takeoff_blend_matches_endpoints(params):
     ground_end = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=1.0,
                          T_Bz=params.weight, mode=Mode.GROUND)
-    air = tj.Line(p0=[2.0, 0, 1.2], velocity=[1.5, 0, 0], duration=2.0, mode=Mode.AERIAL)
+    air = AerialLine(p0=[2.0, 0, 1.2], velocity=[1.5, 0, 0], duration=2.0)
     blend = tj.takeoff_landing_blend(
         ground_end, air, T_blend=2.0, a_max=2.2,
         yaw_bc=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -209,7 +215,7 @@ def test_takeoff_blend_matches_endpoints(params):
 def test_takeoff_blend_extends_duration_on_accel_violation(params):
     ground_end = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=1.0,
                          T_Bz=params.weight, mode=Mode.GROUND)
-    air = tj.Line(p0=[4.0, 0, 2.0], velocity=[2.0, 0, 0], duration=2.0, mode=Mode.AERIAL)
+    air = AerialLine(p0=[4.0, 0, 2.0], velocity=[2.0, 0, 0], duration=2.0)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         blend = tj.takeoff_landing_blend(ground_end, air, T_blend=0.5, a_max=2.0)
@@ -244,7 +250,7 @@ def reference_flat(seg, tau: float) -> np.ndarray:
     elif isinstance(seg, tj.Circle):
         w, R = seg.omega, seg.radius
         c, s = math.cos(w * tau), math.sin(w * tau)
-        out[0] = seg.center + np.array([R * c, R * s, 0.0])
+        out[0] = np.zeros(3) + np.array([R * c, R * s, 0.0])  # offset as `_planar` does
         out[1] = [-R * w * s, R * w * c, 0.0]
         out[2] = [-R * w**2 * c, -R * w**2 * s, 0.0]
         out[3] = [R * w**3 * s, -R * w**3 * c, 0.0]
@@ -300,8 +306,7 @@ SEGMENTS = {
         tj.Lemniscate, A=span(0.1, 5.0), B=span(0.1, 5.0), omega=span(0.05, 4.0),
         center=vec3, laps=span(0.1, 3.0), mode=st.sampled_from(Mode)),
     "circle": st.builds(
-        tj.Circle, radius=span(0.1, 5.0), omega=span(0.05, 4.0), center=vec3,
-        laps=span(0.1, 3.0)),
+        tj.Circle, radius=span(0.1, 5.0), omega=span(0.05, 4.0)),
     "line": st.builds(tj.Line, p0=vec3, velocity=vec3, duration=duration),
     "rest": st.builds(tj.Rest, p0=vec3, psi0=span(-4.0, 4.0), duration=duration),
     "ramp": st.builds(
