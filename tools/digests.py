@@ -8,14 +8,21 @@ the hash is `cli.deterministic_digest` (wall-clock columns masked).  The
 commands run in a process pool, one worker per usable core.
 
     python tools/digests.py
+    python tools/digests.py --summaries DIR
 
 Two checkouts print identical output exactly when every bundled scenario
 produces the same bits.  BLAS is pinned to one thread before numpy loads,
-so the digests do not depend on the caller's environment.
+so the digests do not depend on the caller's environment.  With
+`--summaries DIR` the JSON outputs (every `*_summary.json` and
+`*_report.json`) are also kept under DIR, at their paths below the output
+directory, for `tools/compare_summaries.py`; the printed lines are the
+same.
 """
 
+import argparse
 import multiprocessing
 import os
+import shutil
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -56,13 +63,21 @@ def run(job):
     return code, lines
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--summaries", metavar="DIR", help="also keep the JSON outputs under DIR")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [(tmp, command, name)
                 for name in cli.bundled_scenario_names() for command in commands(name)]
         with ProcessPoolExecutor(len(os.sched_getaffinity(0)),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(run, jobs))
+        if args.summaries:
+            for path in Path(tmp).rglob("*.json"):
+                target = Path(args.summaries) / path.relative_to(tmp)
+                target.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(path, target)
     lines = []
     for (_, command, name), (code, out) in zip(jobs, results):
         if code != cli.EXIT_OK:
