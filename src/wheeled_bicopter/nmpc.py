@@ -5,10 +5,15 @@ RK4-discretized bi-modal model along the warm-started guess trajectory
 (multiple shooting, forward finite differences, defect terms in the
 condensation), condense the horizon into a dense QP in the input
 corrections, and solve it with a primal active-set method whose steps are
-range-space steps: the Hessian is Cholesky-factored once per tick, the
+range-space steps: the Hessian is Cholesky-factored once per tick, and the
 Schur complement of the working set is kept factored as rows enter and
-leave, and each step is refined once against the full KKT residual.  The
-cost penalizes deviations from the flatness references,
+leave, in place in buffers allocated with the first working row.  An input
+box or slack bound enters as a signed column of the inverse Cholesky
+factor; a leaving row rotates the factors, and the inverse triangular
+factor with them, instead of inverting anew.  Each step is refined once
+against the full KKT residual, and the ratio test takes one product of the
+constraint matrix with the step.  The cost penalizes deviations from the
+flatness references,
 
     sum_{k=0..K} xerr(k)' Q xerr(k)  +  sum_{k<K} uerr(k)' Q_u uerr(k),
 
@@ -312,18 +317,17 @@ def solve_qp(
     Returns (z, active_set, lambdas, iters).
 
     Range-space steps (see `_WorkingSetFactor`): H is factored once per
-    call, and QpError is raised if it is not positive definite, or if a
-    row would enter a working set of as many rows as variables (it could
-    only be dependent on them).  The working rows are kept in the leading
-    rows of a buffer, in the order of `work`.  The ratio test forms A_in p
-    once over all rows and reads it on the inactive ones.
+    call, and QpError is raised if it is not positive definite.  The
+    working rows are kept in the leading rows of a buffer of one row per
+    variable (a blocking row is independent of the working rows, so they
+    never outnumber the variables), in the order of `work`.  The ratio
+    test forms A_in p once over all rows and reads it on the inactive ones.
     """
     z = z0.copy()
-    dim = z.size
     work: List[int] = list(range(n_eq))
     if active0:
         work.extend(i for i in active0 if i >= n_eq)
-    rows = np.empty((dim, dim))
+    rows = np.empty((z.size, z.size))
     rows[: len(work)] = A_in[work]
     inactive = np.ones(A_in.shape[0], dtype=bool)
     inactive[work] = False
@@ -360,8 +364,6 @@ def solve_qp(
                 block = int(cand[jmin])
         z = z + alpha * p
         if block >= 0 and alpha < 1.0:
-            if nw == dim:
-                raise QpError("a row would enter a working set of full rank", it)
             work.append(block)
             inactive[block] = False
             rows[nw] = A_in[block]
