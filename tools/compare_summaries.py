@@ -74,11 +74,11 @@ def compare(old_dir: Path, new_dir: Path):
     return lines + changed + one_side
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     for d in (args.old, args.new):
         if not d.is_dir():
             parser.error(f"{d} is not a directory")

@@ -13,10 +13,10 @@ commands run in a process pool, one worker per usable core.
 Two checkouts print identical output exactly when every bundled scenario
 produces the same bits.  BLAS is pinned to one thread before numpy loads,
 so the digests do not depend on the caller's environment.  With
-`--summaries DIR` the JSON outputs (every `*_summary.json` and
-`*_report.json`) are also kept under DIR, at their paths below the output
-directory, for `tools/compare_summaries.py`; the printed lines are the
-same.
+`--summaries DIR` every JSON output (the `*_summary.json`, `*_report.json`
+and `*_openloop.json` files) is also kept under DIR, at its path below the
+output directory, for `tools/compare_summaries.py`; the printed lines are
+the same.
 """
 
 import argparse
@@ -63,10 +63,10 @@ def run(job):
     return code, lines
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--summaries", metavar="DIR", help="also keep the JSON outputs under DIR")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         jobs = [(tmp, command, name)
                 for name in cli.bundled_scenario_names() for command in commands(name)]
