@@ -7,10 +7,9 @@ condensation), condense the horizon into a dense QP in the input
 corrections, and solve it with a primal active-set method whose steps are
 range-space steps: the Hessian is Cholesky-factored once per tick, and the
 Schur complement of the working set is kept factored as rows enter and
-leave, in place in buffers allocated with the first working row.  An input
-box or slack bound enters as a signed column of the inverse Cholesky
-factor; a leaving row rotates the factors, and the inverse triangular
-factor with them, instead of inverting anew.  Each step is refined once
+leave, in place in buffers allocated with the first working row.  A
+leaving row rotates the factors, and the inverse triangular factor with
+them, instead of inverting anew.  Each step is refined once
 against the full KKT residual, and the ratio test takes one product of the
 constraint matrix with the step.  The cost penalizes deviations from the
 flatness references,
@@ -206,11 +205,9 @@ class _WorkingSetFactor:
     Q, R and R^-1 live in the leading columns and blocks of n x n buffers,
     allocated when the first row enters and zero outside R's and R^-1's
     leading nw x nw block.  A row entering costs a Gram-Schmidt step that
-    writes column nw; a row with a single +-1 entry (an input box or a
-    slack bound) enters as the signed column of L^-1, without a product.  A
-    row leaving costs a QR of the trailing block of R, which rotates Q's
-    columns and R's trailing block in place; a step then costs
-    matrix-vector products only.
+    writes column nw.  A row leaving costs a QR of the trailing block of R,
+    which rotates Q's columns and R's trailing block in place; a step then
+    costs matrix-vector products only.
     """
 
     def __init__(self, H: np.ndarray, Aw: np.ndarray):
@@ -232,18 +229,10 @@ class _WorkingSetFactor:
             self.buffers = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
         return self.buffers
 
-    def column(self, a: np.ndarray) -> np.ndarray:
-        """L^-1 a; of a row with a single +-1 entry, the signed column of
-        L^-1 (equal in value, signed zeros aside)."""
-        i = np.flatnonzero(a)
-        if i.size == 1 and abs(a[i[0]]) == 1.0:
-            return a[i[0]] * self.Linv[:, i[0]]
-        return self.Linv @ a
-
     def add(self, a: np.ndarray) -> None:
         Qb, Rb, Rib = self._allocate()
         nw = self.nw
-        v = self.column(a)
+        v = self.Linv @ a
         Q = Qb[:, :nw]
         c = Q.T @ v
         q = v - Q @ c
@@ -319,9 +308,11 @@ def solve_qp(
     Range-space steps (see `_WorkingSetFactor`): H is factored once per
     call, and QpError is raised if it is not positive definite.  The
     working rows are kept in the leading rows of a buffer of one row per
-    variable (a blocking row is independent of the working rows, so they
-    never outnumber the variables), in the order of `work`.  The ratio
-    test forms A_in p once over all rows and reads it on the inactive ones.
+    variable, in the order of `work`.  A blocking row is independent of
+    the working rows in exact arithmetic, but a step that is rounding
+    noise on a full working set can still block; QpError is raised then
+    rather than adding a row past the buffer.  The ratio test forms A_in p
+    once over all rows and reads it on the inactive ones.
     """
     z = z0.copy()
     work: List[int] = list(range(n_eq))
@@ -364,6 +355,8 @@ def solve_qp(
                 block = int(cand[jmin])
         z = z + alpha * p
         if block >= 0 and alpha < 1.0:
+            if nw == z.size:
+                raise QpError("working set would exceed the variables", it)
             work.append(block)
             inactive[block] = False
             rows[nw] = A_in[block]

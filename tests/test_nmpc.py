@@ -480,8 +480,6 @@ def test_in_place_working_set_factor_matches_a_fresh_factor(seed):
         if free and rng.random() < 0.6:
             a = float(rng.choice([-1.0, 1.0])) * np.eye(n)[int(rng.choice(free))]
             units.update({a.tobytes(), (-a).tobytes()})
-            # a unit row enters as the signed column of L^-1, equal in value
-            assert np.array_equal(factor.column(a), factor.Linv @ a)
             kinds.add("unit")
         else:
             a = rng.normal(size=n)
@@ -489,6 +487,22 @@ def test_in_place_working_set_factor_matches_a_fresh_factor(seed):
         rows.append(a)
         factor.add(a)
     assert kinds == {"drop", "unit", "general"}
+
+
+def test_qp_raises_qp_error_rather_than_overfill_the_working_set(monkeypatch):
+    # one variable and two blocking rows 1e-9 apart: the first row fills the
+    # working set, and a step of rounding-level noise then reaches the second
+    step = nmpc._WorkingSetFactor.step
+
+    def noisy_step(self, grad, Aw):
+        p, lam = step(self, grad, Aw)
+        return (p + 1e-7 if self.nw == p.size else p), lam
+
+    monkeypatch.setattr(nmpc._WorkingSetFactor, "step", noisy_step)
+    with pytest.raises(nmpc.QpError) as info:
+        nmpc.solve_qp(np.eye(1), np.array([-10.0]), np.ones((2, 1)),
+                      np.array([1.0, 1.0 + 1e-9]), np.zeros(1))
+    assert info.value.iters == 2
 
 
 def test_qp_singular_hessian_raises_qp_error():
