@@ -6,7 +6,8 @@
 Every file is read as a tree of fields named by their key paths (list
 items by index).  For each numeric field, over all files that hold it,
 prints the largest relative delta |new - old| / |old| and the file where
-it occurs (0 where both are 0, inf where only old is 0).  Then prints every
+it occurs (0 where both are 0 or both NaN, inf where only old is 0 or only
+one is NaN).  Then prints every
 count (an integer field) that changed, every other field that changed, and
 every file or field found on one side only.
 """
@@ -36,9 +37,10 @@ def is_number(value) -> bool:
 
 
 def relative_delta(old, new) -> float:
-    if old == new or (isinstance(old, float) and math.isnan(old) and math.isnan(new)):
+    nans = sum(isinstance(v, float) and math.isnan(v) for v in (old, new))
+    if old == new or nans == 2:
         return 0.0
-    return abs(new - old) / abs(old) if old else math.inf
+    return abs(new - old) / abs(old) if old and not nans else math.inf
 
 
 def compare(old_dir: Path, new_dir: Path):
