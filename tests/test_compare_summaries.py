@@ -24,9 +24,11 @@ def test_compare_prints_largest_deltas_changed_counts_and_one_sided_entries(tmp_
     write(new / "track/a/a_summary.json",
           {"rmse_m": 1.0 + 2e-9, "statuses": {"optimal": 4}, "mode": "AERIAL", "zero": 0.0,
            "power": 1.5, "lag": 1.0})
-    write(old / "track/b/b_summary.json", {"rmse_m": 2.0, "cases": [{"v": 1.0}, {"v": 0.0}]})
+    write(old / "track/b/b_summary.json",
+          {"rmse_m": 2.0, "cases": [{"v": 1.0}, {"v": 0.0}], "max_slack": 6.9e-18})
     write(new / "track/b/b_summary.json",
-          {"rmse_m": 2.0 * (1 + 1e-6), "cases": [{"v": 1.0}, {"v": 0.5}], "extra": True})
+          {"rmse_m": 2.0 * (1 + 1e-6), "cases": [{"v": 1.0}, {"v": 0.5}], "extra": True,
+           "max_slack": 6.9e-18 * (1 + 5.6e-6)})
     write(old / "benchmark/c_report.json", {})
     # a NaN on one side is an infinite delta, so it is neither hidden by an
     # earlier finite delta nor hides a later one
@@ -34,14 +36,20 @@ def test_compare_prints_largest_deltas_changed_counts_and_one_sided_entries(tmp_
     write(new / "track/c/c_summary.json", {"power": math.nan, "lag": 3.0, "both_nan": math.nan})
     rows = {line.split()[0]: line.split()[1:] for line in compare_summaries.compare(old, new)
             if not line.startswith(("count", "changed", "field ", "file"))}
-    assert rows["rmse_m"][1] == "track/b/b_summary.json"
+    # columns: largest relative delta, largest absolute delta, file of the former
+    assert rows["rmse_m"][2] == "track/b/b_summary.json"
     assert math.isclose(float(rows["rmse_m"][0]), 1e-6, rel_tol=1e-3)
-    assert rows["power"] == ["inf", "track/c/c_summary.json"]
-    assert rows["lag"] == ["inf", "track/a/a_summary.json"]
-    assert rows["both_nan"][0] == "0"
-    assert rows["statuses.optimal"][0] == "0.333"
-    assert rows["cases.0.v"][0] == "0" and rows["zero"][0] == "0"
-    assert rows["cases.1.v"][0] == "inf"
+    assert math.isclose(float(rows["rmse_m"][1]), 2e-6, rel_tol=1e-3)
+    assert rows["power"] == ["inf", "inf", "track/c/c_summary.json"]
+    assert rows["lag"] == ["inf", "inf", "track/a/a_summary.json"]
+    assert rows["both_nan"][:2] == ["0", "0"]
+    assert rows["statuses.optimal"][:2] == ["0.333", "1"]
+    assert rows["cases.0.v"][:2] == ["0", "0"] and rows["zero"][:2] == ["0", "0"]
+    # a rounding-level field: a visible relative move, a negligible absolute one
+    assert math.isclose(float(rows["max_slack"][0]), 5.6e-6, rel_tol=1e-2)
+    assert math.isclose(float(rows["max_slack"][1]), 6.9e-18 * 5.6e-6, rel_tol=1e-2)
+    # only old is 0: an infinite relative delta, a finite absolute one
+    assert rows["cases.1.v"][:2] == ["inf", "0.5"]
     lines = compare_summaries.compare(old, new)
     assert "count track/a/a_summary.json statuses.optimal: 3 -> 4" in lines
     assert "changed track/a/a_summary.json mode: 'GROUND' -> 'AERIAL'" in lines

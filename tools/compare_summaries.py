@@ -5,11 +5,14 @@
 
 Every file is read as a tree of fields named by their key paths (list
 items by index).  For each numeric field, over all files that hold it,
-prints the largest relative delta |new - old| / |old| and the file where
-it occurs (0 where both are 0 or both NaN, inf where only old is 0 or only
-one is NaN).  Then prints every
-count (an integer field) that changed, every other field that changed, and
-every file or field found on one side only.
+prints the largest relative delta |new - old| / |old| with the file where
+it occurs, and the largest absolute delta |new - old| (both are 0 where
+the values are equal or both NaN and inf where only one is NaN; the
+relative delta is also inf where only old is 0).  The absolute delta shows
+a field at rounding level for what it is: a relative move of 1e-5 on a
+value of 1e-18.  Then prints every count (an integer field) that changed,
+every other field that changed, and every file or field found on one
+side only.
 """
 
 import argparse
@@ -36,18 +39,22 @@ def is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def relative_delta(old, new) -> float:
+def deltas(old, new):
+    """(relative, absolute) delta of two numbers."""
     nans = sum(isinstance(v, float) and math.isnan(v) for v in (old, new))
     if old == new or nans == 2:
-        return 0.0
-    return abs(new - old) / abs(old) if old and not nans else math.inf
+        return 0.0, 0.0
+    if nans:
+        return math.inf, math.inf
+    return (abs(new - old) / abs(old) if old else math.inf), abs(new - old)
 
 
 def compare(old_dir: Path, new_dir: Path):
     """Lines of the comparison report."""
     files = sorted({p.relative_to(d).as_posix() for d in (old_dir, new_dir)
                     for p in d.rglob("*.json")})
-    worst = {}  # field -> (delta, file)
+    worst = {}  # field -> (relative delta, file)
+    worst_abs = {}  # field -> absolute delta
     changed, one_side = [], []
     for name in files:
         paths = [d / name for d in (old_dir, new_dir)]
@@ -61,17 +68,18 @@ def compare(old_dir: Path, new_dir: Path):
                 continue
             a, b = old[field], new[field]
             if is_number(a) and is_number(b):
-                delta = relative_delta(a, b)
+                delta, delta_abs = deltas(a, b)
                 if field not in worst or delta > worst[field][0]:
                     worst[field] = (delta, name)
+                worst_abs[field] = max(worst_abs.get(field, 0.0), delta_abs)
                 if isinstance(a, int) and isinstance(b, int) and a != b:
                     changed.append(f"count {name} {field}: {a} -> {b}")
                     continue
             if a != b and not (is_number(a) and is_number(b)):
                 changed.append(f"changed {name} {field}: {a!r} -> {b!r}")
     width = max((len(f) for f in worst), default=5)
-    lines = [f"{'field':<{width}}  max rel delta  file"]
-    lines += [f"{field:<{width}}  {delta:13.3g}  {name}"
+    lines = [f"{'field':<{width}}  max rel delta  max abs delta  file"]
+    lines += [f"{field:<{width}}  {delta:13.3g}  {worst_abs[field]:13.3g}  {name}"
               for field, (delta, name) in sorted(worst.items())]
     return lines + changed + one_side
 
