@@ -426,7 +426,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
         sim, traj, cfg.controller, cfg.params,
         duration=duration, control_rate=env["control_rate_hz"],
         noise=NoiseModel(pos_std=env["noise_pos_std"], att_std=env["noise_att_std"]),
-        rng=np.random.default_rng(cfg.seed), stop_when=stop_when,
+        seed=cfg.seed, stop_when=stop_when,
     )
     ticks, steps = log.ticks, sim.log
     act, ref = ticks.x[:, 0:3], ticks.x_ref[:, 0:3]

@@ -29,6 +29,7 @@ The solver is deterministic: fixed pivot tie-breaking, no randomization.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,7 +43,17 @@ from .dynamics import DIVERGENCE_LIMIT, Simulator, _ground_rates, _wrench_terms,
 from .flatness import ReferencePoint
 from .trajectory import HybridTrajectory, ReferenceTable
 
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 FD_STEP = 1e-6
+# the scaled identities `_linearize_horizon` adds to its component-row
+# batch, zeros included: x + 0.0 is an IEEE operation too (-0.0 becomes +0.0)
+_FD_X = _read_only(FD_STEP * np.eye(13)[:, None])
+_FD_U = _read_only(FD_STEP * np.eye(4)[:, None])
 
 # consecutive degraded ticks a closed loop tolerates before it aborts
 MAX_DEGRADED = 10
@@ -125,6 +136,13 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
     (x_bar_k, u_bar_k) are given, the K finite-difference batches fuse into
     one array-core call per mode group.
 
+    The batch is built on component rows, (13, K, 18) states and (4, K, 18)
+    inputs: stage k's column 0 is its point and columns 1 to 17 perturb one
+    component each.  `rk4_step` gets a mode group as the transposed view
+    (18 K', 13), so its own transpose to component rows costs no copy; when
+    every stage shares one mode the group is the whole batch, gathered by
+    no index.
+
     Returns x_next (K,13), A (K,13,13), B (K,13,4) and, per ground step,
     the wheel normals F_n (2,), dF_n/dx (2,13) and dF_n/du (2,4), left
     wheel first, read off the contact evaluation that is also the batch's
@@ -133,12 +151,10 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
     K = len(u_bar)
     n, m = 13, 4
     nb = 1 + n + m
-    xb = np.repeat(x_bar[:K], nb, axis=0).reshape(K, nb, n)
-    ub = np.repeat(u_bar, nb, axis=0).reshape(K, nb, m)
-    eye_n = FD_STEP * np.eye(n)
-    eye_m = FD_STEP * np.eye(m)
-    xb[:, 1 : 1 + n] += eye_n
-    ub[:, 1 + n :] += eye_m
+    xr = np.repeat(x_bar[:K].T, nb, axis=1).reshape(n, K, nb)
+    ur = np.repeat(u_bar.T, nb, axis=1).reshape(m, K, nb)
+    xr[:, :, 1 : 1 + n] += _FD_X
+    ur[:, :, 1 + n :] += _FD_U
 
     x_next = np.empty((K, n))
     A = np.empty((K, n, n))
@@ -148,20 +164,20 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
         idx = [k for k in range(K) if modes[k] is mode]
         if not idx:
             continue
-        xm = xb[idx].reshape(-1, n)
-        um = ub[idx].reshape(-1, m)
+        sel = slice(None) if len(idx) == K else idx
+        xm = xr[:, sel].reshape(n, -1)
+        um = ur[:, sel].reshape(m, -1)
         k1 = None
         if mode is Mode.GROUND:
-            wrench = _wrench_terms(np.ascontiguousarray(um.T), params, np)
-            k1, diag = _ground_rates(np.ascontiguousarray(xm.T), wrench, params, False)
+            k1, diag = _ground_rates(xm, _wrench_terms(um, params, np), params, False)
             # (step, wheel, batch row)
             F = np.stack([diag[w].reshape(len(idx), nb) for w in ("F_nl", "F_nr")], axis=1)
             dF = (F[:, :, 1:] - F[:, :, :1]) / FD_STEP
             normals.update(zip(idx, zip(F[:, :, 0], dF[:, :, :n], dF[:, :, n:])))
-        out = rk4_step(xm, um, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
-        x_next[idx] = out[:, 0]
-        A[idx] = (out[:, 1 : 1 + n] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
-        B[idx] = (out[:, 1 + n :] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
+        out = rk4_step(xm.T, um.T, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
+        x_next[sel] = out[:, 0]
+        A[sel] = (out[:, 1 : 1 + n] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
+        B[sel] = (out[:, 1 + n :] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
     return x_next, A, B, normals
 
 
@@ -369,6 +385,45 @@ def solve_qp(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _box_block(nz: int) -> np.ndarray:
+    """The read-only box rows of nz inputs: +e_i and -e_i interleaved (the
+    negated identity's zeros are -0.0)."""
+    box = np.zeros((2 * nz, nz))
+    box[0::2] = np.eye(nz)
+    box[1::2] = -np.eye(nz)
+    return _read_only(box)
+
+
+@functools.lru_cache(maxsize=8)
+def _weight_tiles(K: int, state_weights: bytes, input_weights: bytes):
+    """The read-only diagonal weights of a K-step horizon: the state
+    weights (given as the bytes of their float64 array) over its K + 1
+    stages and the input weights over its K steps."""
+    return (_read_only(np.tile(np.frombuffer(state_weights), K + 1)),
+            _read_only(np.tile(np.frombuffer(input_weights), K)))
+
+
+def _condense(A, B, d, dx0):
+    """The condensed prediction dx_k = c_k + S_k du of a linearized
+    horizon: S (K+1, 13, K*m) is zero from column k*m on, and c (K+1, 13)
+    folds in the initial deviation dx0 and the defects d.  Each stage's
+    products are written into S and c in place; non-finite values pass
+    through without a warning."""
+    K, n, m = B.shape
+    S = np.zeros((K + 1, n, K * m))
+    c = np.empty((K + 1, n))
+    c[0] = dx0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            km = k * m
+            np.matmul(A[k], S[k, :, :km], out=S[k + 1, :, :km])
+            S[k + 1, :, km : km + m] = B[k]
+            np.matmul(A[k], c[k], out=c[k + 1])
+            c[k + 1] += d[k]
+    return S, c
+
+
 def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
     """Rows A_in z <= b_in on z = [du (K*m), slacks], in the order `solve`
     documents, with a feasible start z0 and the working-set seed active0.
@@ -395,9 +450,7 @@ def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
         # start on the equality manifold: symmetric tilt correction
         z0[k * m + 2] = z0[k * m + 3] = -lat / 2.0
 
-    box = A_in[n_eq:r_soft, :nz]
-    box[0::2] = np.eye(nz)
-    box[1::2] = -np.eye(nz)
+    A_in[n_eq:r_soft, :nz] = _box_block(nz)
     b_in[n_eq:r_soft:2] = (hi - u_bar).reshape(-1)
     b_in[n_eq + 1:r_soft:2] = (u_bar - lo).reshape(-1)
 
@@ -449,15 +502,16 @@ def solve(
     x_current = np.asarray(x_current, dtype=float)
     lo, hi = input_bounds(params)
 
-    u_ref = np.stack([r.u for r in refs[:K]])
-    x_ref = np.stack([r.x for r in refs])
+    u_ref = np.array([r.u for r in refs[:K]])
+    x_ref = np.array([r.x for r in refs])
     if prev is None:
         u_bar, x_bar = u_ref, x_ref
     else:
-        u_bar = np.vstack([prev.u_seq[1:], prev.u_seq[-1:]])
-        x_bar = np.vstack([prev.x_pred[1:], prev.x_pred[-1:]])
-    u_bar = np.clip(u_bar, lo, hi)
-    if not np.all(np.isfinite(x_bar)) or np.any(np.abs(x_bar) > DIVERGENCE_LIMIT):
+        u_bar = np.concatenate((prev.u_seq[1:], prev.u_seq[-1:]))
+        x_bar = np.concatenate((prev.x_pred[1:], prev.x_pred[-1:]))
+    # np.clip's operations, without its dispatch
+    u_bar = np.minimum(np.maximum(u_bar, lo), hi)
+    if not np.isfinite(x_bar).all() or (np.abs(x_bar) > DIVERGENCE_LIMIT).any():
         x_bar = x_ref
     modes = [r.mode for r in refs]
 
@@ -465,55 +519,49 @@ def solve(
     n, m = 13, 4
     x_next, A, B, normals = _linearize_horizon(x_bar, u_bar, modes, cfg.dt, params)
     d = x_next - x_bar[1:]
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+    if not (np.isfinite(x_next).all() and np.isfinite(A).all() and np.isfinite(B).all()):
         return OcpSolution.degraded(u_bar, x_bar)
 
     # condensation: dx_k = c_k + S_k du, with the known initial deviation
-    # and the defects folded into c_k; S_k is zero from column k*m on
+    # and the defects folded into c_k
     dx0 = x_current - x_bar[0]
     if float(x_current[6:10] @ x_bar[0][6:10]) < 0.0:
         dx0[6:10] = -x_current[6:10] - x_bar[0][6:10]
     nz = K * m
-    S = np.zeros((K + 1, n, nz))
-    c = np.zeros((K + 1, n))
-    c[0] = dx0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(K):
-            S[k + 1][:, : k * m] = A[k] @ S[k][:, : k * m]
-            S[k + 1][:, k * m : (k + 1) * m] = B[k]
-            c[k + 1] = A[k] @ c[k] + d[k]
+    S, c = _condense(A, B, d, dx0)
     # unstable-mode amplification of an already-hopeless deviation: give up
     # on this linearization rather than build a garbage QP
-    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(c))) or np.max(np.abs(c)) > 1e8:
+    if not (np.isfinite(S).all() and np.isfinite(c).all()) or np.abs(c).max() > 1e8:
         return OcpSolution.degraded(u_bar, x_bar)
 
-    Qx = cfg.state_weights()
     Qu = cfg.q_u
+    Wall, Wu = _weight_tiles(K, cfg.state_weights().tobytes(), Qu.tobytes())
     # stacked residuals: e_k = xbar_k + c_k - xref_k with hemisphere-aligned
     # quaternion components
     E = x_bar + c - x_ref
-    flip = np.sum(x_ref[:, 6:10] * x_bar[:, 6:10], axis=1) < 0.0
-    if np.any(flip):
+    flip = (x_ref[:, 6:10] * x_bar[:, 6:10]).sum(axis=1) < 0.0
+    if flip.any():
         E[flip, 6:10] = x_bar[flip, 6:10] + c[flip, 6:10] + x_ref[flip, 6:10]
     Sall = S.reshape((K + 1) * n, nz)
     Eall = E.reshape(-1)
-    Wall = np.tile(Qx, K + 1)
     H = Sall.T @ (Wall[:, None] * Sall)
     gvec = Sall.T @ (Wall * Eall)
     const = float(Eall @ (Wall * Eall))
     du_ref = u_bar - u_ref
-    idx = np.arange(nz)
-    H[idx, idx] += np.tile(Qu, K)
+    H.flat[:: nz + 1] += Wu
     gvec += (du_ref * Qu).reshape(-1)
-    const += float(np.sum(du_ref * Qu * du_ref))
+    const += float((du_ref * Qu * du_ref).sum())
 
     A_in, b_in, z0, active0, n_eq = _constraint_rows(u_bar, lo, hi, normals, S, c, cfg)
     dim = A_in.shape[1]
     n_soft = dim - nz
-    Hfull = np.zeros((dim, dim))
-    Hfull[:nz, :nz] = H
-    Hfull[nz:, nz:] = SLACK_REG * np.eye(n_soft)
-    gfull = np.concatenate([gvec, SLACK_PENALTY * np.ones(n_soft)])
+    if n_soft:
+        Hfull = np.zeros((dim, dim))
+        Hfull[:nz, :nz] = H
+        Hfull[nz:, nz:] = SLACK_REG * np.eye(n_soft)
+        gfull = np.concatenate((gvec, np.full(n_soft, SLACK_PENALTY)))
+    else:
+        Hfull, gfull = H, gvec
 
     try:
         z, work, lam, iters = solve_qp(Hfull, gfull, A_in, b_in, z0, n_eq=n_eq, active0=active0)
@@ -522,12 +570,12 @@ def solve(
     resid = Hfull @ z + gfull
     if work:
         resid += A_in[work].T @ lam
-    kkt = float(np.max(np.abs(resid)))
+    kkt = float(np.abs(resid).max())
 
     du = z[:nz].reshape(K, m)
     slacks = z[nz:]
-    u_seq = np.clip(u_bar + du, lo, hi)
-    status = "relaxed" if n_soft and float(np.max(slacks)) > 1e-6 else "optimal"
+    u_seq = np.minimum(np.maximum(u_bar + du, lo), hi)
+    status = "relaxed" if n_soft and float(slacks.max()) > 1e-6 else "optimal"
 
     # the optimizer's own (linearized) state prediction; shifted, the next
     # tick's linearization guess
@@ -554,8 +602,14 @@ class NoiseModel:
     pos_std: float = 0.0
     att_std: float = 0.0
 
-    def apply(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        if self.pos_std == 0.0 and self.att_std == 0.0:
+    @property
+    def active(self) -> bool:
+        return self.pos_std != 0.0 or self.att_std != 0.0
+
+    def apply(self, x: np.ndarray, rng: Optional[np.random.Generator]) -> np.ndarray:
+        """x with measurement noise drawn from rng; x itself when the model
+        is not `active` (rng may then be None)."""
+        if not self.active:
             return x
         out = x.copy()
         out[0:3] += rng.normal(0.0, self.pos_std, 3)
@@ -613,7 +667,7 @@ def control_loop(
     duration: float,
     control_rate: float = 200.0,
     noise: Optional[NoiseModel] = None,
-    rng: Optional[np.random.Generator] = None,
+    seed: int = 0,
     stop_when=None,
 ) -> RunLog:
     """Run the tracking loop: sample references, solve, hold u(0) for one
@@ -625,6 +679,10 @@ def control_loop(
     tick stays logged) or an infeasible reference.  Of these, only an
     infeasible reference at the first tick raises: it leaves no tick.
 
+    Measurement noise is drawn from a generator seeded with `seed`, made
+    only when the noise model is active: a noise-free loop never loads
+    numpy.random.
+
     Reference times come from the tick counter.  When the horizon step is a
     whole number r of control periods, node k of tick i is control-grid
     point i + r k, so a ReferenceTable transforms each grid point once;
@@ -632,8 +690,8 @@ def control_loop(
     """
     check_loop_rates(sim.dt, control_rate)
     dt_ctrl = 1.0 / control_rate
-    rng = rng or np.random.default_rng(0)
     noise = noise or NoiseModel()
+    rng = np.random.default_rng(seed) if noise.active else None
     r = round(cfg.dt / dt_ctrl)
     on_grid = r >= 1 and abs(r * dt_ctrl - cfg.dt) <= 1e-12
     table = ReferenceTable(traj, params, clamp=True)

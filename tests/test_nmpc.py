@@ -207,6 +207,29 @@ def test_linearize_horizon_equals_the_stage_loop(seed, ground):
             np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("ground", [
+    [True] * 5, [False] * 5, [True, False, False, True, True], [False, True, True, True],
+])
+def test_linearize_horizon_steps_18_packed_rows_per_stage(params, monkeypatch, ground):
+    # the traced benchmark counts the rows of every `rk4_step` that nmpc
+    # calls (x.shape[0] of a 2-D batch): 18 per stage, one call per mode group
+    calls = []
+    step = nmpc.rk4_step
+
+    def counted(x, u, mode, *args, **kw):
+        calls.append((mode, x.shape, u.shape))
+        return step(x, u, mode, *args, **kw)
+
+    monkeypatch.setattr(nmpc, "rk4_step", counted)
+    modes = [Mode.GROUND if g else Mode.AERIAL for g in ground]
+    K = len(modes)
+    x_bar = np.stack([hover_state(params, (0.0, 0.0, params.r))] * (K + 1))
+    u_bar = np.tile(hover_input_array(params) * 0.6, (K, 1))
+    nmpc._linearize_horizon(x_bar, u_bar, modes, 0.05, params)
+    groups = [(mode, modes.count(mode)) for mode in (Mode.GROUND, Mode.AERIAL)]
+    assert calls == [(mode, (18 * n, 13), (18 * n, 4)) for mode, n in groups if n]
+
+
 # ---------------------------------------------------------------------------
 # QP solver
 # ---------------------------------------------------------------------------
@@ -624,6 +647,115 @@ def test_block_built_rows_equal_loop_built(seed, K, lock_lateral, n_soft):
     assert active0 == want[3] and n_eq == want[4] == (K if lock_lateral else 0)
 
 
+def loop_condense(A, B, d, dx0):
+    """Stage-by-stage condensation with fresh products, the reference for
+    the in-place `nmpc._condense`."""
+    K, n, m = B.shape
+    S = np.zeros((K + 1, n, K * m))
+    c = np.zeros((K + 1, n))
+    c[0] = dx0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            S[k + 1][:, : k * m] = A[k] @ S[k][:, : k * m]
+            S[k + 1][:, k * m : (k + 1) * m] = B[k]
+            c[k + 1] = A[k] @ c[k] + d[k]
+    return S, c
+
+
+def spread(rng, shape, decades):
+    """Normal samples scaled by powers of ten spread over +-decades."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-decades, decades, shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 8),
+    decades=st.sampled_from([0, 3, 30, 150]),
+    bad=st.sampled_from([None, "A", "B", "d", "dx0"]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_condense_equals_the_stage_loop(seed, K, decades, bad, value):
+    rng = np.random.default_rng(seed)
+    n, m = 13, 4
+    args = {"A": spread(rng, (K, n, n), decades), "B": spread(rng, (K, n, m), decades),
+            "d": spread(rng, (K, n), decades), "dx0": spread(rng, n, decades)}
+    if bad is not None:
+        args[bad].reshape(-1)[rng.integers(args[bad].size)] = value
+    got = nmpc._condense(**args)
+    want = loop_condense(**args)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 6),
+    decades=st.sampled_from([0, 3, 30, 150]),
+    bad_measurement=st.booleans(),
+)
+def test_solve_degrades_where_the_stage_loop_condensation_is_not_finite(seed, K, decades,
+                                                                       bad_measurement):
+    # a linearization whose condensation overflows (or a non-finite
+    # measurement) gives the degraded guess, exactly where the loop's S and
+    # c are not finite or c leaves the 1e8 bound
+    rng = np.random.default_rng(seed)
+    params = VehicleParams()
+    cfg = nmpc.NmpcConfig(K=K)
+    refs = hover_trajectory(params).sample_references(0.0, K, cfg.dt, params)
+    x = refs[0].x_array().copy()
+    if bad_measurement:
+        x[rng.integers(13)] = math.nan
+    A, B = spread(rng, (K, 13, 13), decades), spread(rng, (K, 13, 4), decades)
+    x_next = np.stack([r.x for r in refs[1:]]) + spread(rng, (K, 13), 0)
+    seen = []
+    condense = nmpc._condense
+
+    def recorded(*args):
+        seen.append((args, loop_condense(*args)))
+        return condense(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nmpc, "_linearize_horizon", lambda *args: (x_next, A, B, {}))
+        mp.setattr(nmpc, "_condense", recorded)
+        sol = nmpc.solve(x, refs, cfg, params)
+    (args, (S, c)), = seen
+    for g, w in zip(condense(*args), (S, c)):
+        assert g.tobytes() == w.tobytes()
+    if not (np.isfinite(S).all() and np.isfinite(c).all()) or np.abs(c).max() > 1e8:
+        assert sol.status == "degraded" and sol.qp_iters == 0
+        assert sol.u_seq.tobytes() == np.stack([r.u for r in refs[:K]]).tobytes()
+
+
+def test_horizon_constants_are_built_once_and_never_written(params):
+    # the box block and weight tiles are cached per horizon, read-only, and
+    # equal to a fresh build after solves on two different horizons
+    cfgs = [nmpc.NmpcConfig(K=K) for K in (6, 9)]
+    traj = circle_trajectory(params)
+
+    def constants(cfg):
+        nz = cfg.K * 4
+        return (nmpc._box_block(nz),
+                *nmpc._weight_tiles(cfg.K, cfg.state_weights().tobytes(), cfg.q_u.tobytes()))
+
+    def fresh(cfg):
+        nz = cfg.K * 4
+        box = np.zeros((2 * nz, nz))
+        box[0::2], box[1::2] = np.eye(nz), -np.eye(nz)
+        return box, np.tile(cfg.state_weights(), cfg.K + 1), np.tile(cfg.q_u, cfg.K)
+
+    for cfg in cfgs + cfgs:
+        refs = traj.sample_references(1.0, cfg.K, cfg.dt, params)
+        assert nmpc.solve(refs[0].x_array(), refs, cfg, params).status == "optimal"
+    for cfg in cfgs:
+        built = constants(cfg)
+        assert all(a is b for a, b in zip(built, constants(cfg)))
+        for got, want in zip(built, fresh(cfg)):
+            assert not got.flags.writeable
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_solve_zero_error_fixed_point(params, cfg):
     traj = circle_trajectory(params)
     refs = traj.sample_references(1.0, cfg.K, cfg.dt, params)
@@ -982,6 +1114,25 @@ def test_control_loop_raises_an_infeasible_reference_at_the_first_tick(params, c
     _infeasible_past(0.5)(monkeypatch)
     with pytest.raises(InfeasibleReferenceError, match="injected fault"):
         _hover_loop(params, cfg)
+
+
+def test_control_loop_makes_a_noise_generator_only_for_active_noise(params, cfg,
+                                                                    monkeypatch):
+    seeds = []
+    make = np.random.default_rng
+
+    def recorded(seed):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    quiet = _hover_loop(params, cfg, seed=5)
+    assert seeds == []
+    noisy = [_hover_loop(params, cfg, noise=nmpc.NoiseModel(pos_std=1e-3), seed=5)
+             for _ in range(2)]
+    assert seeds == [5, 5]
+    assert noisy[0].ticks.x.tobytes() == noisy[1].ticks.x.tobytes()
+    assert noisy[0].ticks.x.tobytes() != quiet.ticks.x.tobytes()
 
 
 def test_control_loop_ends_a_stopped_or_complete_run_without_error(params, cfg):
