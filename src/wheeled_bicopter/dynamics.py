@@ -191,27 +191,37 @@ def ground_contact(TBy, TBz, a_l, tau_x, cth, sth, u_long, P: VehicleParams, w_l
     lateral force, rolling and lateral friction, the raw wheel normals
     (lift_off flags a negative one) and the pitch/yaw ground torques.  A
     lifted wheel carries no rolling friction: G3 clamps the normals at zero.
+    The terms that do not depend on the speeds are `sticking_contact`'s.
     """
-    F_n = P.m * P.g - TBz * cth
-    f_l_req = P.m * a_l - TBy
+    F_n, f_l_req, F_nl, F_nr, G2 = sticking_contact(TBy, TBz, a_l, tau_x, cth, sth, P)
     # 0 inside the dead band (+0.0 turns the -0.0 of a negative speed into 0.0)
     sgn_u = np.sign(u_long) * (np.abs(u_long) >= SPEED_EPS) + 0.0
     f_r = -P.mu * F_n * sgn_u
-    if w_lat is None:
-        f_l = f_l_req
-    else:
+    f_l = f_l_req
+    if w_lat is not None:
         cap = P.mu_s * F_n
         slip_dir = np.where(np.abs(w_lat) > LATERAL_STICK_EPS, np.sign(w_lat), -np.sign(f_l_req))
         f_l = -cap * slip_dir
+        F_nl, F_nr = wheel_split(F_n, f_l, tau_x, cth, P)
 
-    F_nl, F_nr = wheel_split(F_n, f_l, tau_x, cth, P)
     lift = (F_nl < 0.0) | (F_nr < 0.0)
     f_rl = -P.mu * np.maximum(F_nl, 0.0) * sgn_u
     f_rr = -P.mu * np.maximum(F_nr, 0.0) * sgn_u
-
-    G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
     G3 = (f_rr - f_rl) * P.W
     return F_n, f_l_req, f_r, f_l, F_nl, F_nr, lift, G2, G3
+
+
+def sticking_contact(TBy, TBz, a_l, tau_x, cth, sth, P: VehicleParams):
+    """The sticking part of `ground_contact`, in plain arithmetic, so that
+    Python floats stay Python floats: (F_n, f_l_req, F_nl, F_nr, G2), the
+    total normal force m g - TBz cos(theta), the no-slip lateral force
+    m a_l - TBy, the wheel normals under that force and the gravity pitch
+    torque.  The flatness inverse reads its contact from here."""
+    F_n = P.m * P.g - TBz * cth
+    f_l_req = P.m * a_l - TBy
+    F_nl, F_nr = wheel_split(F_n, f_l_req, tau_x, cth, P)
+    G2 = (P.m - 2.0 * P.m_w) * P.h2 * P.g * sth
+    return F_n, f_l_req, F_nl, F_nr, G2
 
 
 def wheel_split(F_n, f_l, tau_x, cth, P: VehicleParams):
@@ -304,6 +314,7 @@ def rk4_step(
     dt: float,
     P: VehicleParams,
     k1: Optional[tuple] = None,
+    wrench: Optional[tuple] = None,
 ) -> np.ndarray:
     """One fixed-step RK4 integration of a batch of packed states (..., 13),
     with quaternion renormalization and, in ground mode, re-projection of
@@ -316,10 +327,13 @@ def rk4_step(
     k1 is the 13 rates at (x, u) on those component rows when the caller
     already has them: a caller that reads the ground contact gets them from
     the same `_ground_rates` call, and the step then evaluates only stages
-    2 to 4.  Without it the step evaluates k1 itself.
+    2 to 4.  Without it the step evaluates k1 itself.  Such a caller
+    passes the `_wrench_terms` of u on component rows (4, ...) that k1 was
+    evaluated with too, and the step does not compute them again.
     """
     xt = np.ascontiguousarray(x.T)
-    wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
+    if wrench is None:
+        wrench = _wrench_terms(np.ascontiguousarray(u.T), P, np)
 
     def stack(rates):
         k = np.empty(xt.shape)

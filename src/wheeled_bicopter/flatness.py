@@ -21,6 +21,14 @@ and is reported in the reference diagnostics.
 
 All derivatives are consumed analytically; generators must provide position
 derivatives up to 4th order.
+
+Both transforms compute on Python floats with `math`, and the ground one
+takes its contact from `dynamics.sticking_contact`, the sticking part of
+the forward model's `ground_contact`.  numpy stays where it fixes the
+bits: the products of the sample 3-vectors with the heading frame are
+numpy's `@` (a BLAS dot, whose rounding no Python sum reproduces), as is
+`quat_normalize`'s `q @ q`, and `x` and `u` are returned as arrays.  A
+sample's 3-vectors may be arrays, lists or tuples.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .core import (
     quat_from_euler,
     quat_normalize,
 )
-from .dynamics import ground_contact, heading_inertia, wheel_split
+from .dynamics import heading_inertia, sticking_contact, wheel_split
 
 # Feasibility guards
 ARCSIN_MARGIN = 1e-9
@@ -161,23 +169,23 @@ def travel_heading(v: Vec3, a: Vec3, j: Vec3,
     return (psi, *tangent_yaw_derivatives(v, a, j), False)
 
 
-def ground_body_rates(theta: float, theta_dot: float, psi: float, psi_dot: float) -> Vec3:
+def ground_body_rates(theta: float, theta_dot: float, psi: float,
+                      psi_dot: float) -> Tuple[float, float, float]:
     """World-frame angular velocity of the roll-free attitude family."""
-    return np.array(
-        [-theta_dot * math.sin(psi), theta_dot * math.cos(psi), psi_dot]
-    )
+    return -theta_dot * math.sin(psi), theta_dot * math.cos(psi), psi_dot
 
 
 def _roll_free_state(sample, theta: float, theta_dot: float, psi: float,
                      psi_dot: float) -> np.ndarray:
     """Packed reference state of a flat sample with the roll-free attitude
     (0, theta, psi); raises ValueError on a non-finite p, v or omega."""
-    x = np.concatenate([
-        np.asarray(sample.p, dtype=float), np.asarray(sample.v, dtype=float),
-        quat_normalize(quat_from_euler(0.0, theta, psi)),
-        ground_body_rates(theta, theta_dot, psi, psi_dot),
-    ])
-    if not (np.all(np.isfinite(x[0:6])) and np.all(np.isfinite(x[10:13]))):
+    x = np.empty(13)
+    x[0:3] = sample.p
+    x[3:6] = sample.v
+    x[6:10] = quat_normalize(quat_from_euler(0.0, theta, psi))
+    x[10:13] = ground_body_rates(theta, theta_dot, psi, psi_dot)
+    c = x.tolist()
+    if not all(map(math.isfinite, c[0:6] + c[10:13])):
         raise ValueError("non-finite state component")
     return x
 
@@ -224,17 +232,18 @@ def _cross(a, b) -> Tuple[float, float, float]:
 
 
 def _heading_torque(
-    J: np.ndarray, sth: float, cth: float, theta_dot: float, psi_dot: float,
+    J: list, sth: float, cth: float, theta_dot: float, psi_dot: float,
     theta_ddot: float, psi_ddot: float,
-) -> Vec3:
-    """Required torque in the heading frame for the roll-free attitude family."""
+) -> Tuple[float, float, float]:
+    """Required torque in the heading frame for the roll-free attitude
+    family, with the diagonal inertia J as three Python floats."""
     J1, J2, J3 = J
     N11 = J1 * cth * cth + J3 * sth * sth
     N13, N33 = heading_inertia(sth, cth, J)
     Lx = N13 * psi_ddot + theta_dot * psi_dot * (N33 - J2 - N11)
     Ly = J2 * theta_ddot + N13 * psi_dot * psi_dot
     Lz = N33 * psi_ddot - 2.0 * N13 * theta_dot * psi_dot
-    return np.array([Lx, Ly, Lz])
+    return Lx, Ly, Lz
 
 
 def _assemble_input(
@@ -317,7 +326,8 @@ def ground_flat_to_reference(
     theta_ddot = Zdd / root + Z * Zd * Zd / root**3
 
     sth, cth = math.sin(theta), math.cos(theta)
-    L = _heading_torque(params.J, sth, cth, theta_dot, psi_dot, theta_ddot, psi_ddot)
+    Lx, Ly, Lz = _heading_torque(
+        params.J.tolist(), sth, cth, theta_dot, psi_dot, theta_ddot, psi_ddot)
 
     # 2x2 linear solve for the lateral thrust y = T_By and the tilt
     # differential d = b2 - b1 (roll and yaw rows with the ground torque)
@@ -326,14 +336,16 @@ def ground_flat_to_reference(
     A12 = sth * l
     A21 = -sth * h1 + 2.0 * mu_eff * (r - h1 * cth)
     A22 = cth * l
-    rhs1 = L[0] - 3.0 * r * m * a_l
-    rhs2 = L[2] + 2.0 * mu_eff * r * m * a_l
+    rhs1 = Lx - 3.0 * r * m * a_l
+    rhs2 = Lz + 2.0 * mu_eff * r * m * a_l
     det = A11 * A22 - A12 * A21
+    if det == 0.0:  # a singular solve gives IEEE infinities, not ZeroDivisionError
+        det = np.float64(det)
     y = (rhs1 * A22 - A12 * rhs2) / det
     d = (A11 * rhs2 - rhs1 * A21) / det
 
     # ground reaction of the stuck wheels under the lateral thrust y
-    F_n, _, _, _, F_nl, F_nr, _, G2, _ = ground_contact(y, T, a_l, y * h1, cth, sth, 0.0, params)
+    F_n, _, F_nl, F_nr, G2 = sticking_contact(y, T, a_l, y * h1, cth, sth, params)
     if F_n < -1e-9:
         raise InfeasibleReferenceError(
             f"negative total normal force {F_n:.4f} N at t={sample.t:.3f}s"
@@ -344,7 +356,7 @@ def ground_flat_to_reference(
             f"(normals {F_nl:.3f}/{F_nr:.3f} N)"
         )
 
-    tau_y_req = L[1] - G2
+    tau_y_req = Ly - G2
     a2 = 0.5 * (T + tau_y_req / l)
     a1 = T - a2
     b1 = 0.5 * (-y - d)
@@ -374,11 +386,12 @@ def aerial_flat_to_reference(
     psi, psi_dot, psi_ddot = float(sample.psi), float(sample.psi_dot), float(sample.psi_ddot)
     xg, yg = _heading_frame(psi)
 
-    F = m * (np.asarray(sample.a, dtype=float) + np.array([0.0, 0.0, g]))
+    ax, ay, az = map(float, sample.a)
+    F = np.array([m * (ax + 0.0), m * (ay + 0.0), m * (az + g)])
     Fd = m * np.asarray(sample.j, dtype=float)
     Fdd = m * np.asarray(sample.s, dtype=float)
 
-    F1, F2, F3 = float(F @ xg), float(F @ yg), float(F[2])
+    F1, F2, F3 = float(F @ xg), float(F @ yg), m * (az + g)
     den = F1 * F1 + F3 * F3
     if den < THRUST_EPS**2 or F3 <= 0.0:
         raise InfeasibleReferenceError(
@@ -389,33 +402,34 @@ def aerial_flat_to_reference(
     T_Bz = math.sqrt(den)
     T_By = F2
 
+    Fd_y = float(Fd @ yg)
     Fd1 = float(Fd @ xg) + psi_dot * F2
-    Fd2 = float(Fd @ yg) - psi_dot * F1
+    Fd2 = Fd_y - psi_dot * F1
     Fd3 = float(Fd[2])
-    Fdd1 = float(Fdd @ xg) + psi_dot * float(Fd @ yg) + psi_ddot * F2 + psi_dot * Fd2
+    Fdd1 = float(Fdd @ xg) + psi_dot * Fd_y + psi_ddot * F2 + psi_dot * Fd2
     Fdd3 = float(Fdd[2])
 
     theta_dot, theta_ddot = _atan2_rates(F3, F1, Fd3, Fd1, Fdd3, Fdd1)
 
+    # body rates, their derivative and the Euler torque J wbdot + wb x J wb
     sth, cth = math.sin(theta), math.cos(theta)
-    wb = np.array([-psi_dot * sth, theta_dot, psi_dot * cth])
-    wbdot = np.array(
-        [
-            -psi_ddot * sth - psi_dot * theta_dot * cth,
-            theta_ddot,
-            psi_ddot * cth - psi_dot * theta_dot * sth,
-        ]
+    wb = (-psi_dot * sth, theta_dot, psi_dot * cth)
+    wbdot = (
+        -psi_ddot * sth - psi_dot * theta_dot * cth,
+        theta_ddot,
+        psi_ddot * cth - psi_dot * theta_dot * sth,
     )
-    Jwb = params.J * wb
-    tau_req = params.J * wbdot + _cross(wb.tolist(), Jwb.tolist())
+    J = params.J.tolist()
+    gyro = _cross(wb, [Ji * w for Ji, w in zip(J, wb)])
+    tau_x, tau_y, tau_z = (Ji * wd + c for Ji, wd, c in zip(J, wbdot, gyro))
 
-    a2 = 0.5 * (T_Bz + tau_req[1] / params.l)
+    a2 = 0.5 * (T_Bz + tau_y / params.l)
     a1 = T_Bz - a2
     bsum = -T_By
-    bdiff = tau_req[2] / params.l
+    bdiff = tau_z / params.l
     b1 = 0.5 * (bsum - bdiff)
     b2 = 0.5 * (bsum + bdiff)
-    roll_residual = float(tau_req[0] - T_By * params.h1)
+    roll_residual = tau_x - T_By * params.h1
 
     u, clamp_flags = _assemble_input(a1, a2, b1, b2, params, sample.t, clamp)
 

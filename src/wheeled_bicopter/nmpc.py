@@ -146,7 +146,7 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
     Returns x_next (K,13), A (K,13,13), B (K,13,4) and, per ground step,
     the wheel normals F_n (2,), dF_n/dx (2,13) and dF_n/du (2,4), left
     wheel first, read off the contact evaluation that is also the batch's
-    RK4 k1.
+    RK4 k1; the step reuses that evaluation's wrench too.
     """
     K = len(u_bar)
     n, m = 13, 4
@@ -167,14 +167,16 @@ def _linearize_horizon(x_bar, u_bar, modes, dt, params):
         sel = slice(None) if len(idx) == K else idx
         xm = xr[:, sel].reshape(n, -1)
         um = ur[:, sel].reshape(m, -1)
-        k1 = None
+        k1 = wrench = None
         if mode is Mode.GROUND:
-            k1, diag = _ground_rates(xm, _wrench_terms(um, params, np), params, False)
+            wrench = _wrench_terms(um, params, np)
+            k1, diag = _ground_rates(xm, wrench, params, False)
             # (step, wheel, batch row)
             F = np.stack([diag[w].reshape(len(idx), nb) for w in ("F_nl", "F_nr")], axis=1)
             dF = (F[:, :, 1:] - F[:, :, :1]) / FD_STEP
             normals.update(zip(idx, zip(F[:, :, 0], dF[:, :, :n], dF[:, :, n:])))
-        out = rk4_step(xm.T, um.T, mode, dt, params, k1=k1).reshape(len(idx), nb, n)
+        out = rk4_step(xm.T, um.T, mode, dt, params, k1=k1, wrench=wrench).reshape(
+            len(idx), nb, n)
         x_next[sel] = out[:, 0]
         A[sel] = (out[:, 1 : 1 + n] - out[:, :1]).transpose(0, 2, 1) / FD_STEP
         B[sel] = (out[:, 1 + n :] - out[:, :1]).transpose(0, 2, 1) / FD_STEP

@@ -9,6 +9,7 @@ mode-appropriate reference points through the flatness transforms.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -313,10 +314,12 @@ class TimeDilated(Segment):
             raise ValueError("dilation factor must be positive")
         self.duration = self.inner.duration * self.factor
         self.mode = self.inner.mode
+        # derivative order k is divided by factor**k
+        self._divisor = np.array([[self.factor**order] for order in range(1, 5)])
 
     def flat(self, tau):
         out = self.inner.flat(tau / self.factor)
-        out[..., 1:, :] /= np.array([[self.factor**order] for order in range(1, 5)])
+        out[..., 1:, :] /= self._divisor
         return out
 
     def thrust_profile(self, tau: float):
@@ -420,9 +423,10 @@ class HybridTrajectory:
     def __post_init__(self):
         if not self.segments:
             raise ValueError("trajectory needs at least one segment")
+        # segment start times as Python floats, for `bisect`
         self.starts = np.concatenate(
             [[0.0], np.cumsum([s.duration for s in self.segments])]
-        )
+        ).tolist()
         for i in range(len(self.segments) - 1):
             a = self.segments[i].end_flat()
             b = self.segments[i + 1].start_flat()
@@ -436,16 +440,15 @@ class HybridTrajectory:
 
     @property
     def duration(self) -> float:
-        return float(self.starts[-1])
+        return self.starts[-1]
 
     def locate(self, t: float) -> Tuple[Segment, float]:
         if t >= self.duration:
             seg = self.segments[-1]
             return seg, seg.duration
         t = max(t, 0.0)
-        idx = int(np.searchsorted(self.starts, t, side="right") - 1)
-        idx = min(idx, len(self.segments) - 1)
-        return self.segments[idx], t - float(self.starts[idx])
+        idx = min(bisect.bisect_right(self.starts, t) - 1, len(self.segments) - 1)
+        return self.segments[idx], t - self.starts[idx]
 
     def reference(
         self,
@@ -494,6 +497,11 @@ class HybridTrajectory:
         return table.window([(k, t0 + k * dt) for k in range(K + 1)])
 
 
+def _same_bits(a: float, b: Optional[float]) -> bool:
+    """a and b are the same float, signed zeros told apart."""
+    return b is not None and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
 def _note_sample(exc: Exception, k: int, t: float) -> None:
     """Attach the window position to an exception, keeping its type and
     args (the note `add_note` would add on Python >= 3.11)."""
@@ -505,8 +513,11 @@ class ReferenceTable:
 
     Each key (a control-grid index when the horizon nodes lie on the control
     grid) is transformed once without a heading hint; `window` threads the
-    heading through the entries.  Keys must grow with time: entries below a
-    window's first key are dropped.
+    heading through the entries.  A node whose heading is held (or whose
+    hint-less transform failed) needs a transform with the hint itself; that
+    transform depends only on the key and the hint, so it is kept in `held`
+    under (key, hint) and repeats while the vehicle rests.  Keys must grow
+    with time: entries below a window's first key are dropped from both.
     """
 
     def __init__(self, traj: HybridTrajectory, params: VehicleParams, clamp: bool = False):
@@ -514,6 +525,7 @@ class ReferenceTable:
         self.params = params
         self.clamp = clamp
         self.entries: Dict[Hashable, Optional[ReferencePoint]] = {}
+        self.held: Dict[Tuple[Hashable, Optional[float]], ReferencePoint] = {}
 
     def _sample(self, t: float) -> Optional[ReferencePoint]:
         try:
@@ -523,16 +535,24 @@ class ReferenceTable:
             # again with the hint, and raises there if it still fails
             return None
 
-    def _resolve(self, base: Optional[ReferencePoint], t: float,
-                 psi_hint: Optional[float]) -> ReferencePoint:
+    def _resolve(self, key: Hashable, t: float, psi_hint: Optional[float]) -> ReferencePoint:
         """The reference at t with the heading continued from psi_hint, made
-        from `base`, the entry at t (None if its transform failed).
+        from the entry of `key` at t (None if its transform failed).
 
         Only a held heading needs a fresh transform: an explicit yaw ignores
-        the hint and a tangent heading is unwrapped afterwards.
+        the hint and a tangent heading is unwrapped afterwards.  A held
+        heading is the hint itself, so an entry that already holds the
+        hint's bits is that transform.
         """
+        base = self.entries[key]
+        if base is not None and base.heading == "held" and _same_bits(base.psi, psi_hint):
+            return base
         if base is None or (psi_hint is not None and base.heading == "held"):
-            return self.traj.reference(t, self.params, psi_hint=psi_hint, clamp=self.clamp)
+            ref = self.held.get((key, psi_hint))
+            if ref is None:
+                ref = self.traj.reference(t, self.params, psi_hint=psi_hint, clamp=self.clamp)
+                self.held[key, psi_hint] = ref
+            return ref
         if psi_hint is not None and base.heading == "tangent":
             return base.turned(heading_turns(base.psi, psi_hint))
         return base
@@ -540,15 +560,18 @@ class ReferenceTable:
     def window(self, nodes: Sequence[Tuple[Hashable, float]]) -> List[ReferencePoint]:
         """References at the (key, time) nodes, heading-continuous from the first."""
         first = nodes[0][0]
-        for key in [key for key in self.entries if key < first]:
+        stale = [key for key in self.entries if key < first]
+        for key in stale:
             del self.entries[key]
+        if stale and self.held:
+            self.held = {memo: ref for memo, ref in self.held.items() if memo[0] >= first}
         refs: List[ReferencePoint] = []
         hint: Optional[float] = None
         for k, (key, t) in enumerate(nodes):
             try:
                 if key not in self.entries:
                     self.entries[key] = self._sample(t)
-                ref = self._resolve(self.entries[key], t, hint)
+                ref = self._resolve(key, t, hint)
             except Exception as exc:
                 _note_sample(exc, k, t)
                 raise

@@ -552,6 +552,9 @@ def test_rk4_step_on_component_rows_equals_the_packed_step(mode_rows, dt, given_
         assert x.tobytes() == before and xn.shape == x.shape
         if given_k1:  # the caller's rates as k1 give the bits of the step's own
             assert_same_bits(xn, rk4(x, u, mode, dt, PARAMS))
+        if rk4 is dyn.rk4_step:  # and so does the caller's wrench
+            wrench = dyn._wrench_terms(np.ascontiguousarray(u.T), PARAMS, np)
+            assert_same_bits(rk4(x, u, mode, dt, PARAMS, k1=k1, wrench=wrench), xn)
         return xn
 
     batch = step(X, U, dyn.rk4_step)

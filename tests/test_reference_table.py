@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wheeled_bicopter import cli, nmpc
 from wheeled_bicopter import trajectory as tj
 from wheeled_bicopter.core import Mode, VehicleParams
+from wheeled_bicopter.dynamics import Simulator
 
 from test_trajectory import AerialLine
 
@@ -165,6 +167,79 @@ def test_table_sweep_covers_odd_turns_and_held_headings():
                 seen["held"] += ref.heading == "held"
                 seen["odd turn"] += entry is not None and float(ref.x_r.q.q @ entry.x_r.q.q) < 0
     assert seen["odd turn"] > 0 and seen["held"] > 0, seen
+
+
+def test_held_nodes_have_the_bits_of_a_hinted_transform(monkeypatch):
+    # a held node comes from its entry, from the (key, hint) memo or from a
+    # fresh transform; whichever, it is the transform with the chain's hint,
+    # and no sample is transformed twice with the same hint
+    transformed = []
+
+    def counted(transform):
+        def call(sample, params, clamp=False):
+            out = transform(sample, params, clamp=clamp)
+            transformed.append((sample.t, getattr(sample, "psi_hint", None), out.psi))
+            return out
+        return call
+
+    held = 0
+    for name in ("rest", "line", "takeoff_landing"):
+        traj = TRAJECTORIES[name]
+        table = tj.ReferenceTable(traj, PARAMS, clamp=True)
+        transformed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(tj, "ground_flat_to_reference", counted(tj.ground_flat_to_reference))
+            m.setattr(tj, "aerial_flat_to_reference", counted(tj.aerial_flat_to_reference))
+            windows = []
+            for i in range(round((traj.duration + 1.0) / DT_CTRL)):
+                nodes = [(j, j * DT_CTRL) for j in range(i, i + STRIDE * K + 1, STRIDE)]
+                windows.append((nodes, table.window(nodes)))
+        assert len(set(transformed)) == len(transformed), name
+        for nodes, refs in windows[::5]:
+            hint = None
+            for (_, t), ref in zip(nodes, refs):
+                if ref.heading == "held":
+                    want = traj.reference(t, PARAMS, psi_hint=hint, clamp=True)
+                    assert (ref.x.tobytes(), ref.u.tobytes(), ref.psi) == (
+                        want.x.tobytes(), want.u.tobytes(), want.psi)
+                    held += 1
+                hint = ref.psi
+    assert held > 0
+
+
+def test_thrust_ramp_transforms_each_ground_node_about_once(monkeypatch):
+    # hybrid_3d from 13.0 s: the stop before takeoff and the thrust ramp at
+    # rest, where every node holds its heading; one second of ticks (the
+    # window where each tick made 13.1 ground transforms when every held
+    # node was transformed again)
+    sc = cli.ScenarioConfig.from_dict(cli.load_bundled_scenario("hybrid_3d"), "hybrid_3d")
+    traj, _ = cli.build_trajectory(sc)
+    env, t0 = sc.environment, 13.0
+    start = traj.reference(t0, sc.params)
+    sim = Simulator(params=sc.params, x=start.x, dt=1.0 / env["sim_rate_hz"],
+                    mode=start.mode, slip_enabled=env["slip_enabled"])
+    sim.t = t0
+    times = []
+    transform = tj.ground_flat_to_reference
+
+    def counted(sample, params, clamp=False):
+        times.append(sample.t)
+        return transform(sample, params, clamp=clamp)
+
+    per_tick = []
+    monkeypatch.setattr(tj, "ground_flat_to_reference", counted)
+    log = nmpc.control_loop(sim, traj, sc.controller, sc.params, 1.0,
+                            control_rate=env["control_rate_hz"],
+                            stop_when=lambda tick: per_tick.append(len(times)) and False)
+    ticks = len(log.ticks)
+    assert log.error is None and ticks == 200
+    assert len(times) <= 2 * ticks
+    # after the first horizon step's ticks every node key has been seen: a
+    # tick transforms its one new node, and a hinted re-transform at most
+    r = round(sc.controller.dt * env["control_rate_hz"])
+    assert max(b - a for a, b in zip(per_tick[r - 1:], per_tick[r:])) <= 2
+    # and no sample time is transformed more than twice
+    assert max(times.count(t) for t in set(times)) <= 2
 
 
 def _assert_views_match(ref):
