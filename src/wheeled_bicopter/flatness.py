@@ -339,7 +339,7 @@ def ground_flat_to_reference(
     rhs1 = Lx - 3.0 * r * m * a_l
     rhs2 = Lz + 2.0 * mu_eff * r * m * a_l
     det = A11 * A22 - A12 * A21
-    if det == 0.0:  # a singular solve gives IEEE infinities, not ZeroDivisionError
+    if det == 0.0:  # divide as numpy scalars do (inf or NaN), not ZeroDivisionError
         det = np.float64(det)
     y = (rhs1 * A22 - A12 * rhs2) / det
     d = (A11 * rhs2 - rhs1 * A21) / det
@@ -387,11 +387,12 @@ def aerial_flat_to_reference(
     xg, yg = _heading_frame(psi)
 
     ax, ay, az = map(float, sample.a)
-    F = np.array([m * (ax + 0.0), m * (ay + 0.0), m * (az + g)])
+    F3 = m * (az + g)
+    F = np.array([m * (ax + 0.0), m * (ay + 0.0), F3])
     Fd = m * np.asarray(sample.j, dtype=float)
     Fdd = m * np.asarray(sample.s, dtype=float)
 
-    F1, F2, F3 = float(F @ xg), float(F @ yg), m * (az + g)
+    F1, F2 = float(F @ xg), float(F @ yg)
     den = F1 * F1 + F3 * F3
     if den < THRUST_EPS**2 or F3 <= 0.0:
         raise InfeasibleReferenceError(

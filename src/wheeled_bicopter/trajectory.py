@@ -514,10 +514,11 @@ class ReferenceTable:
     Each key (a control-grid index when the horizon nodes lie on the control
     grid) is transformed once without a heading hint; `window` threads the
     heading through the entries.  A node whose heading is held (or whose
-    hint-less transform failed) needs a transform with the hint itself; that
-    transform depends only on the key and the hint, so it is kept in `held`
-    under (key, hint) and repeats while the vehicle rests.  Keys must grow
-    with time: entries below a window's first key are dropped from both.
+    hint-less transform failed) needs a transform with the hint itself,
+    unless its entry already holds the hint's bits.  That transform depends
+    only on the key and the hint, so it is kept in `held` under (key, hint)
+    and made once however many windows meet the node.  Keys must grow with
+    time: entries below a window's first key are dropped from both.
     """
 
     def __init__(self, traj: HybridTrajectory, params: VehicleParams, clamp: bool = False):
