@@ -224,28 +224,15 @@ def load_bundled_scenario(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _eight_segment(cfg: ScenarioConfig, mode: Mode, laps: float):
+def _eight_segment(cfg: ScenarioConfig, mode: Mode, laps: float, offset=(0.0, 0.0, 0.0)):
+    """The scenario's figure eight in `mode`, centred at `offset` above the
+    origin at the mode's height and scaled to its speed limits."""
     t, p = cfg.trajectory, cfg.params
     z = p.r if mode is Mode.GROUND else t["altitude"]
     T_Bz = t["T_Bz_frac"] * p.weight if mode is Mode.GROUND else 0.0
-    seg = tj.Lemniscate(
-        A=t["A"], B=t["B"], omega=1.0, center=[0.0, 0.0, z], mode=mode, laps=laps, T_Bz=T_Bz
-    )
+    seg = tj.Lemniscate(A=t["A"], B=t["B"], omega=1.0, center=np.array([0.0, 0.0, z]) + offset,
+                        mode=mode, laps=laps, T_Bz=T_Bz)
     return tj.scale_to_limits(seg, t["v_max"], t["a_max"])
-
-
-def _plain_eight(rep: tj.ScaleReport) -> tj.Lemniscate:
-    """Unwrap a (possibly time-dilated) scaled lemniscate into an equivalent
-    plain one; dilation by f equals scaling omega by 1/f."""
-    seg = rep.segment
-    if isinstance(seg, tj.TimeDilated):
-        inner = seg.inner
-        return tj.Lemniscate(
-            A=inner.A, B=inner.B, omega=inner.omega / seg.factor,
-            center=inner.center.copy(), mode=inner.mode, laps=inner.laps,
-            T_Bz=inner.T_Bz,
-        )
-    return seg
 
 
 def _start_heading(seg: tj.Segment):
@@ -288,6 +275,9 @@ def build_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
 def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, dict]:
     """Ground eight -> straight legs to rest -> thrust ramp -> climb blend ->
     aerial eight -> descent blend to touchdown at rest -> thrust ramp down.
+    The legs are `StraightRamp`s, two of them at constant speed; both eights
+    are the segments `scale_to_limits` returns, the aerial one centred 2 m
+    ahead of the takeoff point at altitude.
 
     Mode switches happen at rest points with the vertical thrust ramped to
     the weight, so reference inputs stay continuous through the switches.
@@ -299,13 +289,13 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     z_alt = t["altitude"]
 
     g8 = _eight_segment(cfg, Mode.GROUND, laps=1.0)
-    eight = _plain_eight(g8)
+    eight = g8.segment
     f0, speed0, dir0 = _start_heading(eight)
 
     leg = 0.8  # straight lead-in length [m]
     ramp_T = max(2.0 * speed0 / a_max, 1.5)
-    line_in = tj.Line(
-        p0=f0[0] - dir0 * leg, velocity=dir0 * speed0,
+    line_in = tj.StraightRamp(
+        p0=f0[0] - dir0 * leg, direction=dir0, v_start=speed0, v_end=speed0,
         duration=leg / speed0, T_Bz=T_ground,
     )
     ramp_in = tj.StraightRamp(
@@ -314,9 +304,9 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     )
     psi0 = math.atan2(dir0[1], dir0[0])
 
-    f1 = eight.end_flat()
-    line_out = tj.Line(
-        p0=f1[0], velocity=dir0 * speed0, duration=leg / speed0, T_Bz=T_ground
+    line_out = tj.StraightRamp(
+        p0=eight.end_flat()[0], direction=dir0, v_start=speed0, v_end=speed0,
+        duration=leg / speed0, T_Bz=T_ground,
     )
     ramp_out = tj.StraightRamp(
         p0=line_out.p0 + dir0 * leg, direction=dir0,
@@ -329,16 +319,11 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     )
 
     # aerial eight placed ahead of the takeoff point at altitude
-    a8 = _eight_segment(cfg, Mode.AERIAL, laps=1.0)
-    aeight = _plain_eight(a8)
-    fa, _, dir_a = _start_heading(aeight)
+    fa, _, dir_a = _start_heading(_eight_segment(cfg, Mode.AERIAL, laps=1.0).segment)
     chi_a = math.atan2(dir_a[1], dir_a[0])
     entry = rest_mid + dir_a * 2.0 + np.array([0.0, 0.0, z_alt - zc])
-    shift = entry - fa[0]
-    aeight = tj.Lemniscate(
-        A=aeight.A, B=aeight.B, omega=aeight.omega,
-        center=aeight.center + shift, mode=Mode.AERIAL, laps=aeight.laps,
-    )
+    a8 = _eight_segment(cfg, Mode.AERIAL, laps=1.0, offset=entry - fa[0])
+    aeight = a8.segment
 
     fa = aeight.start_flat()
     cd, cdd = tangent_yaw_derivatives(fa[1], fa[2], fa[3])
@@ -505,7 +490,11 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     speeds = cfg.trajectory["speed_cases"]
 
     def crossed(tick) -> bool:
-        return abs(_lateral_error(tick.x_ref, tick.x)) > LATERAL_FAIL_THRESHOLD
+        # sees every logged tick of a completed or stopped run
+        nonlocal max_lat
+        err = abs(_lateral_error(tick.x_ref, tick.x))
+        max_lat = max(max_lat, float(err))
+        return err > LATERAL_FAIL_THRESHOLD
 
     cases = []
     for v_max, a_max in speeds:
@@ -517,11 +506,9 @@ def run_benchmark_slippery(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
                 cfg, name=f"{cfg.name}_{variant}_v{v_max}", controller=ctrl, trajectory=doc_traj
             )
             case = {"v_max": v_max, "a_max": a_max, "variant": variant}
+            max_lat = 0.0
             try:
                 res = run_scenario(sub, out_dir=None, quiet=True, stop_when=crossed)
-                ticks = res.runlog.ticks
-                max_lat = float(max(abs(_lateral_error(ref, x))
-                                    for ref, x in zip(ticks.x_ref, ticks.x)))
                 # stop_when ends a run at its first tick past the threshold
                 case.update(completed=not res.summary["stopped_early"], max_lateral_error_m=max_lat,
                             rmse_m=res.summary["rmse_m"], slip_steps=res.summary["slip_steps"])

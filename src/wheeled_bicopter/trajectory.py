@@ -127,31 +127,6 @@ def _planar(p0: np.ndarray, x: list, y: list) -> np.ndarray:
 
 
 @dataclass
-class Line(Segment):
-    """Constant-velocity straight segment."""
-
-    p0: np.ndarray
-    velocity: np.ndarray
-    duration: float
-    T_Bz: float = 0.0
-    mode = Mode.GROUND
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        self.p0 = np.asarray(self.p0, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        self.psi0 = math.atan2(self.velocity[1], self.velocity[0])
-
-    def flat(self, tau):
-        tau = np.asarray(tau)
-        out = np.zeros(tau.shape + (5, 3))
-        out[..., 0, :] = self.p0 + self.velocity * tau[..., None]
-        out[..., 1, :] = self.velocity
-        return out
-
-
-@dataclass
 class Rest(Segment):
     """Standstill with a fixed heading and an optionally ramped thrust."""
 
@@ -188,7 +163,8 @@ class Rest(Segment):
 @dataclass
 class StraightRamp(Segment):
     """Straight-line speed change along a fixed direction (quintic speed
-    profile); heading stays constant so it is safe through zero speed."""
+    profile); heading stays constant so it is safe through zero speed.
+    With v_start == v_end it is a constant-speed leg."""
 
     p0: np.ndarray
     direction: np.ndarray  # unit-norm planar direction

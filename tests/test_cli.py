@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wheeled_bicopter import cli, nmpc
 from wheeled_bicopter import trajectory as tj
-from wheeled_bicopter.core import ConfigError, InfeasibleReferenceError, VehicleParams
+from wheeled_bicopter.core import ConfigError, InfeasibleReferenceError, Mode, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
 from wheeled_bicopter.nmpc import NmpcConfig
 
@@ -91,6 +91,31 @@ def test_config_rejects_unknown_trajectory_kind():
     cfg = cli.ScenarioConfig.from_dict(doc)
     with pytest.raises(ConfigError):
         cli.build_trajectory(cfg)
+
+
+def test_hybrid_within_its_limits_uses_the_undilated_eights(monkeypatch):
+    doc = cli.load_bundled_scenario("hybrid_3d")
+    doc["trajectory"].update(v_max=4.0, a_max=5.0)  # no dilation needed
+    cfg = cli.ScenarioConfig.from_dict(doc, "hybrid_3d")
+    reports, scale = [], tj.scale_to_limits
+
+    def recorded(seg, v_max, a_max):
+        reports.append(scale(seg, v_max, a_max))
+        return reports[-1]
+
+    monkeypatch.setattr(tj, "scale_to_limits", recorded)
+    traj, _ = cli.build_trajectory(cfg)  # raises on a discontinuous joint
+    assert all(rep.dilation == 1.0 for rep in reports)
+    thrust_up, eights = traj.segments[5], traj.segments[2::5]
+    assert [seg.mode for seg in eights] == [Mode.GROUND, Mode.AERIAL]
+    assert eights[0] is reports[0].segment and eights[1] is reports[-1].segment
+    assert all(type(seg) is tj.Lemniscate for seg in eights)
+    # the aerial eight starts 2 m ahead of the takeoff point, along its own
+    # start heading, at altitude
+    f = eights[1].start_flat()
+    lift = [0.0, 0.0, doc["trajectory"]["altitude"] - cfg.params.r]
+    want = thrust_up.p0 + 2.0 * f[1] / np.linalg.norm(f[1]) + lift
+    np.testing.assert_allclose(f[0], want, rtol=0, atol=1e-12)
 
 
 def test_main_exit_code_for_bad_config(tmp_path):

@@ -35,7 +35,7 @@ def test_compare_prints_largest_deltas_changed_counts_and_one_sided_entries(tmp_
     write(old / "track/c/c_summary.json", {"power": 1.0, "lag": 1.0, "both_nan": math.nan})
     write(new / "track/c/c_summary.json", {"power": math.nan, "lag": 3.0, "both_nan": math.nan})
     rows = {line.split()[0]: line.split()[1:] for line in compare_summaries.compare(old, new)
-            if not line.startswith(("count", "changed", "field ", "file"))}
+            if not line.startswith(("count", "changed", "field ", "file", "over"))}
     # columns: largest relative delta, largest absolute delta, file of the former
     assert rows["rmse_m"][2] == "track/b/b_summary.json"
     assert math.isclose(float(rows["rmse_m"][0]), 1e-6, rel_tol=1e-3)
@@ -56,3 +56,6 @@ def test_compare_prints_largest_deltas_changed_counts_and_one_sided_entries(tmp_
     assert "field track/b/b_summary.json extra: only in NEW" in lines
     assert "file benchmark/c_report.json: only in OLD" in lines
     assert not any("rmse_m" in line for line in lines if line.startswith(("count", "changed")))
+    # the last line: every field past 1e-9 relative, with its absolute delta
+    assert lines[-1] == ("over 1e-09 relative (absolute delta): cases.1.v 0.5, lag inf, "
+                         "max_slack 3.86e-23, power inf, rmse_m 2e-06, statuses.optimal 1")

@@ -15,7 +15,7 @@ from wheeled_bicopter import nmpc
 from wheeled_bicopter import trajectory as tj
 
 from test_array_core import packed_f_ground, packed_rk4_step
-from test_trajectory import AerialLine
+from test_trajectory import AerialRamp
 
 
 @pytest.fixture
@@ -1017,7 +1017,9 @@ def test_control_loop_rejects_mismatched_rates(params, cfg):
 def _aerial_line_run(params, cfg, n_ticks, monkeypatch):
     """Closed loop along an aerial line; returns the run log and the times
     of every aerial flatness transform made by the loop."""
-    seg = AerialLine(p0=[0, 0, 1.0], velocity=[1.0, 0.5, 0], duration=5.0)
+    speed = math.hypot(1.0, 0.5)
+    seg = AerialRamp(p0=[0, 0, 1.0], direction=[1.0, 0.5, 0], v_start=speed, v_end=speed,
+                     duration=5.0)
     traj = tj.HybridTrajectory([seg])
     sim = dyn.Simulator(params=params, x=traj.reference(0.0, params).x_array(), dt=5e-3,
                         mode=Mode.AERIAL)

@@ -19,7 +19,7 @@ from wheeled_bicopter import trajectory as tj
 from wheeled_bicopter.core import Mode, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
 
-from test_trajectory import AerialLine
+from test_trajectory import AerialRamp
 
 PARAMS = VehicleParams()
 R = PARAMS.r
@@ -54,8 +54,10 @@ def _rest():
 
 def _line():
     # heading near pi; past the end the ground heading is held
-    return tj.HybridTrajectory([tj.Line(
-        p0=[0, 0, R], velocity=[-1.0, 0.1, 0.0], duration=0.9377, T_Bz=0.6 * WEIGHT)])
+    speed = np.hypot(-1.0, 0.1)
+    return tj.HybridTrajectory([tj.StraightRamp(
+        p0=[0, 0, R], direction=[-1.0, 0.1, 0.0], v_start=speed, v_end=speed, duration=0.9377,
+        T_Bz=0.6 * WEIGHT)])
 
 
 def _yaw_blend():
@@ -68,7 +70,8 @@ def _yaw_blend():
 def _takeoff_landing():
     ground = tj.Rest(p0=[0, 0, R], psi0=0.0, duration=1.0371,
                      T_Bz=0.6 * WEIGHT, T_Bz_end=WEIGHT)
-    air = AerialLine(p0=[1.5, 0, 1.2], velocity=[1.5, 0, 0], duration=1.7131)
+    air = AerialRamp(p0=[1.5, 0, 1.2], direction=[1, 0, 0], v_start=1.5, v_end=1.5,
+                     duration=1.7131)
     touchdown = tj.Rest(p0=[6.0, 0.5, R], psi0=0.0, duration=1.1213,
                         T_Bz=WEIGHT, T_Bz_end=0.6 * WEIGHT)
     up = tj.takeoff_landing_blend(ground, air, T_blend=2.0137, a_max=2.2,
@@ -289,7 +292,7 @@ class TwoArgError(Exception):
 
 
 @dataclass
-class FailingLine(AerialLine):
+class FailingRamp(AerialRamp):
     fail_after: float = 0.12
 
     def flat(self, tau):
@@ -299,7 +302,7 @@ class FailingLine(AerialLine):
 
 
 def test_sample_error_keeps_type_and_args_and_names_the_sample():
-    seg = FailingLine(p0=[0, 0, 1.0], velocity=[1.0, 0, 0], duration=2.0)
+    seg = FailingRamp(p0=[0, 0, 1.0], direction=[1, 0, 0], v_start=1.0, v_end=1.0, duration=2.0)
     traj = tj.HybridTrajectory([seg])
     with pytest.raises(TwoArgError) as direct:
         traj.sample_references(0.0, 5, STRIDE * DT_CTRL, PARAMS)

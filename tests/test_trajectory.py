@@ -10,8 +10,8 @@ from wheeled_bicopter.core import Mode, VehicleParams
 from wheeled_bicopter import trajectory as tj
 
 
-class AerialLine(tj.Line):
-    """A constant-velocity aerial segment (`tj.Line` is a ground one)."""
+class AerialRamp(tj.StraightRamp):
+    """A straight aerial segment (`tj.StraightRamp` is a ground one)."""
 
     mode = Mode.AERIAL
 
@@ -64,6 +64,15 @@ def test_straight_ramp_boundary_conditions():
     np.testing.assert_allclose(f0[2], [0, 0, 0], atol=1e-12)
     np.testing.assert_allclose(f1[2], [0, 0, 0], atol=1e-12)
     fd_check(seg)
+    # at one speed: a constant-velocity leg
+    p0, d = np.array([1.0, 2.0, 0.15]), np.array([0.6, -0.8, 0.0])
+    leg = tj.StraightRamp(p0=p0, direction=d, v_start=1.2, v_end=1.2, duration=1.5)
+    for tau in np.linspace(0.0, leg.duration, 7):
+        f = leg.flat(float(tau))
+        np.testing.assert_allclose(f[0], p0 + 1.2 * tau * d, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(f[1], 1.2 * d, rtol=0, atol=1e-15)
+        assert not f[2:].any()
+    fd_check(leg)
 
 
 def test_quintic_blend_boundary_conditions():
@@ -123,15 +132,19 @@ def test_time_dilated_derivative_scaling():
 
 
 def test_hybrid_rejects_discontinuous_joints(params):
-    a = tj.Line(p0=[0, 0, params.r], velocity=[1, 0, 0], duration=1.0, T_Bz=5.0)
-    b = tj.Line(p0=[5, 0, params.r], velocity=[1, 0, 0], duration=1.0, T_Bz=5.0)
+    a = tj.StraightRamp(p0=[0, 0, params.r], direction=[1, 0, 0], v_start=1.0, v_end=1.0,
+                        duration=1.0, T_Bz=5.0)
+    b = tj.StraightRamp(p0=[5, 0, params.r], direction=[1, 0, 0], v_start=1.0, v_end=1.0,
+                        duration=1.0, T_Bz=5.0)
     with pytest.raises(ValueError):
         tj.HybridTrajectory([a, b])
 
 
 def test_hybrid_locate_and_duration(params):
-    a = tj.Line(p0=[0, 0, params.r], velocity=[1, 0, 0], duration=1.0, T_Bz=5.0)
-    b = tj.Line(p0=[1, 0, params.r], velocity=[1, 0, 0], duration=2.0, T_Bz=5.0)
+    a = tj.StraightRamp(p0=[0, 0, params.r], direction=[1, 0, 0], v_start=1.0, v_end=1.0,
+                        duration=1.0, T_Bz=5.0)
+    b = tj.StraightRamp(p0=[1, 0, params.r], direction=[1, 0, 0], v_start=1.0, v_end=1.0,
+                        duration=2.0, T_Bz=5.0)
     traj = tj.HybridTrajectory([a, b])
     assert traj.duration == 3.0
     seg, tau = traj.locate(1.5)
@@ -175,7 +188,8 @@ def test_aerial_tangent_yaw_at_rest_holds_the_segment_heading(params):
 
 
 def test_sample_references_hold_beyond_end(params):
-    seg = tj.Line(p0=[0, 0, params.r], velocity=[1, 0, 0], duration=1.0, T_Bz=5.0)
+    seg = tj.StraightRamp(p0=[0, 0, params.r], direction=[1, 0, 0], v_start=1.0, v_end=1.0,
+                          duration=1.0, T_Bz=5.0)
     traj = tj.HybridTrajectory([seg])
     refs = traj.sample_references(0.9, 6, 0.05, params)
     last = refs[-1]
@@ -203,7 +217,7 @@ def test_ground_eight_shape_feasibility_sweep(params):
 def test_takeoff_blend_matches_endpoints(params):
     ground_end = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=1.0,
                          T_Bz=params.weight, mode=Mode.GROUND)
-    air = AerialLine(p0=[2.0, 0, 1.2], velocity=[1.5, 0, 0], duration=2.0)
+    air = AerialRamp(p0=[2.0, 0, 1.2], direction=[1, 0, 0], v_start=1.5, v_end=1.5, duration=2.0)
     blend = tj.takeoff_landing_blend(
         ground_end, air, T_blend=2.0, a_max=2.2,
         yaw_bc=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
@@ -215,7 +229,7 @@ def test_takeoff_blend_matches_endpoints(params):
 def test_takeoff_blend_extends_duration_on_accel_violation(params):
     ground_end = tj.Rest(p0=[0, 0, params.r], psi0=0.0, duration=1.0,
                          T_Bz=params.weight, mode=Mode.GROUND)
-    air = AerialLine(p0=[4.0, 0, 2.0], velocity=[2.0, 0, 0], duration=2.0)
+    air = AerialRamp(p0=[4.0, 0, 2.0], direction=[1, 0, 0], v_start=2.0, v_end=2.0, duration=2.0)
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
         blend = tj.takeoff_landing_blend(ground_end, air, T_blend=0.5, a_max=2.0)
@@ -255,9 +269,6 @@ def reference_flat(seg, tau: float) -> np.ndarray:
         out[2] = [-R * w**2 * c, -R * w**2 * s, 0.0]
         out[3] = [R * w**3 * s, -R * w**3 * c, 0.0]
         out[4] = [R * w**4 * c, R * w**4 * s, 0.0]
-    elif isinstance(seg, tj.Line):
-        out[0] = seg.p0 + seg.velocity * tau
-        out[1] = seg.velocity
     elif isinstance(seg, tj.Rest):
         out[0] = seg.p0
     elif isinstance(seg, tj.StraightRamp):
@@ -301,19 +312,20 @@ def span(lo, hi):
 
 vec3 = st.tuples(span(-5.0, 5.0), span(-5.0, 5.0), span(-5.0, 5.0)).map(np.array)
 duration = span(0.05, 8.0)
+speed = span(0.0, 4.0)
 SEGMENTS = {
     "lemniscate": st.builds(
         tj.Lemniscate, A=span(0.1, 5.0), B=span(0.1, 5.0), omega=span(0.05, 4.0),
         center=vec3, laps=span(0.1, 3.0), mode=st.sampled_from(Mode)),
     "circle": st.builds(
         tj.Circle, radius=span(0.1, 5.0), omega=span(0.05, 4.0)),
-    "line": st.builds(tj.Line, p0=vec3, velocity=vec3, duration=duration),
     "rest": st.builds(tj.Rest, p0=vec3, psi0=span(-4.0, 4.0), duration=duration),
-    "ramp": st.builds(
+    # v_end is v_start (a constant-speed leg) or drawn on its own
+    "ramp": speed.flatmap(lambda v: st.builds(
         tj.StraightRamp, p0=vec3,
         direction=st.tuples(span(-1.0, 1.0), span(-1.0, 1.0), st.just(0.0))
         .filter(lambda d: math.hypot(d[0], d[1]) > 0.1),
-        v_start=span(0.0, 4.0), v_end=span(0.0, 4.0), duration=duration),
+        v_start=st.just(v), v_end=st.just(v) | speed, duration=duration)),
     "blend": st.builds(
         tj.QuinticBlend,
         start=st.tuples(vec3, vec3, vec3).map(np.array),

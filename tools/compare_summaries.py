@@ -12,7 +12,8 @@ relative delta is also inf where only old is 0).  The absolute delta shows
 a field at rounding level for what it is: a relative move of 1e-5 on a
 value of 1e-18.  Then prints every count (an integer field) that changed,
 every other field that changed, and every file or field found on one
-side only.
+side only.  The last line names every field whose relative delta exceeds
+REL_BOUND, each with its absolute delta, or "none".
 """
 
 import argparse
@@ -20,6 +21,9 @@ import json
 import math
 import sys
 from pathlib import Path
+
+# largest relative move of a summary metric that still counts as agreement
+REL_BOUND = 1e-9
 
 
 def leaves(node, prefix=""):
@@ -81,7 +85,10 @@ def compare(old_dir: Path, new_dir: Path):
     lines = [f"{'field':<{width}}  max rel delta  max abs delta  file"]
     lines += [f"{field:<{width}}  {delta:13.3g}  {worst_abs[field]:13.3g}  {name}"
               for field, (delta, name) in sorted(worst.items())]
-    return lines + changed + one_side
+    over = [f"{field} {worst_abs[field]:.3g}" for field, (delta, _) in sorted(worst.items())
+            if delta > REL_BOUND]
+    return lines + changed + one_side + [
+        f"over {REL_BOUND:g} relative (absolute delta): {', '.join(over) or 'none'}"]
 
 
 def main() -> int:
