@@ -567,6 +567,17 @@ SIMLOG_COLUMNS = (
 )
 
 
+# log records converted to Python rows at a time, so writing a log holds
+# one chunk of rows and never a whole log's
+CSV_CHUNK = 256
+
+
+def _rows(records: np.recarray) -> Iterable[tuple]:
+    """`records.tolist()`, one `CSV_CHUNK` of records at a time."""
+    for start in range(0, len(records), CSV_CHUNK):
+        yield from records[start:start + CSV_CHUNK].tolist()
+
+
 def _write_csv(path: Path, header: str, rows: Iterable[list]) -> Path:
     """A header line, then one comma-joined line of `_fmt` values per row."""
     with Path(path).open("w", newline="") as fh:
@@ -582,11 +593,11 @@ def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) ->
     # `u` are written in dtype order
     ticks = (
         [t, *x_ref[0:3], *x_ref[6:10], *x[0:3], *x[6:10], *u, *rest]
-        for t, x_ref, x, u, *rest in result.runlog.ticks.tolist()
+        for t, x_ref, x, u, *rest in _rows(result.runlog.ticks)
     )
     steps = (
         [t, *x, *u, *rest]
-        for t, x, u, *rest in result.runlog.sim.log[::cfg.output["decimation"]].tolist()
+        for t, x, u, *rest in _rows(result.runlog.sim.log[::cfg.output["decimation"]])
     )
     files = [_write_csv(out_dir / f"{cfg.name}_runlog.csv", RUNLOG_COLUMNS, ticks),
              _write_csv(out_dir / f"{cfg.name}_simlog.csv", SIMLOG_COLUMNS, steps),
@@ -598,18 +609,23 @@ def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) ->
 def deterministic_digest(path: Path) -> str:
     """SHA-256 of a log CSV with the wall-clock solve-time column masked
     (every physical and control quantity must be bit-reproducible; the
-    measured solver latency cannot be)."""
-    lines = Path(path).read_text().splitlines()
+    measured solver latency cannot be).  The file is read one physical line
+    at a time; each is split as `str.splitlines` splits, so the hashed lines
+    are those of `read_text().splitlines()`."""
     digest = hashlib.sha256()
-    header = lines[0].split(",") if lines else []
-    skip = header.index("solve_time_us") if "solve_time_us" in header else None
-    for line in lines:
-        if skip is not None:
-            parts = line.split(",")
-            parts[skip] = "-"
-            line = ",".join(parts)
-        digest.update(line.encode())
-        digest.update(b"\n")
+    skip = None
+    with Path(path).open() as fh:
+        lines = (line for physical in fh for line in physical.splitlines())
+        for n, line in enumerate(lines):
+            if n == 0:
+                header = line.split(",")
+                skip = header.index("solve_time_us") if "solve_time_us" in header else None
+            if skip is not None:
+                parts = line.split(",")
+                parts[skip] = "-"
+                line = ",".join(parts)
+            digest.update(line.encode())
+            digest.update(b"\n")
     return digest.hexdigest()
 
 
@@ -670,9 +686,11 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     probe, not a controller."""
     traj, _, sim, duration = _start(cfg, cap=2.0)
     rate = cfg.environment["control_rate_hz"]
+    holds = round(duration * rate)
+    sim.reserve(holds * max(1, round(1.0 / rate / sim.dt)))
     hint = None
     drift = 0.0
-    for _ in range(round(duration * rate)):
+    for _ in range(holds):
         ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
         hint = ref.psi
         sim.apply(ref.u, 1.0 / rate)

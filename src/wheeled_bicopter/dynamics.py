@@ -421,8 +421,10 @@ class Simulator:
     read from `x` never changes afterwards.
 
     `log` holds one `SIMLOG_DTYPE` record per step: the filled part of a
-    record array that `apply` grows by doubling.  A view read from `log`
-    keeps its values when the array grows.
+    record array that `reserve` sizes once (as `control_loop` and
+    `run_open_loop` do with their planned steps) and `apply` otherwise grows
+    by doubling.  A view read from `log` keeps its values when the array
+    grows.
 
     Aerial -> Ground happens when the CoM reaches the wheel radius with
     non-positive vertical speed; Ground -> Aerial when the total normal
@@ -451,6 +453,16 @@ class Simulator:
     @property
     def log(self) -> np.recarray:
         return self._log[:self._n]
+
+    def reserve(self, steps: int) -> None:
+        """Make room for `steps` log records in all; a smaller count changes
+        nothing.  The new records are not initialised, so a run that ends
+        early never touches the reserved tail."""
+        if steps > len(self._log):
+            grown = np.recarray(steps, dtype=SIMLOG_DTYPE)
+            if self._n:  # a structured copy costs ~17 us even of no records
+                grown[:self._n] = self._log[:self._n]
+            self._log = grown
 
     def _try_touchdown(self, x: np.ndarray, wrench) -> None:
         r = self.params.r
@@ -486,9 +498,7 @@ class Simulator:
             return _ground_rates(y, wrench, P, self.slipping)[0]
         steps = max(1, round(duration / self.dt))
         if self._n + steps > len(self._log):
-            grown = np.recarray(max(self._n + steps, 2 * len(self._log)), dtype=SIMLOG_DTYPE)
-            grown[:self._n] = self._log[:self._n]
-            self._log = grown
+            self.reserve(max(self._n + steps, 2 * len(self._log)))
         for _ in range(steps):
             x = self.x.copy()
             if self.mode is Mode.AERIAL:

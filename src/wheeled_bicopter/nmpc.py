@@ -701,6 +701,7 @@ def control_loop(
 
     n_ticks = round(duration * control_rate)
     ticks = np.recarray(n_ticks, dtype=RUNLOG_DTYPE)
+    sim.reserve(len(sim.log) + n_ticks * round(dt_ctrl / sim.dt))
     prev: Optional[OcpSolution] = None
     degraded_run = 0
     for i in range(n_ticks):

@@ -1,0 +1,151 @@
+"""The log CSVs: `write_outputs` converts the record arrays a chunk at a time
+and `deterministic_digest` reads its file a line at a time, with the bytes
+and digests of whole-array conversion and whole-text reading, which are
+kept here as the references."""
+
+import hashlib
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wheeled_bicopter import cli
+from wheeled_bicopter.dynamics import SIMLOG_DTYPE
+from wheeled_bicopter.nmpc import RUNLOG_DTYPE, RunLog
+
+
+def whole_text_digest(path):
+    """`deterministic_digest` on the whole text of the file."""
+    lines = Path(path).read_text().splitlines()
+    digest = hashlib.sha256()
+    header = lines[0].split(",") if lines else []
+    skip = header.index("solve_time_us") if "solve_time_us" in header else None
+    for line in lines:
+        if skip is not None:
+            parts = line.split(",")
+            parts[skip] = "-"
+            line = ",".join(parts)
+        digest.update(line.encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def whole_array_csvs(cfg, runlog):
+    """The runlog and simlog CSV texts, each log converted by one `tolist`."""
+    ticks = (
+        [t, *x_ref[0:3], *x_ref[6:10], *x[0:3], *x[6:10], *u, *rest]
+        for t, x_ref, x, u, *rest in runlog.ticks.tolist()
+    )
+    steps = (
+        [t, *x, *u, *rest]
+        for t, x, u, *rest in runlog.sim.log[::cfg.output["decimation"]].tolist()
+    )
+
+    def text(header, rows):
+        return header + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+    return text(cli.RUNLOG_COLUMNS, ticks), text(cli.SIMLOG_COLUMNS, steps)
+
+
+def random_records(dtype, n, seed):
+    """n records whose float fields hold arbitrary finite bits."""
+    rng = np.random.default_rng(seed)
+    records = np.zeros(n, dtype=dtype).view(np.recarray)
+    for name in dtype.names:
+        column = records[name]
+        if column.dtype.kind == "f":
+            scale = 10.0 ** rng.integers(-300, 300, column.shape)
+            column[...] = rng.standard_normal(column.shape) * scale
+        elif column.dtype.kind == "i":
+            column[...] = rng.integers(-2**40, 2**40, column.shape)
+        else:
+            column[...] = rng.choice(["GROUND", "AERIAL", "optimal", "degraded"], column.shape)
+    return records
+
+
+def synthetic_run(n_ticks, n_steps, decimation, seed=0):
+    """A (config, result) pair with random logs, shaped as `write_outputs`
+    reads them."""
+    cfg = SimpleNamespace(name="synthetic", output={"decimation": decimation})
+    sim = SimpleNamespace(log=random_records(SIMLOG_DTYPE, n_steps, seed + 1))
+    runlog = RunLog(random_records(RUNLOG_DTYPE, n_ticks, seed), sim)
+    return cfg, cli.ScenarioResult("synthetic", runlog, {"ticks": n_ticks})
+
+
+# ---------------------------------------------------------------------------
+# writer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [1, cli.CSV_CHUNK, cli.CSV_CHUNK + 1])
+@pytest.mark.parametrize("decimation", [1, 3])
+def test_chunked_writer_gives_the_bytes_of_whole_array_conversion(tmp_path, rows, decimation):
+    # the simlog has `rows` rows after decimation; the runlog `rows` ticks
+    cfg, result = synthetic_run(rows, decimation * (rows - 1) + 1, decimation, seed=rows)
+    runlog_csv, simlog_csv, _ = cli.write_outputs(cfg, result, tmp_path)
+    want_runlog, want_simlog = whole_array_csvs(cfg, result.runlog)
+    assert runlog_csv.read_bytes() == want_runlog.encode()
+    assert simlog_csv.read_bytes() == want_simlog.encode()
+    assert len(simlog_csv.read_text().splitlines()) == rows + 1
+
+
+def test_writing_and_digesting_long_logs_holds_one_chunk_not_the_logs(tmp_path):
+    """Whole-array conversion of these logs holds tens of MB of Python rows
+    (about 1 KB per record), and whole-text digesting holds the whole CSV;
+    the chunked writer and the streamed digest stay below a bound that
+    neither depends on the log lengths."""
+    cfg, result = synthetic_run(20_000, 100_000, decimation=5)
+    tracemalloc.start()
+    try:
+        files = cli.write_outputs(cfg, result, tmp_path)
+        digests = [cli.deterministic_digest(p) for p in files[:2]]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"peak {peak / 1e6:.1f} MB"
+    assert digests == [whole_text_digest(p) for p in files[:2]]
+
+
+# ---------------------------------------------------------------------------
+# digest
+# ---------------------------------------------------------------------------
+
+# every line boundary of `str.splitlines`
+SEPARATORS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+cells = st.one_of(
+    st.sampled_from(SEPARATORS),
+    st.sampled_from([",", "solve_time_us", "1.5", "-"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+headers = st.one_of(
+    st.sampled_from(["t,solve_time_us,cost", "solve_time_us", "t,px,py", ""]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def outcome(digest, path):
+    """The digest, or the type of the error it raised (a line with fewer
+    fields than the header's solve_time_us index raises IndexError)."""
+    try:
+        return digest(path)
+    except IndexError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=headers, body=st.lists(cells, max_size=40), end=st.sampled_from(["", *SEPARATORS]))
+@example(header="", body=[], end="")
+@example(header="t,solve_time_us", body=["\n", "1,2"], end="")
+@example(header="t,solve_time_us", body=["\r\n", "1,2", "\r", "3,4"], end="\n")
+@example(header="t,solve_time_us,x", body=["\x85", "1,2,3", "\u2028", "4,5,6"], end="\r\n")
+@example(header="t,x", body=["\r", "\r", "\n", "\v", "1,2", "\f\x1c\x1d\x1e"], end="\u2029")
+def test_streamed_digest_equals_the_whole_text_digest(tmp_path_factory, header, body, end):
+    path = tmp_path_factory.mktemp("digest") / "log.csv"
+    with path.open("w", newline="") as fh:
+        fh.write(header + "".join(body) + end)
+    assert outcome(cli.deterministic_digest, path) == outcome(whole_text_digest, path)

@@ -1,14 +1,17 @@
 """The plant and tick logs as record arrays: field alignment, and a plant log
-that grows without changing what it already holds."""
+that is reserved or grows without changing what it already holds."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wheeled_bicopter import cli
 from wheeled_bicopter import dynamics as dyn
 from wheeled_bicopter import nmpc
 from wheeled_bicopter.core import Mode, VehicleParams
+
+from test_cli import tiny_hover_doc
 
 
 @pytest.mark.parametrize("dtype", [dyn.SIMLOG_DTYPE, nmpc.RUNLOG_DTYPE])
@@ -56,3 +59,67 @@ def test_log_growth_keeps_every_step_and_every_earlier_view(calls):
         assert held.log[name].tobytes() == stepped.log[name].tobytes(), name
     for view, values in views:
         assert view.tobytes() == values.tobytes()
+
+
+def aerial_simulator():
+    x0 = np.array([0, 0, 2.0, 0.3, -0.2, 0, 1, 0, 0, 0, 0, 0, 0], dtype=float)
+    return dyn.Simulator(params=VehicleParams(), x=x0, mode=Mode.AERIAL)
+
+
+def hover_input(sim, tilt=0.0):
+    return [0.5 * sim.params.weight, 0.5 * sim.params.weight, tilt, tilt]
+
+
+@pytest.mark.parametrize("extra", [0, 1, 23])
+def test_a_reserved_log_is_written_in_place_with_the_bits_of_a_grown_one(extra):
+    """Within the reservation every step writes into the one array, so the
+    view taken after the first step is the start of the final log; past it
+    (`extra` steps) the log grows as an unreserved one does, and every
+    earlier view keeps its values."""
+    n = 40
+    reserved, grown = aerial_simulator(), aerial_simulator()
+    reserved.reserve(n)
+    views = []
+    for steps, tilt in ((1, 0.0), (7, 0.1), (n - 8, -0.05), (extra, 0.02)):
+        for sim in (reserved, grown):
+            if steps:
+                sim.apply(hover_input(sim, tilt), steps * sim.dt)
+        views.append((reserved.log, reserved.log.copy()))
+        if len(reserved.log) <= n:
+            assert np.shares_memory(views[0][0], reserved.log)
+    assert len(reserved.log) == len(grown.log) == n + extra
+    assert reserved.log.tobytes() == grown.log.tobytes()
+    assert np.shares_memory(views[0][0], reserved.log) == (extra == 0)
+    for view, values in views:
+        assert view.tobytes() == values.tobytes()
+
+
+def test_reserving_below_the_logged_steps_changes_nothing():
+    sim = aerial_simulator()
+    sim.apply(hover_input(sim), 12 * sim.dt)
+    view, values = sim.log, sim.log.copy()
+    for steps in (0, 5, 12):
+        sim.reserve(steps)
+        assert np.shares_memory(view, sim.log)
+        assert sim.log.tobytes() == values.tobytes()
+
+
+def test_closed_and_open_loops_reserve_their_planned_plant_steps(monkeypatch):
+    """A 0.4 s loop at 200 Hz over a 1 kHz plant plans 80 holds of 5 steps;
+    it reserves them once, so the log never regrows."""
+    reserved = []
+    reserve = dyn.Simulator.reserve
+
+    def spy(sim, steps):
+        reserved.append((sim, steps))
+        reserve(sim, steps)
+
+    monkeypatch.setattr(dyn.Simulator, "reserve", spy)
+    cfg = cli.ScenarioConfig.from_dict(tiny_hover_doc(duration=0.4))
+    res = cli.run_scenario(cfg)
+    assert [steps for _, steps in reserved] == [400]
+    assert reserved[0][0] is res.runlog.sim
+    assert len(res.runlog.sim.log) == 400
+    reserved.clear()
+    cli.run_open_loop(cfg)
+    assert [steps for _, steps in reserved] == [400]
