@@ -25,8 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -329,7 +330,7 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     cd, cdd = tangent_yaw_derivatives(fa[1], fa[2], fa[3])
     climb = tj.takeoff_landing_blend(
         thrust_up, aeight, T_blend=3.0, a_max=a_max,
-        yaw_bc=(psi0, 0.0, 0.0, chi_a, cd, cdd), psi0=psi0,
+        yaw_bc=(psi0, 0.0, 0.0, chi_a, cd, cdd),
     )
 
     fend = aeight.end_flat()
@@ -342,7 +343,7 @@ def build_hybrid_trajectory(cfg: ScenarioConfig) -> Tuple[tj.HybridTrajectory, d
     )
     descend = tj.takeoff_landing_blend(
         aeight, land_rest, T_blend=3.0, a_max=a_max,
-        yaw_bc=(chi_end, cd2, cdd2, chi_end, 0.0, 0.0), psi0=chi_end,
+        yaw_bc=(chi_end, cd2, cdd2, chi_end, 0.0, 0.0),
     )
     settle = tj.Rest(p0=land_rest.p0, psi0=chi_end, duration=1.0, T_Bz=T_ground)
 
@@ -606,53 +607,58 @@ def write_outputs(cfg: ScenarioConfig, result: ScenarioResult, out_dir: Path) ->
     return files
 
 
+def _lines(path: Path) -> Iterator[str]:
+    """The lines of `read_text().splitlines()`, read one physical line at a
+    time and split as `str.splitlines` splits, so no caller holds the file."""
+    with Path(path).open() as fh:
+        for physical in fh:
+            yield from physical.splitlines()
+
+
 def deterministic_digest(path: Path) -> str:
     """SHA-256 of a log CSV with the wall-clock solve-time column masked
     (every physical and control quantity must be bit-reproducible; the
-    measured solver latency cannot be).  The file is read one physical line
-    at a time; each is split as `str.splitlines` splits, so the hashed lines
-    are those of `read_text().splitlines()`."""
+    measured solver latency cannot be).  The file is read line by line."""
     digest = hashlib.sha256()
     skip = None
-    with Path(path).open() as fh:
-        lines = (line for physical in fh for line in physical.splitlines())
-        for n, line in enumerate(lines):
-            if n == 0:
-                header = line.split(",")
-                skip = header.index("solve_time_us") if "solve_time_us" in header else None
-            if skip is not None:
-                parts = line.split(",")
-                parts[skip] = "-"
-                line = ",".join(parts)
-            digest.update(line.encode())
-            digest.update(b"\n")
+    for n, line in enumerate(_lines(path)):
+        if n == 0:
+            header = line.split(",")
+            skip = header.index("solve_time_us") if "solve_time_us" in header else None
+        if skip is not None:
+            parts = line.split(",")
+            parts[skip] = "-"
+            line = ",".join(parts)
+        digest.update(line.encode())
+        digest.update(b"\n")
     return digest.hexdigest()
 
 
 def export_plot_data(runlog_csv: Path, out_path: Path) -> Path:
-    """Re-shape a runlog CSV into tidy long format (series, t, value)."""
+    """Re-shape a runlog CSV into tidy long format (series, t, value).  The
+    runlog is streamed twice, line by line: the first pass checks every
+    line, so a malformed runlog writes nothing, and the second writes."""
+    def rows():
+        return (line.split(",") for line in _lines(runlog_csv))
+
     try:
-        lines = Path(runlog_csv).read_text().splitlines()
+        header = next(rows(), None)
+        if header is None:
+            raise ConfigError(f"empty runlog {runlog_csv}")
+        if "t" not in header:
+            raise ConfigError(f"runlog {runlog_csv} has no t column")
+        for n, parts in enumerate(rows(), 1):
+            if len(parts) != len(header):
+                raise ConfigError(f"runlog {runlog_csv} line {n} has {len(parts)} fields, "
+                                  f"its header {len(header)}")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"runlog {runlog_csv} is not UTF-8 text: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"empty runlog {runlog_csv}")
-    header = lines[0].split(",")
-    if "t" not in header:
-        raise ConfigError(f"runlog {runlog_csv} has no t column")
     t_idx = header.index("t")
-    numeric = [
-        (i, name) for i, name in enumerate(header)
-        if name not in ("t", "mode", "qp_status")
-    ]
-    rows = [line.split(",") for line in lines[1:]]
-    for n, parts in enumerate(rows, 2):
-        if len(parts) != len(header):
-            raise ConfigError(f"runlog {runlog_csv} line {n} has {len(parts)} fields, "
-                              f"its header {len(header)}")
+    numeric = [(i, name) for i, name in enumerate(header)
+               if name not in ("t", "mode", "qp_status")]
     with Path(out_path).open("w", newline="") as fh:
         fh.write("series,t,value\n")
-        for parts in rows:
+        for parts in islice(rows(), 1, None):
             t = parts[t_idx]
             for i, name in numeric:
                 fh.write(f"{name},{t},{parts[i]}\n")
@@ -674,7 +680,7 @@ def export_references(traj, params: VehicleParams, duration: float, dt: float,
     """Sample the reference pipeline along the trajectory, heading-continuous
     from t = 0, and write one row per sample (state, input, mode) for
     offline inspection."""
-    refs = traj.sample_references(0.0, round(duration / dt), dt, params, clamp=True)
+    refs = traj.sample_references(0.0, round(duration / dt), dt, params)
     return _write_csv(out_path, REFLOG_COLUMNS,
                       ([ref.t, *ref.x, *ref.u, ref.mode.name] for ref in refs))
 
@@ -691,7 +697,7 @@ def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,
     hint = None
     drift = 0.0
     for _ in range(holds):
-        ref = traj.reference(sim.t, cfg.params, psi_hint=hint, clamp=True)
+        ref = traj.reference(sim.t, cfg.params, psi_hint=hint)
         hint = ref.psi
         sim.apply(ref.u, 1.0 / rate)
         drift = max(drift, float(np.linalg.norm(sim.x[0:3] - ref.x[0:3])))

@@ -685,18 +685,19 @@ def control_loop(
     only when the noise model is active: a noise-free loop never loads
     numpy.random.
 
-    Reference times come from the tick counter.  When the horizon step is a
-    whole number r of control periods, node k of tick i is control-grid
-    point i + r k, so a ReferenceTable transforms each grid point once;
-    otherwise the keys (i, k) never repeat and every node is sampled anew.
+    Reference times come from the tick counter: node k of tick i is at
+    t_start + (i + k s) dt_ctrl, where s is the horizon step in control
+    periods, rounded to 9 decimals so that a whole step is an exact integer.
+    A ReferenceTable keyed by time transforms each node time once, so ticks
+    share nodes whenever i + k s is exact (a whole or dyadic step); at other
+    steps no two windows meet the same time.
     """
     check_loop_rates(sim.dt, control_rate)
     dt_ctrl = 1.0 / control_rate
     noise = noise or NoiseModel()
     rng = np.random.default_rng(seed) if noise.active else None
-    r = round(cfg.dt / dt_ctrl)
-    on_grid = r >= 1 and abs(r * dt_ctrl - cfg.dt) <= 1e-12
-    table = ReferenceTable(traj, params, clamp=True)
+    stride = round(cfg.dt * control_rate, 9)
+    table = ReferenceTable(traj, params)
     t_start = sim.t
 
     n_ticks = round(duration * control_rate)
@@ -706,13 +707,9 @@ def control_loop(
     degraded_run = 0
     for i in range(n_ticks):
         t = sim.t
-        if on_grid:
-            nodes = [(j, t_start + j * dt_ctrl) for j in range(i, i + r * cfg.K + 1, r)]
-        else:
-            t_i = t_start + i * dt_ctrl
-            nodes = [((i, k), t_i + k * cfg.dt) for k in range(cfg.K + 1)]
         try:
-            refs = table.window(nodes)
+            refs = table.window([t_start + (i + k * stride) * dt_ctrl
+                                 for k in range(cfg.K + 1)])
         except InfeasibleReferenceError as exc:
             if i == 0:
                 raise

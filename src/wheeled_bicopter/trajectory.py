@@ -13,7 +13,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,9 +246,8 @@ class QuinticBlend(Segment):
     start: np.ndarray  # (3, 3): p, v, a rows
     end: np.ndarray
     duration: float
-    mode: Mode = Mode.AERIAL
     yaw_bc: Optional[Tuple[float, float, float, float, float, float]] = None
-    psi0: Optional[float] = None
+    mode = Mode.AERIAL
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -262,12 +261,8 @@ class QuinticBlend(Segment):
             )
             for i in range(3)
         ]).T)
-        if self.yaw_bc is not None:
-            p0, pd0, pdd0, p1, pd1, pdd1 = self.yaw_bc
-            self._yaw_table = _derivative_table(
-                _quintic_coeffs(p0, pd0, pdd0, p1, pd1, pdd1, self.duration))
-        else:
-            self._yaw_table = None
+        self._yaw_table = None if self.yaw_bc is None else _derivative_table(
+            _quintic_coeffs(*self.yaw_bc, self.duration))
 
     def flat(self, tau):
         return _quintic_eval(self._table, tau)
@@ -361,7 +356,6 @@ def takeoff_landing_blend(
     T_blend: float,
     a_max: Optional[float] = None,
     yaw_bc: Optional[Tuple[float, float, float, float, float, float]] = None,
-    psi0: Optional[float] = None,
 ) -> QuinticBlend:
     """Quintic bridge from the end of one segment to the start of the next,
     matching position, velocity and acceleration at both ends.  If the blend
@@ -370,9 +364,7 @@ def takeoff_landing_blend(
     end = to_seg.start_flat()[:3]
     T = T_blend
     for _ in range(16):
-        blend = QuinticBlend(
-            start=start, end=end, duration=T, mode=Mode.AERIAL, yaw_bc=yaw_bc, psi0=psi0
-        )
+        blend = QuinticBlend(start=start, end=end, duration=T, yaw_bc=yaw_bc)
         if a_max is None:
             return blend
         _, pa = segment_peaks(blend, n=501)
@@ -431,8 +423,8 @@ class HybridTrajectory:
         t: float,
         params: VehicleParams,
         psi_hint: Optional[float] = None,
-        clamp: bool = False,
     ) -> ReferencePoint:
+        """The reference at t, its input clamped to the input box."""
         seg, tau = self.locate(t)
         past_end = t >= self.duration
         f = seg.flat(tau)
@@ -447,13 +439,12 @@ class HybridTrajectory:
                 p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
                 T_Bz=T, dT_Bz=dT, ddT_Bz=ddT, t=t, psi_hint=hint,
             )
-            return ground_flat_to_reference(sample, params, clamp=clamp)
+            return ground_flat_to_reference(sample, params, clamp=True)
         yaw = seg.yaw(tau)
         heading = "explicit"
         if yaw is None:
-            # at rest without a chain hint: the segment's heading, or 0
-            yaw = travel_heading(f[1], f[2], f[3], psi_hint) or (
-                seg.heading_hint(tau) or 0.0, 0.0, 0.0, True)
+            # at rest without a chain hint: heading 0
+            yaw = travel_heading(f[1], f[2], f[3], psi_hint) or (0.0, 0.0, 0.0, True)
             heading = "held" if yaw[3] else "tangent"
         psi, psi_dot, psi_ddot = yaw[:3]
         if past_end:
@@ -462,15 +453,14 @@ class HybridTrajectory:
             p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
             psi=psi, psi_dot=psi_dot, psi_ddot=psi_ddot, t=t, heading=heading,
         )
-        return aerial_flat_to_reference(sample, params, clamp=clamp)
+        return aerial_flat_to_reference(sample, params, clamp=True)
 
     def sample_references(
-        self, t0: float, K: int, dt: float, params: VehicleParams, clamp: bool = False
+        self, t0: float, K: int, dt: float, params: VehicleParams
     ) -> List[ReferencePoint]:
         """K+1 reference points starting at t0, spaced dt apart, with the
         heading thread kept continuous across the window."""
-        table = ReferenceTable(self, params, clamp=clamp)
-        return table.window([(k, t0 + k * dt) for k in range(K + 1)])
+        return ReferenceTable(self, params).window([t0 + k * dt for k in range(K + 1)])
 
 
 def _same_bits(a: float, b: Optional[float]) -> bool:
@@ -487,68 +477,70 @@ def _note_sample(exc: Exception, k: int, t: float) -> None:
 class ReferenceTable:
     """Hint-less reference samples shared by overlapping horizon windows.
 
-    Each key (a control-grid index when the horizon nodes lie on the control
-    grid) is transformed once without a heading hint; `window` threads the
-    heading through the entries.  A node whose heading is held (or whose
-    hint-less transform failed) needs a transform with the hint itself,
-    unless its entry already holds the hint's bits.  That transform depends
-    only on the key and the hint, so it is kept in `held` under (key, hint)
-    and made once however many windows meet the node.  Keys must grow with
-    time: entries below a window's first key are dropped from both.
+    Each sample time is transformed once without a heading hint; `window`
+    threads the heading through the entries.  Windows that meet the same
+    time as the same float share its entry, as the control loop's windows
+    do when the horizon step is a whole or dyadic number of control
+    periods.  A node whose heading is held (or whose hint-less transform
+    failed) needs a transform with the hint itself, unless its entry
+    already holds the hint's bits.  That transform depends only on the time
+    and the hint, so it is kept in `held` under (t, hint) and made once
+    however many windows meet the node.  Windows must start at times that
+    never decrease: entries before a window's first time are dropped from
+    both.
     """
 
-    def __init__(self, traj: HybridTrajectory, params: VehicleParams, clamp: bool = False):
+    def __init__(self, traj: HybridTrajectory, params: VehicleParams):
         self.traj = traj
         self.params = params
-        self.clamp = clamp
-        self.entries: Dict[Hashable, Optional[ReferencePoint]] = {}
-        self.held: Dict[Tuple[Hashable, Optional[float]], ReferencePoint] = {}
+        self.entries: Dict[float, Optional[ReferencePoint]] = {}
+        self.held: Dict[Tuple[float, Optional[float]], ReferencePoint] = {}
 
     def _sample(self, t: float) -> Optional[ReferencePoint]:
         try:
-            return self.traj.reference(t, self.params, clamp=self.clamp)
+            return self.traj.reference(t, self.params)
         except InfeasibleReferenceError:
             # e.g. a ground stop with no heading to hold: _resolve samples
             # again with the hint, and raises there if it still fails
             return None
 
-    def _resolve(self, key: Hashable, t: float, psi_hint: Optional[float]) -> ReferencePoint:
+    def _resolve(self, t: float, psi_hint: Optional[float]) -> ReferencePoint:
         """The reference at t with the heading continued from psi_hint, made
-        from the entry of `key` at t (None if its transform failed).
+        from the entry at t (None if its transform failed).
 
         Only a held heading needs a fresh transform: an explicit yaw ignores
         the hint and a tangent heading is unwrapped afterwards.  A held
         heading is the hint itself, so an entry that already holds the
         hint's bits is that transform.
         """
-        base = self.entries[key]
+        base = self.entries[t]
         if base is not None and base.heading == "held" and _same_bits(base.psi, psi_hint):
             return base
         if base is None or (psi_hint is not None and base.heading == "held"):
-            ref = self.held.get((key, psi_hint))
+            ref = self.held.get((t, psi_hint))
             if ref is None:
-                ref = self.traj.reference(t, self.params, psi_hint=psi_hint, clamp=self.clamp)
-                self.held[key, psi_hint] = ref
+                ref = self.traj.reference(t, self.params, psi_hint=psi_hint)
+                self.held[t, psi_hint] = ref
             return ref
         if psi_hint is not None and base.heading == "tangent":
             return base.turned(heading_turns(base.psi, psi_hint))
         return base
 
-    def window(self, nodes: Sequence[Tuple[Hashable, float]]) -> List[ReferencePoint]:
-        """References at the (key, time) nodes, heading-continuous from the first."""
-        first = nodes[0][0]
-        stale = [key for key in self.entries if key < first]
-        for key in stale:
-            del self.entries[key]
+    def window(self, times: Sequence[float]) -> List[ReferencePoint]:
+        """References at the sample times, heading-continuous from the first."""
+        first = times[0]
+        stale = [t for t in self.entries if t < first]
+        for t in stale:
+            del self.entries[t]
         if stale and self.held:
             self.held = {memo: ref for memo, ref in self.held.items() if memo[0] >= first}
         refs: List[ReferencePoint] = []
         hint: Optional[float] = None
-        for k, (key, t) in enumerate(nodes):
+        for k, t in enumerate(times):
             try:
-                if key not in self.entries:
-                    self.entries[key] = self._sample(t)
-                ref = self._resolve(key, t, hint)
+                if t not in self.entries:
+                    self.entries[t] = self._sample(t)
+                ref = self._resolve(t, hint)
             except Exception as exc:
                 _note_sample(exc, k, t)
                 raise

@@ -554,6 +554,18 @@ def test_main_exit_code_infeasible_reference(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_start_from_a_reference_beyond_the_thrust_cap_takes_its_state():
+    # hover needs half the weight per rotor, above this T_max: the t = 0
+    # reference input is clamped, and its state is the simulator's start
+    doc = tiny_hover_doc()
+    doc["vehicle"] = {"T_max": 0.4 * VehicleParams().weight}
+    cfg = cli.ScenarioConfig.from_dict(doc)
+    traj, _, sim, _ = cli._start(cfg)
+    ref = traj.reference(0.0, cfg.params)
+    assert "input_clamped" in ref.flags and max(ref.u[:2]) == cfg.params.T_max
+    assert sim.x.tobytes() == ref.x.tobytes() and sim.mode is ref.mode
+
+
 def test_main_solver_failure_leaves_partial_logs_and_a_summary(tmp_path, monkeypatch):
     def degraded(x, refs, cfg, params, prev=None):
         return nmpc.OcpSolution.degraded(np.stack([r.u for r in refs]),

@@ -1,7 +1,7 @@
-"""The log CSVs: `write_outputs` converts the record arrays a chunk at a time
-and `deterministic_digest` reads its file a line at a time, with the bytes
-and digests of whole-array conversion and whole-text reading, which are
-kept here as the references."""
+"""The log CSVs: `write_outputs` converts the record arrays a chunk at a time,
+and `deterministic_digest` and `export_plot_data` read their file a line at
+a time, with the bytes and digests of whole-array conversion and whole-text
+reading, which are kept here as the references."""
 
 import hashlib
 import tracemalloc
@@ -149,3 +149,56 @@ def test_streamed_digest_equals_the_whole_text_digest(tmp_path_factory, header, 
     with path.open("w", newline="") as fh:
         fh.write(header + "".join(body) + end)
     assert outcome(cli.deterministic_digest, path) == outcome(whole_text_digest, path)
+
+
+# ---------------------------------------------------------------------------
+# export
+# ---------------------------------------------------------------------------
+
+
+def whole_text_export(runlog_csv, out_path):
+    """`export_plot_data` on the whole text of a well-formed runlog."""
+    lines = Path(runlog_csv).read_text().splitlines()
+    header = lines[0].split(",")
+    t_idx = header.index("t")
+    numeric = [(i, name) for i, name in enumerate(header)
+               if name not in ("t", "mode", "qp_status")]
+    with Path(out_path).open("w", newline="") as fh:
+        fh.write("series,t,value\n")
+        for parts in (line.split(",") for line in lines[1:]):
+            for i, name in numeric:
+                fh.write(f"{name},{parts[t_idx]},{parts[i]}\n")
+
+
+@pytest.mark.parametrize("text", [
+    None,  # a written runlog
+    "t,px,mode\r\n0.0,1.5,GROUND\x851,2,AERIAL\u20282.5,-3,x\v4,5,y\r",
+    "px,t\n",
+], ids=["runlog", "every_separator_kind", "header_only"])
+def test_streamed_export_gives_the_bytes_of_the_whole_text_export(tmp_path, text):
+    if text is None:
+        cfg, result = synthetic_run(cli.CSV_CHUNK + 1, 1, 1)
+        runlog_csv = cli.write_outputs(cfg, result, tmp_path)[0]
+    else:
+        runlog_csv = tmp_path / "runlog.csv"
+        with runlog_csv.open("w", newline="") as fh:
+            fh.write(text)
+    cli.export_plot_data(runlog_csv, tmp_path / "tidy.csv")
+    whole_text_export(runlog_csv, tmp_path / "want.csv")
+    assert (tmp_path / "tidy.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_exporting_a_long_runlog_holds_one_line_not_the_file(tmp_path):
+    """Whole-text export of this 11 MB runlog held 55 MB of lines and
+    fields; the streamed export stays below a bound that does not depend
+    on the runlog's length."""
+    cfg, result = synthetic_run(20_000, 1, 1)
+    runlog_csv = cli.write_outputs(cfg, result, tmp_path)[0]
+    tracemalloc.start()
+    try:
+        cli.export_plot_data(runlog_csv, tmp_path / "tidy.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
+    assert len((tmp_path / "tidy.csv").read_text().splitlines()) == 1 + 20_000 * 23

@@ -8,7 +8,9 @@ name is also used for something else; it never flags code that is used.
 
 Parameter guard: every defaulted parameter and dataclass field in src/ is
 set by some call in src/, perfbench/ or tools/; one that no call sets is a
-constant, and one that only tests set is an option kept for tests.
+constant, and one that only tests set is an option kept for tests.  Nor may
+every such call, and every call in the acceptance gate, set it to one
+literal: its default is then never used, and the literal is a constant too.
 """
 
 import ast
@@ -81,6 +83,8 @@ def test_public_api_allowlist_lists_only_unreferenced_definitions():
 
 ROOT = SRC.parents[1]
 CALLERS = ("src", "perfbench", "tools")
+# the acceptance gate calls the public typed API; a default it keeps is used
+ACCEPTANCE_GATE = ROOT / "tests" / "test_acceptance.py"
 
 
 def _name(node) -> str:
@@ -134,36 +138,88 @@ def _scope_parameters(scope, prefix: str, cls: str = ""):
 
 
 def _calls(node, cls: str = ""):
-    """(callee name, positional count, keyword names, unpacks) of every call
-    under `node`; `cls(...)` names the enclosing class."""
+    """(callee name, positional arguments, keyword arguments by name,
+    unpacks) of every call under `node`; `cls(...)` names the enclosing
+    class."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Call):
             callee = _name(child.func)
             unpacks = any(isinstance(a, ast.Starred) for a in child.args) or any(
                 k.arg is None for k in child.keywords)
-            yield (cls if callee == "cls" else callee, len(child.args),
-                   {k.arg for k in child.keywords}, unpacks)
+            yield (cls if callee == "cls" else callee, child.args,
+                   {k.arg: k.value for k in child.keywords if k.arg}, unpacks)
         yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else cls)
 
 
-def unset_parameters():
-    """Defaulted parameters and fields in src/ that no call sets by keyword
-    or position.  A call matches by bare name, so a name used for two things
-    can hide an unset parameter; `replace(obj, ...)` sets fields by keyword,
-    and a call that unpacks *args or **kw sets every parameter."""
-    calls = [call for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))
-             for call in _calls(ast.parse(path.read_text()))]
+# the argument of a call that unpacks *args or **kw into the parameter
+UNPACKED = "unpacked"
+
+
+def _caller_files():
+    return [path for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))]
+
+
+def _arguments(callers):
+    """(qualified name, arguments) of every defaulted parameter and field in
+    src/: for each call in the caller files that may set it, the argument
+    node it passes, None where it keeps the default, or UNPACKED.  A call
+    matches by bare name, so a name used for two things can hide a
+    parameter; a `replace(obj, ...)` call that names a field (or unpacks)
+    sets it."""
+    calls = [call for path in callers for call in _calls(ast.parse(path.read_text()))]
     for path in sorted(SRC.glob("*.py")):
         params = _scope_parameters(ast.parse(path.read_text()), path.stem)
         for qualname, callee, name, pos, is_field in params:
-            if not any(
-                unpacks or name in kw if is_field and c == "replace"
-                else c == callee and (unpacks or name in kw or (pos is not None and n > pos))
-                for c, n, kw, unpacks in calls
-            ):
-                yield qualname
+            args = []
+            for c, positional, kw, unpacks in calls:
+                if is_field and c == "replace":
+                    if not (unpacks or name in kw):
+                        continue
+                elif c != callee:
+                    continue
+                if name in kw:
+                    args.append(kw[name])
+                elif unpacks:
+                    args.append(UNPACKED)
+                else:
+                    args.append(positional[pos] if pos is not None and len(positional) > pos
+                                else None)
+            yield qualname, args
+
+
+def unset_parameters():
+    """Defaulted parameters and fields in src/ that no call in CALLERS sets
+    by keyword or position."""
+    for qualname, args in _arguments(_caller_files()):
+        if all(arg is None for arg in args):
+            yield qualname
+
+
+def _literal(arg) -> bool:
+    if not isinstance(arg, ast.AST):
+        return False
+    try:
+        ast.literal_eval(arg)
+    except ValueError:
+        return False
+    return True
+
+
+def constant_parameters():
+    """Defaulted parameters and fields in src/ that every call in CALLERS
+    and in the acceptance gate sets, each to the same literal: the default
+    is then never used, and the literal is a constant of the callee."""
+    for qualname, args in _arguments(_caller_files() + [ACCEPTANCE_GATE]):
+        if args and all(map(_literal, args)) and len({ast.dump(a) for a in args}) == 1:
+            yield qualname
 
 
 def test_every_defaulted_parameter_is_set_by_some_call():
     unset = sorted(unset_parameters())
     assert not unset, f"no call in {CALLERS} sets {unset}; make each a constant"
+
+
+def test_no_defaulted_parameter_is_set_to_one_literal_by_every_call():
+    constant = sorted(constant_parameters())
+    assert not constant, (f"every call in {CALLERS} and the acceptance gate sets "
+                          f"{constant} to one literal; make each a constant")

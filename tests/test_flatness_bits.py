@@ -196,7 +196,7 @@ def test_bundled_scenario_samples_have_the_bits_of_the_numpy_bodies(monkeypatch)
         psi = None
         for t in np.linspace(0.0, traj.duration + 0.5, 400):
             try:
-                psi = traj.reference(float(t), sc.params, psi_hint=psi, clamp=True).psi
+                psi = traj.reference(float(t), sc.params, psi_hint=psi).psi
             except InfeasibleReferenceError:
                 psi = None
     assert min(seen.values()) > 0, seen

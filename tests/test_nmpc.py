@@ -811,7 +811,7 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
 
     # scattered evaluation points around the lap (cold starts)
     for i in range(8):
-        refs = traj.sample_references(0.125 * i * lap, cfg.K, cfg.dt, params, clamp=True)
+        refs = traj.sample_references(0.125 * i * lap, cfg.K, cfg.dt, params)
         sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
         check(sol, refs)
 
@@ -819,7 +819,7 @@ def test_solve_ground_normals_and_bounds_on_eight_shape(params, cfg):
     sol = None
     t = 0.2 * lap
     for _ in range(12):
-        refs = traj.sample_references(t, cfg.K, cfg.dt, params, clamp=True)
+        refs = traj.sample_references(t, cfg.K, cfg.dt, params)
         sol = nmpc.solve(refs[0].x_array(), refs, cfg, params, prev=sol)
         check(sol, refs)
         t += cfg.dt
@@ -847,7 +847,7 @@ def test_solve_ignores_the_hemisphere_of_the_measured_quaternion(scenario):
     params, cfg = sc.params, sc.controller
     rng = np.random.default_rng(3)
     for t in (0.5, 2.0, 4.5):
-        refs = traj.sample_references(t, cfg.K, cfg.dt, params, clamp=True)
+        refs = traj.sample_references(t, cfg.K, cfg.dt, params)
         x = refs[0].x_array() + rng.normal(0.0, 0.01, 13)
         x[6:10] /= np.linalg.norm(x[6:10])
         flipped = x.copy()
@@ -889,10 +889,10 @@ def test_solve_mixed_mode_horizon(params, cfg):
     climb = tj.QuinticBlend(
         start=np.array([[0, 0, zc], [0, 0, 0], [0, 0, 0.0]]),
         end=np.array([[0, 0, zc + 0.8], [0, 0, 0], [0, 0, 0]]),
-        duration=1.6, mode=Mode.AERIAL, yaw_bc=(0.0, 0, 0, 0.0, 0, 0),
+        duration=1.6, yaw_bc=(0.0, 0, 0, 0.0, 0, 0),
     )
     traj = tj.HybridTrajectory([ramp, climb])
-    refs = traj.sample_references(0.2, cfg.K, cfg.dt, params, clamp=True)
+    refs = traj.sample_references(0.2, cfg.K, cfg.dt, params)
     modes = {r.mode for r in refs}
     assert modes == {Mode.GROUND, Mode.AERIAL}
     sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
@@ -945,7 +945,7 @@ def test_shift_warm_start_basics(params, cfg, monkeypatch):
 def test_lock_lateral_enforces_opposed_tilts(params):
     cfg = nmpc.NmpcConfig(lock_lateral=True)
     traj = circle_trajectory(params, radius=2.5, speed=1.2)
-    refs = traj.sample_references(1.5, cfg.K, cfg.dt, params, clamp=True)
+    refs = traj.sample_references(1.5, cfg.K, cfg.dt, params)
     sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
     sums = sol.u_seq[:, 2] + sol.u_seq[:, 3]
     assert np.max(np.abs(sums)) < 1e-8
@@ -1044,11 +1044,21 @@ def test_control_loop_transforms_each_grid_point_once(params, cfg, monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-def test_control_loop_off_grid_horizon_samples_every_node(params, monkeypatch):
-    cfg = nmpc.NmpcConfig(dt=0.0125)  # 2.5 control periods: nodes off the grid
+@pytest.mark.parametrize("dt, distinct", [
+    # 2.5 control periods: node times i + 2.5 k repeat across ticks, 110
+    # whole and 105 half periods in 60 ticks
+    (0.0125, 215),
+    # 2.46 control periods: no two nodes of 60 ticks share a time
+    (0.0123, 60 * 21),
+], ids=["dyadic", "non_dyadic"])
+def test_control_loop_transforms_each_node_time_once(params, monkeypatch, dt, distinct):
+    cfg = nmpc.NmpcConfig(dt=dt)
     n = 60
     log, calls = _aerial_line_run(params, cfg, n, monkeypatch)
-    assert len(calls) == n * (cfg.K + 1)
+    stride = round(dt * 200.0, 9)
+    times = {(i + k * stride) * (1.0 / 200.0) for i in range(n) for k in range(cfg.K + 1)}
+    assert len(times) == distinct
+    assert sorted(calls) == sorted(times)
     # the line's feed-forward is exact: any misplaced node pulls the loop off it
     act, ref = log.ticks.x[:, 0:3], log.ticks.x_ref[:, 0:3]
     assert np.max(np.linalg.norm(act - ref, axis=1)) < 1e-9

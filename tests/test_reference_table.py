@@ -1,12 +1,13 @@
 """The control loop's reference table against direct window sampling.
 
 A window threads the heading from node to node: each node is sampled with
-the previous node's heading as its hint.  The table samples each control-grid
-point once without a hint and applies the hint afterwards, so its windows
-must agree with `sample_references` and with the hint chain of
+the previous node's heading as its hint.  The table samples each time once
+without a hint and applies the hint afterwards, so its windows must agree
+with `sample_references` and with the hint chain of
 `HybridTrajectory.reference` at the same times.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,10 +25,11 @@ from test_trajectory import AerialRamp
 PARAMS = VehicleParams()
 R = PARAMS.r
 WEIGHT = PARAMS.weight
-# A binary control period makes i*DT_CTRL + k*(STRIDE*DT_CTRL) and
-# (i + STRIDE*k)*DT_CTRL the same float, so the table and sample_references
-# sample at exactly the same times.  (At 200 Hz they can differ in the last
-# bit, which the tangent-yaw rate near a stop amplifies to a few 1e-12.)
+# A binary control period makes i*DT_CTRL + k*(stride*DT_CTRL) and
+# (i + stride*k)*DT_CTRL the same float for a whole or dyadic stride, so the
+# table and sample_references sample at exactly the same times.  (At 200 Hz
+# they can differ in the last bit, which the tangent-yaw rate near a stop
+# amplifies to a few 1e-12.)
 DT_CTRL = 1.0 / 256.0
 STRIDE = 8  # horizon step in control periods (31.25 ms)
 K = 20
@@ -90,10 +92,15 @@ TRAJECTORIES = {
 }
 
 
+def _times(i, stride=STRIDE):
+    """Tick i's node times, as `control_loop` computes them from t = 0."""
+    return [(i + k * stride) * DT_CTRL for k in range(K + 1)]
+
+
 def _hint_chain(traj, times):
     refs, hint = [], None
     for t in times:
-        refs.append(traj.reference(t, PARAMS, psi_hint=hint, clamp=True))
+        refs.append(traj.reference(t, PARAMS, psi_hint=hint))
         hint = refs[-1].psi
     return refs
 
@@ -120,15 +127,15 @@ def _outcome(sample):
         return None, exc
 
 
-def _check_window(table, traj, i):
+def _check_window(table, traj, i, stride=STRIDE):
     """Tick i's window from the table against the hint chain and against
     sample_references; returns the window (None if sampling raised)."""
-    nodes = [(j, j * DT_CTRL) for j in range(i, i + STRIDE * K + 1, STRIDE)]
-    got, error = _outcome(lambda: table.window(nodes))
-    assert all(i <= key <= i + STRIDE * K for key in table.entries)
+    times = _times(i, stride)
+    got, error = _outcome(lambda: table.window(times))
+    assert all(times[0] <= t <= times[-1] for t in table.entries)
     for sample in (
-        lambda: _hint_chain(traj, [t for _, t in nodes]),
-        lambda: traj.sample_references(i * DT_CTRL, K, STRIDE * DT_CTRL, PARAMS, clamp=True),
+        lambda: _hint_chain(traj, times),
+        lambda: traj.sample_references(i * DT_CTRL, K, stride * DT_CTRL, PARAMS),
     ):
         want, want_error = _outcome(sample)
         if want_error is not None:
@@ -141,39 +148,42 @@ def _check_window(table, traj, i):
 
 
 @settings(max_examples=60, deadline=None)
-@given(name=st.sampled_from(sorted(TRAJECTORIES)), data=st.data())
-def test_table_windows_match_direct_sampling(name, data):
+@given(name=st.sampled_from(sorted(TRAJECTORIES)), stride=st.sampled_from([STRIDE, 2.5]),
+       data=st.data())
+def test_table_windows_match_direct_sampling(name, stride, data):
     traj = TRAJECTORIES[name]
     last = round((traj.duration + 1.0) / DT_CTRL)  # to 1 s past the end
+    span = math.ceil(stride * K)
     # half the windows straddle a joint or the end, where headings are held
     joint = data.draw(st.sampled_from([round(t / DT_CTRL) for t in traj.starts[1:]]))
     first = data.draw(st.one_of(
         st.integers(0, last),
-        st.integers(max(0, joint - STRIDE * K), joint).filter(lambda i: i <= last),
+        st.integers(max(0, joint - span), joint).filter(lambda i: i <= last),
     ), label="first tick")
-    gaps = data.draw(st.lists(st.integers(1, 3 * STRIDE), max_size=6), label="gaps")
-    table = tj.ReferenceTable(traj, PARAMS, clamp=True)
+    gaps = data.draw(st.lists(st.integers(1, 3 * math.ceil(stride)), max_size=6),
+                     label="gaps")
+    table = tj.ReferenceTable(traj, PARAMS)
     i = first
     for gap in [0] + gaps:
         i += gap
-        _check_window(table, traj, i)
+        _check_window(table, traj, i, stride)
 
 
 def test_table_sweep_covers_odd_turns_and_held_headings():
     seen = {"odd turn": 0, "held": 0}
     for traj in TRAJECTORIES.values():
-        table = tj.ReferenceTable(traj, PARAMS, clamp=True)
+        table = tj.ReferenceTable(traj, PARAMS)
         for i in range(0, round((traj.duration + 1.0) / DT_CTRL), 17):
             refs = _check_window(table, traj, i) or []
-            for j, ref in zip(range(i, i + STRIDE * K + 1, STRIDE), refs):
-                entry = table.entries[j]
+            for t, ref in zip(_times(i), refs):
+                entry = table.entries[t]
                 seen["held"] += ref.heading == "held"
                 seen["odd turn"] += entry is not None and float(ref.x_r.q.q @ entry.x_r.q.q) < 0
     assert seen["odd turn"] > 0 and seen["held"] > 0, seen
 
 
 def test_held_nodes_have_the_bits_of_a_hinted_transform(monkeypatch):
-    # a held node comes from its entry, from the (key, hint) memo or from a
+    # a held node comes from its entry, from the (t, hint) memo or from a
     # fresh transform; whichever, it is the transform with the chain's hint,
     # and no sample is transformed twice with the same hint
     transformed = []
@@ -188,21 +198,21 @@ def test_held_nodes_have_the_bits_of_a_hinted_transform(monkeypatch):
     held = 0
     for name in ("rest", "line", "takeoff_landing"):
         traj = TRAJECTORIES[name]
-        table = tj.ReferenceTable(traj, PARAMS, clamp=True)
+        table = tj.ReferenceTable(traj, PARAMS)
         transformed.clear()
         with monkeypatch.context() as m:
             m.setattr(tj, "ground_flat_to_reference", counted(tj.ground_flat_to_reference))
             m.setattr(tj, "aerial_flat_to_reference", counted(tj.aerial_flat_to_reference))
             windows = []
             for i in range(round((traj.duration + 1.0) / DT_CTRL)):
-                nodes = [(j, j * DT_CTRL) for j in range(i, i + STRIDE * K + 1, STRIDE)]
-                windows.append((nodes, table.window(nodes)))
+                times = _times(i)
+                windows.append((times, table.window(times)))
         assert len(set(transformed)) == len(transformed), name
-        for nodes, refs in windows[::5]:
+        for times, refs in windows[::5]:
             hint = None
-            for (_, t), ref in zip(nodes, refs):
+            for t, ref in zip(times, refs):
                 if ref.heading == "held":
-                    want = traj.reference(t, PARAMS, psi_hint=hint, clamp=True)
+                    want = traj.reference(t, PARAMS, psi_hint=hint)
                     assert (ref.x.tobytes(), ref.u.tobytes(), ref.psi) == (
                         want.x.tobytes(), want.u.tobytes(), want.psi)
                     held += 1
@@ -237,7 +247,7 @@ def test_thrust_ramp_transforms_each_ground_node_about_once(monkeypatch):
     ticks = len(log.ticks)
     assert log.error is None and ticks == 200
     assert len(times) <= 2 * ticks
-    # after the first horizon step's ticks every node key has been seen: a
+    # after the first horizon step's ticks every node time has been seen: a
     # tick transforms its one new node, and a hinted re-transform at most
     r = round(sc.controller.dt * env["control_rate_hz"])
     assert max(b - a for a, b in zip(per_tick[r - 1:], per_tick[r:])) <= 2
@@ -268,9 +278,9 @@ def test_typed_views_match_packed_references():
 
 
 def test_turned_copies_the_entry_and_negates_only_q():
-    table = tj.ReferenceTable(TRAJECTORIES["ground_lemniscate"], PARAMS, clamp=True)
-    entry = table.window([(j, j * DT_CTRL) for j in range(0, STRIDE * K + 1, STRIDE)])[3]
-    assert entry is table.entries[3 * STRIDE]
+    table = tj.ReferenceTable(TRAJECTORIES["ground_lemniscate"], PARAMS)
+    entry = table.window(_times(0))[3]
+    assert entry is table.entries[3 * STRIDE * DT_CTRL]
     before = entry.x.copy()
     for n in (1, -1, 2):
         turned = entry.turned(n)
@@ -311,6 +321,6 @@ def test_sample_error_keeps_type_and_args_and_names_the_sample():
 
     table = tj.ReferenceTable(traj, PARAMS)
     with pytest.raises(TwoArgError) as tabled:
-        table.window([(j, j * DT_CTRL) for j in range(0, 5 * STRIDE + 1, STRIDE)])
+        table.window(_times(0)[:6])
     assert tabled.value.args == (7, "flat")
     assert tabled.value.__notes__ == direct.value.__notes__

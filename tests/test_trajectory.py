@@ -174,17 +174,16 @@ def test_sample_references_shift_property(params):
 
 def test_aerial_tangent_yaw_at_rest_holds_the_segment_heading(params):
     # a blend without a yaw profile follows the travel direction; at rest
-    # and without a hint it holds its psi0, or 0.0 without one
+    # and without a hint it holds heading 0.0 (a blend has no heading of its
+    # own), or the hint with one
     start = np.array([[0, 0, 1.0], [0, 0, 0], [0, 0, 0]])
     end = np.array([[1.0, 0.5, 1.5], [0, 0, 0], [0, 0, 0]])
-    for psi0, want in ((1.2, 1.2), (None, 0.0)):
-        traj = tj.HybridTrajectory(
-            [tj.QuinticBlend(start=start, end=end, duration=2.0, psi0=psi0)])
-        ref = traj.reference(0.0, params)
-        assert ref.heading == "held" and ref.psi == want
-        assert math.copysign(1.0, ref.psi) == 1.0
-        assert traj.reference(0.0, params, psi_hint=want + 7.0).psi == want + 7.0
-        assert traj.reference(1.0, params).heading == "tangent"
+    traj = tj.HybridTrajectory([tj.QuinticBlend(start=start, end=end, duration=2.0)])
+    ref = traj.reference(0.0, params)
+    assert ref.heading == "held" and ref.psi == 0.0
+    assert math.copysign(1.0, ref.psi) == 1.0
+    assert traj.reference(0.0, params, psi_hint=7.0).psi == 7.0
+    assert traj.reference(1.0, params).heading == "tangent"
 
 
 def test_sample_references_hold_beyond_end(params):
