@@ -23,7 +23,6 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -93,8 +92,16 @@ def _reject_non_finite(value, where: str) -> None:
             _reject_non_finite(item, f"{where}.{key}")
 
 
+def _positive(value, name: str) -> float:
+    return require_real(value, name, 0.0, True)
+
+
+def _non_negative(value, name: str) -> float:
+    return require_real(value, name, 0.0, False)
+
+
 def _optional_positive(value, name: str) -> Optional[float]:
-    return None if value is None else require_real(value, name, 0.0, True)
+    return None if value is None else _positive(value, name)
 
 
 def _point(value, name: str) -> list:
@@ -108,8 +115,6 @@ def _speed_cases(cases, name: str) -> list:
     return [require_reals(case, name, 2, 0.0, True).tolist() for case in cases]
 
 
-_positive = partial(require_real, least=0.0, strict=True)
-_non_negative = partial(require_real, least=0.0, strict=False)
 NO_DEFAULT = object()  # the key stays absent when the document leaves it out
 
 # every key of the checked scenario blocks: (default, check); a None check
@@ -129,7 +134,7 @@ SCENARIO_BLOCKS = {
         "v_max": (NO_DEFAULT, _positive), "a_max": (NO_DEFAULT, _positive),
         "speed_cases": ([[1.0, 0.7], [2.0, 1.8]], _speed_cases)},
     "run": {"duration": (None, _optional_positive), "rmse_planar": (True, require_bool)},
-    "output": {"decimation": (5, partial(require_integer, least=1))},
+    "output": {"decimation": (5, lambda value, name: require_integer(value, name, 1))},
 }
 
 
@@ -182,8 +187,9 @@ class ScenarioConfig:
         if {"mu", "mu_s"} & set(env) & set(vehicle):
             raise ConfigError("set mu and mu_s in environment or in vehicle, not in both")
         vehicle.update((key, env[key]) for key in ("mu", "mu_s") if key in env)
+        _require_keys(vehicle, {f.name for f in fields(VehicleParams)}, "vehicle")
         with _config_block("vehicle"):
-            params = VehicleParams.from_dict(vehicle)
+            params = VehicleParams(**vehicle)
 
         ctrl = _block(doc, "controller")
         _require_keys(ctrl, {f.name for f in fields(NmpcConfig)}, "controller")
@@ -779,17 +785,16 @@ def main(argv=None) -> int:
         if args.command == "benchmark":
             run_benchmark_slippery(cfg, out_dir, quiet=args.quiet)
             return EXIT_OK
-        if args.command == "track":
-            kind = cfg.trajectory.get("kind")
-            if kind == "energy_compare":
-                run_energy_compare(cfg, out_dir, quiet=args.quiet)
-            elif kind == "width_report":
-                _report(width_report(cfg.params, quiet=args.quiet), out_dir,
-                        f"{cfg.name}.json", quiet=True)
-            else:
-                run_scenario(cfg, out_dir, quiet=args.quiet)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command}")
+        # track, the one command left (argparse requires a known command)
+        kind = cfg.trajectory.get("kind")
+        if kind == "energy_compare":
+            run_energy_compare(cfg, out_dir, quiet=args.quiet)
+        elif kind == "width_report":
+            _report(width_report(cfg.params, quiet=args.quiet), out_dir,
+                    f"{cfg.name}.json", quiet=True)
+        else:
+            run_scenario(cfg, out_dir, quiet=args.quiet)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

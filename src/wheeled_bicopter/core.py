@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Tuple
 
@@ -327,10 +327,3 @@ class VehicleParams:
     @property
     def weight(self) -> float:
         return self.m * self.g
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VehicleParams":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown vehicle parameter keys: {sorted(unknown)}")
-        return cls(**d)

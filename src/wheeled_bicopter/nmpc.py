@@ -29,7 +29,6 @@ The solver is deterministic: fixed pivot tie-breaking, no randomization.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -387,25 +386,6 @@ def solve_qp(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=8)
-def _box_block(nz: int) -> np.ndarray:
-    """The read-only box rows of nz inputs: +e_i and -e_i interleaved (the
-    negated identity's zeros are -0.0)."""
-    box = np.zeros((2 * nz, nz))
-    box[0::2] = np.eye(nz)
-    box[1::2] = -np.eye(nz)
-    return _read_only(box)
-
-
-@functools.lru_cache(maxsize=8)
-def _weight_tiles(K: int, state_weights: bytes, input_weights: bytes):
-    """The read-only diagonal weights of a K-step horizon: the state
-    weights (given as the bytes of their float64 array) over its K + 1
-    stages and the input weights over its K steps."""
-    return (_read_only(np.tile(np.frombuffer(state_weights), K + 1)),
-            _read_only(np.tile(np.frombuffer(input_weights), K)))
-
-
 def _condense(A, B, d, dx0):
     """The condensed prediction dx_k = c_k + S_k du of a linearized
     horizon: S (K+1, 13, K*m) is zero from column k*m on, and c (K+1, 13)
@@ -452,7 +432,10 @@ def _constraint_rows(u_bar, lo, hi, normals, S, c, cfg: NmpcConfig):
         # start on the equality manifold: symmetric tilt correction
         z0[k * m + 2] = z0[k * m + 3] = -lat / 2.0
 
-    A_in[n_eq:r_soft, :nz] = _box_block(nz)
+    # box rows +e_i and -e_i, the negated identity's zeros being -0.0
+    A_in[n_eq + 1:r_soft:2, :nz] = -0.0
+    np.fill_diagonal(A_in[n_eq:r_soft:2], 1.0)
+    np.fill_diagonal(A_in[n_eq + 1:r_soft:2], -1.0)
     b_in[n_eq:r_soft:2] = (hi - u_bar).reshape(-1)
     b_in[n_eq + 1:r_soft:2] = (u_bar - lo).reshape(-1)
 
@@ -537,7 +520,7 @@ def solve(
         return OcpSolution.degraded(u_bar, x_bar)
 
     Qu = cfg.q_u
-    Wall, Wu = _weight_tiles(K, cfg.state_weights().tobytes(), Qu.tobytes())
+    w = cfg.state_weights()
     # stacked residuals: e_k = xbar_k + c_k - xref_k with hemisphere-aligned
     # quaternion components
     E = x_bar + c - x_ref
@@ -545,12 +528,12 @@ def solve(
     if flip.any():
         E[flip, 6:10] = x_bar[flip, 6:10] + c[flip, 6:10] + x_ref[flip, 6:10]
     Sall = S.reshape((K + 1) * n, nz)
-    Eall = E.reshape(-1)
-    H = Sall.T @ (Wall[:, None] * Sall)
-    gvec = Sall.T @ (Wall * Eall)
-    const = float(Eall @ (Wall * Eall))
+    WE = (E * w).reshape(-1)
+    H = Sall.T @ (S * w[:, None]).reshape((K + 1) * n, nz)
+    gvec = Sall.T @ WE
+    const = float(E.reshape(-1) @ WE)
     du_ref = u_bar - u_ref
-    H.flat[:: nz + 1] += Wu
+    np.einsum("ii->i", H).reshape(K, m)[:] += Qu  # H's diagonal, a writeable view
     gvec += (du_ref * Qu).reshape(-1)
     const += float((du_ref * Qu * du_ref).sum())
 
@@ -560,7 +543,7 @@ def solve(
     if n_soft:
         Hfull = np.zeros((dim, dim))
         Hfull[:nz, :nz] = H
-        Hfull[nz:, nz:] = SLACK_REG * np.eye(n_soft)
+        np.fill_diagonal(Hfull[nz:, nz:], SLACK_REG)
         gfull = np.concatenate((gvec, np.full(n_soft, SLACK_PENALTY)))
     else:
         Hfull, gfull = H, gvec

@@ -268,6 +268,15 @@ def test_main_controller_key_that_is_now_a_constant_exits_with_config_error(
     assert f"config error: unknown keys in controller: [{key!r}]" in capsys.readouterr().err
 
 
+def test_main_unknown_vehicle_key_exits_with_config_error(tmp_path, capsys):
+    doc = tiny_hover_doc()
+    doc["vehicle"]["mass"] = 0.8
+    path = tmp_path / "mass.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["track", "--config", str(path), "--quiet"]) == cli.EXIT_CONFIG == 2
+    assert "config error: unknown keys in vehicle: ['mass']" in capsys.readouterr().err
+
+
 def test_main_overflowing_number_exits_with_config_error(tmp_path, capsys):
     # json reads 1e999 as inf
     path = tmp_path / "overflow.json"

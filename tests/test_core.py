@@ -161,11 +161,6 @@ def test_params_accepts_diagonal_matrix_inertia():
     np.testing.assert_allclose(p.J, [4.1e-3, 2.8e-3, 3.5e-3])
 
 
-def test_params_from_dict_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        VehicleParams.from_dict({"mass": 0.8})
-
-
 def test_state_pack_round_trip():
     s = RobotState(
         vec3(1, 2, 3), vec3(0.1, -0.2, 0.3), Orientation(quat_from_euler(0.1, 0.2, 0.3)),

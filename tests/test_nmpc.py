@@ -728,32 +728,107 @@ def test_solve_degrades_where_the_stage_loop_condensation_is_not_finite(seed, K,
         assert sol.u_seq.tobytes() == np.stack([r.u for r in refs[:K]]).tobytes()
 
 
-def test_horizon_constants_are_built_once_and_never_written(params):
-    # the box block and weight tiles are cached per horizon, read-only, and
-    # equal to a fresh build after solves on two different horizons
-    cfgs = [nmpc.NmpcConfig(K=K) for K in (6, 9)]
-    traj = circle_trajectory(params)
+def takeoff_trajectory(params):
+    """A ground rest whose body thrust ramps to the weight, then a climb:
+    the wheel normals fall inside the screening margin."""
+    zc = params.r
+    ramp = tj.Rest(p0=[0, 0, zc], psi0=0.0, duration=0.6, T_Bz=0.6 * params.weight,
+                   T_Bz_end=params.weight, mode=Mode.GROUND)
+    climb = tj.QuinticBlend(
+        start=np.array([[0, 0, zc], [0, 0, 0], [0, 0, 0.0]]),
+        end=np.array([[0, 0, zc + 0.8], [0, 0, 0], [0, 0, 0]]),
+        duration=1.6, yaw_bc=(0.0, 0, 0, 0.0, 0, 0),
+    )
+    return tj.HybridTrajectory([ramp, climb])
 
-    def constants(cfg):
-        nz = cfg.K * 4
-        return (nmpc._box_block(nz),
-                *nmpc._weight_tiles(cfg.K, cfg.state_weights().tobytes(), cfg.q_u.tobytes()))
 
-    def fresh(cfg):
-        nz = cfg.K * 4
-        box = np.zeros((2 * nz, nz))
-        box[0::2], box[1::2] = np.eye(nz), -np.eye(nz)
-        return box, np.tile(cfg.state_weights(), cfg.K + 1), np.tile(cfg.q_u, cfg.K)
+def tiled_qp(x_bar, u_bar, refs, S, c, n_soft, cfg):
+    """The QP of one solve by the tiled-weight formula: the state weights
+    tiled over the K + 1 stages, the input weights over the K steps, and a
+    scaled identity on the slacks; the reference for `nmpc.solve`'s
+    broadcast weights."""
+    K, m = u_bar.shape
+    n, nz = 13, K * m
+    x_ref = np.array([r.x for r in refs])
+    u_ref = np.array([r.u for r in refs[:K]])
+    E = x_bar + c - x_ref
+    flip = (x_ref[:, 6:10] * x_bar[:, 6:10]).sum(axis=1) < 0.0
+    E[flip, 6:10] = x_bar[flip, 6:10] + c[flip, 6:10] + x_ref[flip, 6:10]
+    Wall, Wu = np.tile(cfg.state_weights(), K + 1), np.tile(cfg.q_u, K)
+    Sall, Eall = S.reshape((K + 1) * n, nz), E.reshape(-1)
+    H = Sall.T @ (Wall[:, None] * Sall)
+    g = Sall.T @ (Wall * Eall)
+    H.flat[:: nz + 1] += Wu
+    g += ((u_bar - u_ref) * cfg.q_u).reshape(-1)
+    if not n_soft:
+        return H, g
+    Hfull = np.zeros((nz + n_soft, nz + n_soft))
+    Hfull[:nz, :nz] = H
+    Hfull[nz:, nz:] = nmpc.SLACK_REG * np.eye(n_soft)
+    return Hfull, np.concatenate((g, np.full(n_soft, nmpc.SLACK_PENALTY)))
 
-    for cfg in cfgs + cfgs:
-        refs = traj.sample_references(1.0, cfg.K, cfg.dt, params)
-        assert nmpc.solve(refs[0].x_array(), refs, cfg, params).status == "optimal"
-    for cfg in cfgs:
-        built = constants(cfg)
-        assert all(a is b for a, b in zip(built, constants(cfg)))
-        for got, want in zip(built, fresh(cfg)):
-            assert not got.flags.writeable
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+weight_or_zero = st.one_of(st.just(0.0), st.floats(1e-3, 1e4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(1, 25),
+    horizon=st.sampled_from(["aerial", "ground", "takeoff"]),
+    t=st.floats(0.0, 1.5),
+    weights=st.lists(weight_or_zero, min_size=17, max_size=17),
+    lock_lateral=st.booleans(),
+    flipped=st.lists(st.booleans(), min_size=26, max_size=26),
+)
+def test_solve_hands_the_tiled_weight_qp_to_solve_qp(K, horizon, t, weights, lock_lateral,
+                                                     flipped):
+    # H, g, A_in and b_in of a cold and of a warm solve equal, byte for byte,
+    # the tiled-weight formula and the loop-built rows on the S and c the
+    # solve condensed; the warm guess has some stages' quaternions negated
+    params = VehicleParams()
+    w = np.array(weights)
+    cfg = nmpc.NmpcConfig(K=K, q_p=w[:3], q_v=w[3:6], q_q=w[6:10], q_w=w[10:13], q_u=w[13:],
+                          lock_lateral=lock_lateral)
+    traj = {"aerial": hover_trajectory, "ground": circle_trajectory,
+            "takeoff": takeoff_trajectory}[horizon](params)
+    # the takeoff ramp's wheel normals are within the margin from t = 0.1 s
+    refs = traj.sample_references(0.2 + t / 5 if horizon == "takeoff" else t, K, cfg.dt, params)
+    lo, hi = nmpc.input_bounds(params)
+    seen = {}
+    linearize, condense, qp = nmpc._linearize_horizon, nmpc._condense, nmpc.solve_qp
+
+    def linearized(x_bar, u_bar, *args):
+        out = linearize(x_bar, u_bar, *args)
+        seen["lin"] = x_bar, u_bar, out[3]
+        return out
+
+    def condensed(*args):
+        seen["S, c"] = out = condense(*args)
+        return out
+
+    def handed(*args, **kwargs):
+        seen["qp"] = args[:4]
+        return qp(*args, **kwargs)
+
+    prev, n_soft = None, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nmpc, "_linearize_horizon", linearized)
+        mp.setattr(nmpc, "_condense", condensed)
+        mp.setattr(nmpc, "solve_qp", handed)
+        for _ in range(2):
+            seen.clear()
+            prev = nmpc.solve(refs[0].x_array(), refs, cfg, params, prev=prev)
+            assert "qp" in seen
+            x_bar, u_bar, normals = seen["lin"]
+            S, c = seen["S, c"]
+            Hfull, gfull, A_in, b_in = seen["qp"]
+            A_want, b_want = loop_built_rows(u_bar, lo, hi, normals, S, c, cfg)[:2]
+            n_soft.append(A_want.shape[1] - K * 4)
+            H_want, g_want = tiled_qp(x_bar, u_bar, refs, S, c, n_soft[-1], cfg)
+            for got, want in ((Hfull, H_want), (gfull, g_want), (A_in, A_want), (b_in, b_want)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            prev.x_pred[np.array(flipped[: K + 1]), 6:10] *= -1.0
+    assert horizon != "takeoff" or n_soft[0] > 0
 
 
 def test_solve_zero_error_fixed_point(params, cfg):
@@ -884,15 +959,7 @@ def test_solve_degrades_on_a_non_finite_measurement(params, cfg, warm, index, va
 def test_solve_mixed_mode_horizon(params, cfg):
     # reference window straddling a ground->aerial transition
     zc = params.r
-    ramp = tj.Rest(p0=[0, 0, zc], psi0=0.0, duration=0.6, T_Bz=0.6 * params.weight,
-                   T_Bz_end=params.weight, mode=Mode.GROUND)
-    climb = tj.QuinticBlend(
-        start=np.array([[0, 0, zc], [0, 0, 0], [0, 0, 0.0]]),
-        end=np.array([[0, 0, zc + 0.8], [0, 0, 0], [0, 0, 0]]),
-        duration=1.6, yaw_bc=(0.0, 0, 0, 0.0, 0, 0),
-    )
-    traj = tj.HybridTrajectory([ramp, climb])
-    refs = traj.sample_references(0.2, cfg.K, cfg.dt, params)
+    refs = takeoff_trajectory(params).sample_references(0.2, cfg.K, cfg.dt, params)
     modes = {r.mode for r in refs}
     assert modes == {Mode.GROUND, Mode.AERIAL}
     sol = nmpc.solve(refs[0].x_array(), refs, cfg, params)
