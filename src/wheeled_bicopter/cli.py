@@ -57,14 +57,6 @@ EXIT_SOLVER = 4
 EXIT_DIVERGED = 5
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
 def _require_keys(block: dict, allowed: set, where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
@@ -580,17 +572,22 @@ CSV_CHUNK = 256
 
 
 def _rows(records: np.recarray) -> Iterable[tuple]:
-    """`records.tolist()`, one `CSV_CHUNK` of records at a time."""
+    """The records as tuples of Python scalars and lists, converted one
+    `CSV_CHUNK` of records at a time, field by field (a record array's own
+    `tolist()` leaves subarray fields as arrays of numpy scalars)."""
     for start in range(0, len(records), CSV_CHUNK):
-        yield from records[start:start + CSV_CHUNK].tolist()
+        chunk = records[start:start + CSV_CHUNK]
+        yield from zip(*(chunk[name].tolist() for name in records.dtype.names))
 
 
 def _write_csv(path: Path, header: str, rows: Iterable[list]) -> Path:
-    """A header line, then one comma-joined line of `_fmt` values per row."""
+    """A header line, then one comma-joined line per row of Python floats,
+    ints and strings, each written by `str`: a float as its shortest
+    round-trip repr."""
     with Path(path).open("w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
     return Path(path)
 
 
@@ -688,7 +685,7 @@ def export_references(traj, params: VehicleParams, duration: float, dt: float,
     offline inspection."""
     refs = traj.sample_references(0.0, round(duration / dt), dt, params)
     return _write_csv(out_path, REFLOG_COLUMNS,
-                      ([ref.t, *ref.x, *ref.u, ref.mode.name] for ref in refs))
+                      ([ref.t, *ref.x.tolist(), *ref.u.tolist(), ref.mode.name] for ref in refs))
 
 
 def run_open_loop(cfg: ScenarioConfig, out_dir: Optional[Path] = None,

@@ -112,26 +112,24 @@ def require_reals(values, name: str, size: int, least: float, strict: bool) -> n
 
 
 def quat_normalize(q) -> np.ndarray:
+    """q over the square root of the BLAS dot `q.dot(q)` (the bits of
+    `q @ q`)."""
     q = np.asarray(q, dtype=float)
-    n = math.sqrt(float(q @ q))
+    n = math.sqrt(q.dot(q))
     if n < 1e-12:
         raise ValueError("cannot normalize near-zero quaternion")
     return q / n
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a (x) b, broadcasting over leading axes."""
-    a, b = np.asarray(a), np.asarray(b)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
+def quat_multiply(aw, ax, ay, az, bw, bx, by, bz):
+    """Components of the Hamilton product a (x) b of the quaternions
+    a = (aw, ax, ay, az) and b = (bw, bx, by, bz): Python floats, or arrays
+    evaluated elementwise."""
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
     )
 
 

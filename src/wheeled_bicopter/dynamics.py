@@ -484,7 +484,8 @@ class Simulator:
     def apply(self, u: np.ndarray, duration: float) -> None:
         """Hold the packed input u (4,) for `duration` seconds, integrating at
         the sim rate: `_rk4_row` steps the state as Python floats, with the
-        input's `math` wrench computed once for the call."""
+        input's `math` wrench computed once for the call, and the divergence
+        test reads the stepped (in ground mode, projected) state's floats."""
         ua = np.asarray(u, dtype=float)
         P = self.params
         power = rotor_power(ua, P)
@@ -532,12 +533,14 @@ class Simulator:
             self._log[self._n] = (self.t, x, ua, F_nl, F_nr, f_l, self.slipping, lift, power)
             self._n += 1
             if self.mode is Mode.AERIAL:
-                xn = np.array(_rk4_row(aerial, x.tolist(), self.dt))
+                values = _rk4_row(aerial, x.tolist(), self.dt)
+                xn = np.array(values)
             else:
                 xn = np.array(_rk4_row(ground, x.tolist(), self.dt, k1))
                 _project_ground(xn, keep_lateral=self.slipping)
-            # NaN and infinities fail the comparison too
-            if not (np.abs(xn) <= DIVERGENCE_LIMIT).all():
+                values = xn.tolist()
+            # on the state's floats; NaN and infinities fail the comparison too
+            if not all([abs(v) <= DIVERGENCE_LIMIT for v in values]):
                 raise DivergenceError(
                     f"simulation diverged at t={self.t:.4f}s (mode {self.mode.name})"
                 )

@@ -600,11 +600,14 @@ class NoiseModel:
         out[0:3] += rng.normal(0.0, self.pos_std, 3)
         if self.att_std > 0.0:
             rv = rng.normal(0.0, self.att_std, 3)
-            angle = np.linalg.norm(rv)
+            # the rotation vector's norm is np.linalg.norm's: the square
+            # root of the BLAS dot; the rest runs on Python floats
+            angle = math.sqrt(rv.dot(rv))
             if angle > 1e-12:
-                axis = rv / angle
-                dq = np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * axis])
-                out[6:10] = quat_multiply(dq, out[6:10])
+                s = math.sin(angle / 2)
+                rx, ry, rz = rv.tolist()
+                out[6:10] = quat_multiply(math.cos(angle / 2), s * (rx / angle), s * (ry / angle),
+                                          s * (rz / angle), *out[6:10].tolist())
         return out
 
 

@@ -10,6 +10,7 @@ mode-appropriate reference points through the flatness transforms.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -483,18 +484,22 @@ class ReferenceTable:
     do when the horizon step is a whole or dyadic number of control
     periods.  A node whose heading is held (or whose hint-less transform
     failed) needs a transform with the hint itself, unless its entry
-    already holds the hint's bits.  That transform depends only on the time
-    and the hint, so it is kept in `held` under (t, hint) and made once
-    however many windows meet the node.  Windows must start at times that
-    never decrease: entries before a window's first time are dropped from
-    both.
+    already holds the hint's bits; a tangent node whose hint is whole turns
+    away needs its entry turned.  The first depends only on the time and
+    the hint, the second on the time and the turns, so each is kept in
+    `resolved[t]` under the hint or the turns (a time's entry allows only
+    one of the two) and made once however many windows meet the node.
+    Windows must start at times that never decrease: entries before a
+    window's first time are dropped with their resolved points, in time
+    order from the heap `times`.
     """
 
     def __init__(self, traj: HybridTrajectory, params: VehicleParams):
         self.traj = traj
         self.params = params
         self.entries: Dict[float, Optional[ReferencePoint]] = {}
-        self.held: Dict[Tuple[float, Optional[float]], ReferencePoint] = {}
+        self.resolved: Dict[float, Dict[object, ReferencePoint]] = {}
+        self.times: List[float] = []
 
     def _sample(self, t: float) -> Optional[ReferencePoint]:
         try:
@@ -514,32 +519,42 @@ class ReferenceTable:
         hint's bits is that transform.
         """
         base = self.entries[t]
-        if base is not None and base.heading == "held" and _same_bits(base.psi, psi_hint):
+        if base is None:
+            key = psi_hint
+        elif psi_hint is None or base.heading == "explicit":
             return base
-        if base is None or (psi_hint is not None and base.heading == "held"):
-            ref = self.held.get((t, psi_hint))
-            if ref is None:
+        elif base.heading == "tangent":
+            key = heading_turns(base.psi, psi_hint)
+            if key == 0:
+                return base
+        elif _same_bits(base.psi, psi_hint):  # held on the hint's bits
+            return base
+        else:
+            key = psi_hint
+        memo = self.resolved.setdefault(t, {})
+        ref = memo.get(key)
+        if ref is None:
+            if base is None or base.heading == "held":
                 ref = self.traj.reference(t, self.params, psi_hint=psi_hint)
-                self.held[t, psi_hint] = ref
-            return ref
-        if psi_hint is not None and base.heading == "tangent":
-            return base.turned(heading_turns(base.psi, psi_hint))
-        return base
+            else:
+                ref = base.turned(key)
+            memo[key] = ref
+        return ref
 
     def window(self, times: Sequence[float]) -> List[ReferencePoint]:
         """References at the sample times, heading-continuous from the first."""
         first = times[0]
-        stale = [t for t in self.entries if t < first]
-        for t in stale:
+        while self.times and self.times[0] < first:
+            t = heapq.heappop(self.times)
             del self.entries[t]
-        if stale and self.held:
-            self.held = {memo: ref for memo, ref in self.held.items() if memo[0] >= first}
+            self.resolved.pop(t, None)
         refs: List[ReferencePoint] = []
         hint: Optional[float] = None
         for k, t in enumerate(times):
             try:
                 if t not in self.entries:
                     self.entries[t] = self._sample(t)
+                    heapq.heappush(self.times, t)
                 ref = self._resolve(t, hint)
             except Exception as exc:
                 _note_sample(exc, k, t)

@@ -1,4 +1,5 @@
-"""`tools/compare_summaries.py` on two small directories of JSON outputs."""
+"""`tools/compare_summaries.py` on two small directories of JSON outputs, and
+the kernel report of `tools/digests.py --kernels` built on it."""
 
 import importlib.util
 import json
@@ -59,3 +60,31 @@ def test_compare_prints_largest_deltas_changed_counts_and_one_sided_entries(tmp_
     # the last line: every field past 1e-9 relative, with its absolute delta
     assert lines[-1] == ("over 1e-09 relative (absolute delta): cases.1.v 0.5, lag inf, "
                          "max_slack 3.86e-23, power inf, rmse_m 2e-06, statuses.optimal 1")
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "digests.py"
+_spec = importlib.util.spec_from_file_location("digests", DIGESTS)
+digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(digests)
+
+
+def test_kernel_report_counts_differing_digests_and_compares_each_run_with_the_default(tmp_path):
+    write(tmp_path / "default/track/a/a_summary.json", {"rmse_m": 1.0, "ticks": 10})
+    write(tmp_path / "haswell/track/a/a_summary.json", {"rmse_m": 1.0 + 3e-9, "ticks": 10})
+    write(tmp_path / "avx2/track/a/a_summary.json", {"rmse_m": 1.0, "ticks": 10})
+    default = ["simulate/a/a_references.csv 33", "track/a/a_runlog.csv 11",
+               "track/a/a_summary.json 22"]
+    haswell = ["simulate/a/a_references.csv 33", "track/a/a_runlog.csv 44",
+               "track/a/a_summary.json 55", "track/a/a_extra.csv 66"]
+    report = digests.kernel_report(tmp_path, default, [
+        ("haswell", "OPENBLAS_CORETYPE=Haswell", haswell),
+        ("avx2", "NPY_DISABLE_CPU_FEATURES=X86_V4", list(default))])
+    # two changed digests and a file only one run wrote
+    assert report[0] == "kernels haswell (OPENBLAS_CORETYPE=Haswell): 3 of 3 digests differ"
+    second = report.index("kernels avx2 (NPY_DISABLE_CPU_FEATURES=X86_V4): 0 of 3 digests differ")
+    assert report[1:second] == compare_summaries.compare(tmp_path / "default",
+                                                         tmp_path / "haswell")
+    assert report[second - 1] == "over 1e-09 relative (absolute delta): rmse_m 3e-09"
+    assert report[second + 1:] == compare_summaries.compare(tmp_path / "default",
+                                                           tmp_path / "avx2")
+    assert report[-1] == "over 1e-09 relative (absolute delta): none"

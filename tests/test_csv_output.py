@@ -1,9 +1,12 @@
 """The log CSVs: `write_outputs` converts the record arrays a chunk at a time,
 and `deterministic_digest` and `export_plot_data` read their file a line at
 a time, with the bytes and digests of whole-array conversion and whole-text
-reading, which are kept here as the references."""
+reading, which are kept here as the references.  The writer formats each
+value with `str`, with the bytes of the per-value formatter `fmt` kept
+here, which took numpy scalars too."""
 
 import hashlib
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,8 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter import cli
+from wheeled_bicopter.core import Mode
 from wheeled_bicopter.dynamics import SIMLOG_DTYPE
 from wheeled_bicopter.nmpc import RUNLOG_DTYPE, RunLog
+
+
+def fmt(x) -> str:
+    """A CSV value as the writer once formatted it, one call per value."""
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
 
 
 def whole_text_digest(path):
@@ -46,7 +59,7 @@ def whole_array_csvs(cfg, runlog):
     )
 
     def text(header, rows):
-        return header + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        return header + "\n" + "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
 
     return text(cli.RUNLOG_COLUMNS, ticks), text(cli.SIMLOG_COLUMNS, steps)
 
@@ -91,6 +104,67 @@ def test_chunked_writer_gives_the_bytes_of_whole_array_conversion(tmp_path, rows
     assert runlog_csv.read_bytes() == want_runlog.encode()
     assert simlog_csv.read_bytes() == want_simlog.encode()
     assert len(simlog_csv.read_text().splitlines()) == rows + 1
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e16, 1e-05, 0.0001, 5e-324,
+                  -1.7976931348623157e308, 0.1, 123456789.125, 1e22, -2.5e-310]
+
+
+def test_writer_gives_the_per_value_bytes_on_signed_zeros_non_finite_and_exponents(tmp_path):
+    # every float field cycles through the special values; the integer and
+    # string fields keep their random values
+    cfg, result = synthetic_run(len(SPECIAL_FLOATS) + 3, len(SPECIAL_FLOATS) + 5, 1)
+    special = np.array(SPECIAL_FLOATS)
+    for records in (result.runlog.ticks, result.runlog.sim.log):
+        for offset, name in enumerate(records.dtype.names):
+            column = records[name]
+            if column.dtype.kind == "f":
+                index = np.arange(column.size).reshape(column.shape) + offset
+                column[...] = special[index % len(special)]
+    runlog_csv, simlog_csv, _ = cli.write_outputs(cfg, result, tmp_path)
+    want_runlog, want_simlog = whole_array_csvs(cfg, result.runlog)
+    assert runlog_csv.read_bytes() == want_runlog.encode()
+    assert simlog_csv.read_bytes() == want_simlog.encode()
+    rows = [SPECIAL_FLOATS + [0, -3, 2**40, "GROUND", "optimal"]]
+    path = cli._write_csv(tmp_path / "row.csv", "h", rows)
+    assert path.read_bytes() == ("h\n" + ",".join(map(fmt, rows[0])) + "\n").encode()
+    assert path.read_text().splitlines()[1].split(",")[:6] == [
+        "-0.0", "0.0", "nan", "inf", "-inf", "1e+16"]
+
+
+def test_the_writer_gets_rows_of_python_scalars_only(tmp_path, monkeypatch):
+    # `str` writes a Python float as its repr; a numpy scalar (which a
+    # record array's `tolist()` leaves in its subarray fields) would take
+    # numpy's own, slower formatting
+    rows = []
+    write = cli._write_csv
+
+    def kept(path, header, lines):
+        lines = list(lines)
+        rows.extend(lines)
+        return write(path, header, lines)
+
+    monkeypatch.setattr(cli, "_write_csv", kept)
+    cfg, result = synthetic_run(cli.CSV_CHUNK + 2, 3 * cli.CSV_CHUNK + 1, 3)
+    cli.write_outputs(cfg, result, tmp_path)
+    aerial = cli.ScenarioConfig.from_dict(cli.load_bundled_scenario("aerial_8shape"),
+                                          "aerial_8shape")
+    cli.export_references(cli.build_trajectory(aerial)[0], aerial.params, 0.2, 0.02,
+                          tmp_path / "refs.csv")
+    assert len(rows) == (cli.CSV_CHUNK + 2) + (cli.CSV_CHUNK + 1) + 11
+    assert {type(v) for row in rows for v in row} == {float, int, str}
+
+
+def test_reference_export_gives_the_per_value_bytes_of_the_numpy_rows(tmp_path):
+    # hybrid_3d's first 15 s: rolling, the thrust ramp at rest and the takeoff
+    cfg = cli.ScenarioConfig.from_dict(cli.load_bundled_scenario("hybrid_3d"), "hybrid_3d")
+    traj, _ = cli.build_trajectory(cfg)
+    path = cli.export_references(traj, cfg.params, 15.0, 0.02, tmp_path / "refs.csv")
+    refs = traj.sample_references(0.0, 750, 0.02, cfg.params)
+    rows = ([ref.t, *ref.x, *ref.u, ref.mode.name] for ref in refs)
+    want = cli.REFLOG_COLUMNS + "\n" + "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+    assert {ref.mode for ref in refs} == {Mode.GROUND, Mode.AERIAL}
 
 
 def test_writing_and_digesting_long_logs_holds_one_chunk_not_the_logs(tmp_path):

@@ -313,6 +313,34 @@ def test_divergence_aborts():
             sim.apply(np.zeros(4), 1e-3)
 
 
+LIMIT = dyn.DIVERGENCE_LIMIT
+
+
+@pytest.mark.parametrize("mode", [Mode.AERIAL, Mode.GROUND])
+@pytest.mark.parametrize("index, value, diverges", [
+    (0, math.nan, True), (0, math.inf, True), (0, -math.inf, True),
+    (0, math.nextafter(LIMIT, math.inf), True), (0, LIMIT, False), (0, -LIMIT, False),
+    (12, math.nan, True), (12, math.inf, True), (12, -math.inf, True), (12, -2 * LIMIT, True),
+])
+def test_a_step_past_the_divergence_limit_fails_and_keeps_the_state(params, mode, index, value,
+                                                                    diverges):
+    # level and still, 1 m up or on the wheels; a position or yaw rate
+    # (which no ground projection touches) set to the value
+    x = hover_state().as_array()
+    if mode is Mode.GROUND:
+        x[2] = params.r
+    x[index] = value
+    sim = dyn.Simulator(params=params, x=x, dt=1e-3, mode=mode)
+    before = sim.x
+    if not diverges:
+        sim.apply(np.zeros(4), 2e-3)
+        assert sim.x[index] == value and sim.mode is mode
+        return
+    with pytest.raises(DivergenceError, match=f"diverged at t=0.0000s \\(mode {mode.name}\\)"):
+        sim.apply(np.zeros(4), 2e-3)
+    assert sim.x is before and len(sim.log) == 1
+
+
 # ---------------------------------------------------------------------------
 # slip
 # ---------------------------------------------------------------------------
@@ -498,6 +526,16 @@ def descending_state(p):
     ).as_array()
 
 
+def contact_phases(p):
+    """(input, steps) of a descent from `descending_state` to touchdown; a
+    tilted push that lifts the left wheel, then a harder one that slides
+    both; low thrust until they stick again; full thrust to lift off."""
+    descend, roll = 0.45 * p.weight, 0.3 * p.weight
+    return [([descend, descend, 0.0, 0.0], 40), ([2.5, 2.5, 0.35, 0.35], 20),
+            ([3.0, 3.0, 0.6, 0.6], 30), ([roll, roll, 0.0, 0.0], 200),
+            ([6.0, 6.0, 0.0, 0.0], 20)]
+
+
 def assert_same_run(fast, ref, rows):
     """`fast` (stepped by `apply`) logged `rows` and ended where `ref`
     (stepped by `apply_with_separate_k1`) did, bit for bit."""
@@ -509,15 +547,9 @@ def assert_same_run(fast, ref, rows):
 
 
 def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
-    # slow descent to touchdown; a tilted push that lifts the left wheel,
-    # then a harder one that slides both; low thrust until they stick
-    # again; full thrust to lift off
     p = VehicleParams()
     x0 = descending_state(p)
-    descend, roll = 0.45 * p.weight, 0.3 * p.weight
-    phases = [([descend, descend, 0.0, 0.0], 40), ([2.5, 2.5, 0.35, 0.35], 20),
-              ([3.0, 3.0, 0.6, 0.6], 30), ([roll, roll, 0.0, 0.0], 200),
-              ([6.0, 6.0, 0.0, 0.0], 20)]
+    phases = contact_phases(p)
     sims = [dyn.Simulator(params=p, x=x0, dt=1e-3, slip_enabled=True, mode=Mode.AERIAL)
             for _ in range(2)]
     seen, rows = [], []
@@ -534,6 +566,22 @@ def test_simulator_reuses_contact_evaluation_as_k1_bit_for_bit():
     assert sims[0].lift_off_events > 0  # a wheel lifted: k1 uses clamped normals
     assert sum(n for _, n in phases) == len(rows)
     assert_same_run(*sims, rows)
+
+
+def test_an_array_read_from_x_never_changes_afterwards():
+    # through touchdown, wheel lift, slip onset, re-stick and lift-off,
+    # where the plant projects and renormalises the state it steps
+    p = VehicleParams()
+    sim = dyn.Simulator(params=p, x=descending_state(p), dt=1e-3, slip_enabled=True,
+                        mode=Mode.AERIAL)
+    read = []
+    for u, steps in contact_phases(p):
+        for _ in range(steps):
+            read.append((sim.x, sim.x.tobytes()))
+            sim.apply(u, 1e-3)
+    assert sim.lift_off_events > 0 and sim.slip_steps > 0 and sim.mode is Mode.AERIAL
+    assert len({id(x) for x, _ in read}) == len(read)
+    assert all(x.tobytes() == bits for x, bits in read)
 
 
 PARAMS = VehicleParams()

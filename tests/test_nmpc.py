@@ -1214,6 +1214,57 @@ def test_control_loop_makes_a_noise_generator_only_for_active_noise(params, cfg,
     assert noisy[0].ticks.x.tobytes() != quiet.ticks.x.tobytes()
 
 
+def array_quat_multiply(a, b):
+    """The Hamilton product a (x) b on arrays, stacked on the last axis."""
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    return np.stack([
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    ], axis=-1)
+
+
+def array_noise(model, x, rng):
+    """`NoiseModel.apply` as array operations: the rotation vector's norm
+    from np.linalg.norm, the rotation quaternion from np.concatenate and
+    the product on arrays.  The float path must give its bits."""
+    if not model.active:
+        return x
+    out = x.copy()
+    out[0:3] += rng.normal(0.0, model.pos_std, 3)
+    if model.att_std > 0.0:
+        rv = rng.normal(0.0, model.att_std, 3)
+        angle = np.linalg.norm(rv)
+        if angle > 1e-12:
+            axis = rv / angle
+            dq = np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * axis])
+            out[6:10] = array_quat_multiply(dq, out[6:10])
+    return out
+
+
+STD = st.one_of(st.just(0.0), st.floats(1e-15, 2.0), st.sampled_from([1e-13, 2e-3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(st.floats(-1e3, 1e3), min_size=13, max_size=13), pos_std=STD, att_std=STD,
+       seed=st.integers(0, 2**32 - 1))
+def test_noise_gives_the_bits_of_the_array_formula_and_draws_the_same(x, pos_std, att_std,
+                                                                      seed):
+    x = np.array(x)
+    x[6:10] = x[6:10] / np.linalg.norm(x[6:10]) if np.any(x[6:10]) else [1.0, 0.0, 0.0, 0.0]
+    x.flags.writeable = False
+    model = nmpc.NoiseModel(pos_std=pos_std, att_std=att_std)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for _ in range(3):  # the generator goes on from the same state
+        got, want = model.apply(x, rngs[0]), array_noise(model, x, rngs[1])
+        assert got.tobytes() == want.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    if not model.active:
+        assert got is x
+
+
 def test_control_loop_ends_a_stopped_or_complete_run_without_error(params, cfg):
     stopped = _hover_loop(params, cfg, stop_when=lambda tick: tick.t >= 0.05)
     assert stopped.error is None and stopped.aborted

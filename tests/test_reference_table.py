@@ -8,6 +8,7 @@ with `sample_references` and with the hint chain of
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from wheeled_bicopter import cli, nmpc
 from wheeled_bicopter import trajectory as tj
 from wheeled_bicopter.core import Mode, VehicleParams
 from wheeled_bicopter.dynamics import Simulator
+from wheeled_bicopter.flatness import ReferencePoint
 
 from test_trajectory import AerialRamp
 
@@ -294,6 +296,49 @@ def test_turned_copies_the_entry_and_negates_only_q():
     for arr in (entry.x, entry.u, entry.turned(1).x):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def _bits(ref):
+    """Everything a reference point holds, floats by their bits."""
+    return (ref.x.tobytes(), ref.u.tobytes(), ref.mode, ref.t.hex(), ref.flags,
+            ref.roll_residual.hex(), ref.psi.hex(), ref.heading)
+
+
+@pytest.mark.parametrize("name", ["ground_lemniscate", "aerial_eight"])
+def test_turned_nodes_are_built_once_and_equal_a_fresh_tables(monkeypatch, name):
+    # one lap of consecutive ticks: the tangent heading wraps, so nodes
+    # after a wrap take their entry turned by a whole turn in every window
+    # that meets them
+    traj = TRAJECTORIES[name]
+    built = Counter()
+    turned = ReferencePoint.turned
+    table = tj.ReferenceTable(traj, PARAMS)
+
+    def counted(ref, n):
+        if n != 0 and ref.t in table.entries and ref is table.entries[ref.t]:
+            built[ref.t, n] += 1
+        return turned(ref, n)
+
+    monkeypatch.setattr(ReferencePoint, "turned", counted)
+    compared = 0
+    for i in range(round(traj.duration / DT_CTRL)):
+        times = _times(i)
+        kept = dict(table.entries)
+        refs = table.window(times)
+        # exactly the entries before the window's first time are gone, and
+        # the others are the same objects, not transformed again
+        assert kept.keys() - table.entries.keys() == {t for t in kept if t < times[0]}
+        assert all(table.entries[t] is entry for t, entry in kept.items() if t >= times[0])
+        assert list(table.resolved) == [t for t in table.resolved if t in table.entries]
+        entries = [table.entries[t] for t in times]
+        wrapped = any(e is not None and e.heading == "tangent" and r is not e
+                      for e, r in zip(entries, refs))
+        if wrapped or i % 5 == 0:
+            fresh = tj.ReferenceTable(traj, PARAMS).window(times)
+            assert [_bits(r) for r in refs] == [_bits(r) for r in fresh], i
+            compared += wrapped
+    assert compared > 0 and built
+    assert max(built.values()) == 1, built.most_common(3)
 
 
 class TwoArgError(Exception):
