@@ -305,13 +305,7 @@ class VehicleParams:
                 "delta_max", "rho", "S")
 
     def __post_init__(self):
-        J = self.J
-        if np.ndim(J) == 2:  # the 3x3 form, which must be diagonal
-            J = np.array([require_reals(row, "J", 3, -math.inf, False) for row in J])
-            if J.shape != (3, 3) or np.any(J != np.diag(np.diag(J))):
-                raise ConfigError("inertia must be 3 entries or a diagonal 3x3 matrix")
-            J = np.diag(J)
-        self.J = require_reals(J, "J", 3, 0.0, True)
+        self.J = require_reals(self.J, "J", 3, 0.0, True)
         for name in self.POSITIVE:
             setattr(self, name, require_real(getattr(self, name), name, 0.0, True))
         for name in ("mu", "mu_s"):

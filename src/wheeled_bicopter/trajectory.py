@@ -5,6 +5,8 @@ needs snap for the angular accelerations), a mode annotation, a yaw policy
 for aerial samples and a vertical-thrust profile for ground samples.  A
 HybridTrajectory concatenates segments, checks joint continuity, and samples
 mode-appropriate reference points through the flatness transforms.
+`scale_to_limits` paces a figure eight to speed and acceleration limits by
+setting its `Lemniscate.pace`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import bisect
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,13 +49,10 @@ class Segment:
         """Ground vertical body thrust (value, rate, accel) at local time."""
         return self.T_Bz, 0.0, 0.0
 
-    def heading_hint(self, tau: float) -> Optional[float]:
-        return getattr(self, "psi0", None)
-
     def yaw(self, tau: float) -> Optional[Tuple[float, float, float]]:
         """Aerial yaw profile: an aerial segment with a fixed heading `psi0`
         holds it; None means heading-tangent yaw."""
-        psi0 = self.heading_hint(tau)
+        psi0 = getattr(self, "psi0", None)
         if psi0 is None or self.mode is not Mode.AERIAL:
             return None
         return psi0, 0.0, 0.0
@@ -67,7 +66,11 @@ class Segment:
 
 @dataclass
 class Lemniscate(Segment):
-    """Figure-eight Lissajous curve x = A sin(w t), y = B sin(2 w t)."""
+    """Figure-eight Lissajous curve x = A sin(w t), y = B sin(2 w t) at
+    t = tau / pace; a pace above 1 slows it uniformly.  Derivative k is
+    divided by `pace**k` right after its product: the bits of the unpaced
+    eight at tau / pace with row k divided by pace**k, which pacing through
+    `omega` (w / pace) would round differently."""
 
     A: float
     B: float
@@ -76,22 +79,25 @@ class Lemniscate(Segment):
     mode: Mode = Mode.GROUND
     laps: float = 1.0
     T_Bz: float = 0.0
+    pace: float = 1.0
 
     def __post_init__(self):
-        if min(self.A, self.B, self.omega) <= 0:
+        if min(self.A, self.B, self.omega, self.pace) <= 0:
             raise ValueError("lemniscate parameters must be positive")
         self.center = np.asarray(self.center, dtype=float)
-        self.duration = self.laps * 2.0 * math.pi / self.omega
+        self.duration = self.laps * 2.0 * math.pi / self.omega * self.pace
 
     def flat(self, tau):
-        w, A, B = self.omega, self.A, self.B
+        w, A, B, p = self.omega, self.A, self.B, self.pace
+        tau = tau / p
         s1, c1 = np.sin(w * tau), np.cos(w * tau)
         s2, c2 = np.sin(2 * w * tau), np.cos(2 * w * tau)
         return _planar(
             self.center,
-            [A * s1, A * w * c1, -A * w**2 * s1, -A * w**3 * c1, A * w**4 * s1],
-            [B * s2, 2 * B * w * c2, -4 * B * w**2 * s2, -8 * B * w**3 * c2,
-             16 * B * w**4 * s2],
+            [A * s1, A * w * c1 / p, -A * w**2 * s1 / p**2, -A * w**3 * c1 / p**3,
+             A * w**4 * s1 / p**4],
+            [B * s2, 2 * B * w * c2 / p, -4 * B * w**2 * s2 / p**2,
+             -8 * B * w**3 * c2 / p**3, 16 * B * w**4 * s2 / p**4],
         )
 
 
@@ -275,40 +281,6 @@ class QuinticBlend(Segment):
 
 
 @dataclass
-class TimeDilated(Segment):
-    """Uniform time dilation of an inner segment (slower by `factor`)."""
-
-    inner: Segment
-    factor: float
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ValueError("dilation factor must be positive")
-        self.duration = self.inner.duration * self.factor
-        self.mode = self.inner.mode
-        # derivative order k is divided by factor**k
-        self._divisor = np.array([[self.factor**order] for order in range(1, 5)])
-
-    def flat(self, tau):
-        out = self.inner.flat(tau / self.factor)
-        out[..., 1:, :] /= self._divisor
-        return out
-
-    def thrust_profile(self, tau: float):
-        T, dT, ddT = self.inner.thrust_profile(tau / self.factor)
-        return T, dT / self.factor, ddT / self.factor**2
-
-    def heading_hint(self, tau: float):
-        return self.inner.heading_hint(tau / self.factor)
-
-    def yaw(self, tau: float):
-        y = self.inner.yaw(tau / self.factor)
-        if y is None:
-            return None
-        return y[0], y[1] / self.factor, y[2] / self.factor**2
-
-
-@dataclass
 class ScaleReport:
     segment: Segment
     peak_speed: float
@@ -338,14 +310,15 @@ def segment_peaks(seg: Segment, n: int = 2001) -> Tuple[float, float]:
     return _peak_norm(f[:, 1]), _peak_norm(f[:, 2])
 
 
-def scale_to_limits(seg: Segment, v_max: float, a_max: float) -> ScaleReport:
-    """Uniformly dilate time so the realized peak speed equals
-    min(v_max, acceleration-limited speed) and peak accel stays <= a_max."""
+def scale_to_limits(seg: Lemniscate, v_max: float, a_max: float) -> ScaleReport:
+    """Uniformly slow the eight (its `pace` times `dilation`) so the realized
+    peak speed equals min(v_max, acceleration-limited speed) and peak accel
+    stays <= a_max; an eight within both limits is returned as it is."""
     if v_max <= 0 or a_max <= 0:
         raise ValueError("limits must be positive")
     pv, pa = segment_peaks(seg)
     factor = max(1.0, pv / v_max, math.sqrt(pa / a_max))
-    scaled = TimeDilated(seg, factor) if factor != 1.0 else seg
+    scaled = replace(seg, pace=seg.pace * factor) if factor != 1.0 else seg
     # dilation divides speed by the factor and acceleration by its square
     return ScaleReport(segment=scaled, peak_speed=pv / factor, peak_accel=pa / factor**2,
                        dilation=factor)
@@ -435,7 +408,7 @@ class HybridTrajectory:
             T, dT, ddT = seg.thrust_profile(tau)
             if past_end:
                 dT = ddT = 0.0
-            hint = psi_hint if psi_hint is not None else seg.heading_hint(tau)
+            hint = psi_hint if psi_hint is not None else getattr(seg, "psi0", None)
             sample = FlatSampleGround(
                 p=f[0], v=f[1], a=f[2], j=f[3], s=f[4],
                 T_Bz=T, dT_Bz=dT, ddT_Bz=ddT, t=t, psi_hint=hint,

@@ -221,6 +221,7 @@ def _control_rate_bool(doc):
         _set("run", duration=True),
         _control_rate_bool,
         _top(schema_version=True),
+        _set("vehicle", J=[[4.1e-3, 0.0, 0.0], [0.0, 2.8e-3, 0.0], [0.0, 0.0, 3.5e-3]]),
     ],
     ids=["K_zero", "negative_q_p", "u_min_not_below_u_max", "mass_not_a_number",
          "rate_not_a_number", "eight_aerial_without_v_max",
@@ -240,7 +241,8 @@ def _control_rate_bool(doc):
          "constraint_margin_null", "constraint_margin_a_list", "constraint_margin_bool",
          "u_max_with_null", "u_min_with_null", "u_max_too_short", "u_max_with_bool",
          "u_min_a_string", "trajectory_A_a_string", "p0_with_bool", "duration_bool",
-         "control_rate_bool", "schema_version_bool"],
+         "control_rate_bool", "schema_version_bool",
+         "J_a_diagonal_matrix"],
 )
 def test_main_malformed_scenario_exits_with_config_error(mutate, tmp_path, capsys):
     doc = tiny_hover_doc()

@@ -156,11 +156,6 @@ def test_params_rejects_off_diagonal_inertia():
         VehicleParams(J=J)
 
 
-def test_params_accepts_diagonal_matrix_inertia():
-    p = VehicleParams(J=np.diag([4.1e-3, 2.8e-3, 3.5e-3]))
-    np.testing.assert_allclose(p.J, [4.1e-3, 2.8e-3, 3.5e-3])
-
-
 def test_state_pack_round_trip():
     s = RobotState(
         vec3(1, 2, 3), vec3(0.1, -0.2, 0.3), Orientation(quat_from_euler(0.1, 0.2, 0.3)),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wheeled_bicopter.core import Mode, VehicleParams
+from wheeled_bicopter import cli
 from wheeled_bicopter import trajectory as tj
 
 
@@ -121,9 +123,10 @@ def test_scale_to_limits_never_increases_peaks():
     assert rep.peak_speed <= 1.0 + 1e-9 and rep.peak_accel <= 1.0 + 1e-9
 
 
-def test_time_dilated_derivative_scaling():
+def test_paced_lemniscate_derivative_scaling():
     seg = tj.Lemniscate(A=1.5, B=0.7, omega=1.1)
-    two = tj.TimeDilated(seg, 2.0)
+    two = replace(seg, pace=2.0)
+    assert two.duration == 2.0 * seg.duration
     f = seg.flat(0.4)
     g = two.flat(0.8)
     for order in range(5):
@@ -247,10 +250,11 @@ def reference_flat(seg, tau: float) -> np.ndarray:
     sin/cos, one quintic derivative at a time), kept as the oracle of the
     per-tick bits."""
     out = np.zeros((5, 3))
-    if isinstance(seg, tj.TimeDilated):
-        out = reference_flat(seg.inner, tau / seg.factor)
+    if isinstance(seg, tj.Lemniscate) and seg.pace != 1.0:
+        # the unpaced eight at tau / pace, row k divided by pace**k
+        out = reference_flat(replace(seg, pace=1.0), tau / seg.pace)
         for order in range(1, 5):
-            out[order] /= seg.factor**order
+            out[order] /= seg.pace**order
     elif isinstance(seg, tj.Lemniscate):
         w, A, B = seg.omega, seg.A, seg.B
         s1, c1 = math.sin(w * tau), math.cos(w * tau)
@@ -315,7 +319,8 @@ speed = span(0.0, 4.0)
 SEGMENTS = {
     "lemniscate": st.builds(
         tj.Lemniscate, A=span(0.1, 5.0), B=span(0.1, 5.0), omega=span(0.05, 4.0),
-        center=vec3, laps=span(0.1, 3.0), mode=st.sampled_from(Mode)),
+        center=vec3, laps=span(0.1, 3.0), mode=st.sampled_from(Mode),
+        pace=st.just(1.0) | span(0.2, 5.0)),
     "circle": st.builds(
         tj.Circle, radius=span(0.1, 5.0), omega=span(0.05, 4.0)),
     "rest": st.builds(tj.Rest, p0=vec3, psi0=span(-4.0, 4.0), duration=duration),
@@ -331,20 +336,13 @@ SEGMENTS = {
         end=st.tuples(vec3, vec3, vec3).map(np.array), duration=duration,
         yaw_bc=st.none() | st.tuples(*[span(-4.0, 4.0)] * 6)),
 }
-dilation = st.none() | span(0.2, 5.0)
-
-
-def dilated(seg, factor):
-    return seg if factor is None else tj.TimeDilated(seg, factor)
 
 
 @pytest.mark.parametrize("kind", sorted(SEGMENTS))
 @settings(max_examples=30, deadline=None)
-@given(data=st.data(), factor=dilation,
-       fractions=st.lists(span(0.0, 1.0), max_size=12))
-def test_batched_flat_rows_have_the_bits_of_scalar_calls(kind, data, factor, fractions):
-    base = data.draw(SEGMENTS[kind])
-    seg = dilated(base, factor)
+@given(data=st.data(), fractions=st.lists(span(0.0, 1.0), max_size=12))
+def test_batched_flat_rows_have_the_bits_of_scalar_calls(kind, data, fractions):
+    seg = data.draw(SEGMENTS[kind])
     taus = np.array([0.0, seg.duration] + [u * seg.duration for u in fractions])
     batch = seg.flat(taus)
     assert batch.shape == (len(taus), 5, 3)
@@ -353,18 +351,18 @@ def test_batched_flat_rows_have_the_bits_of_scalar_calls(kind, data, factor, fra
         assert one.shape == (5, 3)
         assert one.tobytes() == row.tobytes()
         assert one.tobytes() == reference_flat(seg, tau).tobytes()
-    if kind == "blend" and base.yaw_bc is not None:
-        c = tj._quintic_coeffs(*base.yaw_bc, base.duration)
-        for tau in (0.0, base.duration, *(u * base.duration for u in fractions)):
+    if kind == "blend" and seg.yaw_bc is not None:
+        c = tj._quintic_coeffs(*seg.yaw_bc, seg.duration)
+        for tau in taus.tolist():
             want = [reference_quintic(c, tau, k) for k in range(3)]
-            assert np.array(base.yaw(tau)).tobytes() == np.array(want).tobytes()
+            assert np.array(seg.yaw(tau)).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["blend", "circle", "lemniscate", "ramp"])
 @settings(max_examples=15, deadline=None)
-@given(data=st.data(), factor=dilation)
-def test_segment_peaks_equals_the_per_sample_loop(kind, data, factor):
-    seg = dilated(data.draw(SEGMENTS[kind]), factor)
+@given(data=st.data())
+def test_segment_peaks_equals_the_per_sample_loop(kind, data):
+    seg = data.draw(SEGMENTS[kind])
     for n in (2001, 501):  # the counts scale_to_limits and the blends use
         assert tj.segment_peaks(seg, n) == per_sample_peaks(seg, n)
 
@@ -413,3 +411,91 @@ def test_segment_peaks_takes_the_exact_norm_of_tied_and_banded_rows():
         seg = Samples(v, a)
         assert tj.segment_peaks(seg, len(v)) == per_sample_peaks(seg, len(v))
     assert tj.segment_peaks(Samples(tied, tied), 3) == (3.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# the bundled eights, paced as before `Lemniscate.pace`
+# ---------------------------------------------------------------------------
+
+
+class TimeDilated(tj.Segment):
+    """The wrapper that paced every bundled eight before `Lemniscate.pace`:
+    `inner` slowed by `factor`, derivative k divided by factor**k in place."""
+
+    def __init__(self, inner, factor):
+        self.inner, self.factor, self.mode = inner, factor, inner.mode
+        self.duration = inner.duration * factor
+        self._divisor = np.array([[factor**order] for order in range(1, 5)])
+
+    def flat(self, tau):
+        out = self.inner.flat(tau / self.factor)
+        out[..., 1:, :] /= self._divisor
+        return out
+
+    def thrust_profile(self, tau):
+        T, dT, ddT = self.inner.thrust_profile(tau / self.factor)
+        return T, dT / self.factor, ddT / self.factor**2
+
+    def yaw(self, tau):
+        y = self.inner.yaw(tau / self.factor)
+        return None if y is None else (y[0], y[1] / self.factor, y[2] / self.factor**2)
+
+
+def dilated_scale_to_limits(seg, v_max, a_max):
+    """`scale_to_limits` as it was, pacing through `TimeDilated`."""
+    pv, pa = tj.segment_peaks(seg)
+    factor = max(1.0, pv / v_max, math.sqrt(pa / a_max))
+    return tj.ScaleReport(segment=TimeDilated(seg, factor), peak_speed=pv / factor,
+                          peak_accel=pa / factor**2, dilation=factor)
+
+
+def product_configs(name):
+    """The configs whose trajectories a bundled scenario builds: one per
+    speed case of `run_benchmark_slippery`, one per mode of
+    `run_energy_compare`, else the scenario's own."""
+    cfg = cli.ScenarioConfig.from_dict(cli.load_bundled_scenario(name), name)
+    t = cfg.trajectory
+    if name == "benchmark_slippery":
+        return [replace(cfg, trajectory={**t, "kind": "eight_ground", "v_max": v, "a_max": a})
+                for v, a in t["speed_cases"]]
+    if name == "energy_compare":
+        return [replace(cfg, trajectory={**t, "kind": kind})
+                for kind in ("eight_ground", "eight_aerial")]
+    return [cfg]
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", [
+    "aerial_8shape", "ground_8shape_rough", "ground_8shape_slippery",
+    "benchmark_slippery", "energy_compare", "hybrid_3d"])
+def test_bundled_eights_have_the_bits_of_the_time_dilated_eights(name, monkeypatch):
+    calls, scale = [], tj.scale_to_limits
+
+    def recorded(seg, v_max, a_max):
+        calls.append((seg, v_max, a_max, scale(seg, v_max, a_max)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(tj, "scale_to_limits", recorded)
+    configs = product_configs(name)
+    for cfg in configs:
+        cli.build_trajectory(cfg)
+    # hybrid_3d scales its aerial eight twice: at the origin, to find the
+    # offset, and at the offset
+    assert len(calls) == (3 if name == "hybrid_3d" else len(configs))
+    rng = np.random.default_rng(0)
+    for seg, v_max, a_max, rep in calls:
+        want = dilated_scale_to_limits(seg, v_max, a_max)
+        assert rep.dilation > 1.0 and seg.pace == 1.0
+        assert (bits([rep.peak_speed, rep.peak_accel, rep.dilation])
+                == bits([want.peak_speed, want.peak_accel, want.dilation]))
+        got, ref = rep.segment, want.segment
+        assert bits(got.duration) == bits(ref.duration)
+        taus = np.concatenate([[0.0, ref.duration], rng.uniform(0.0, ref.duration, 50)])
+        assert got.flat(taus).tobytes() == ref.flat(taus).tobytes()
+        for tau in taus.tolist():
+            assert got.flat(tau).tobytes() == ref.flat(tau).tobytes()
+            assert bits(got.thrust_profile(tau)) == bits(ref.thrust_profile(tau))
+            assert got.yaw(tau) is ref.yaw(tau) is None
